@@ -1,43 +1,26 @@
 """Truncated free associative algebra on x and y.
 
-Elements are noncommutative polynomials stored as sparse maps from words
-(strings over ``xy``, the empty word being the scalar slot) to rational
-coefficients.  Every operation silently drops terms above the degree cap,
-which is exactly the arithmetic of the quotient algebra at that cap.
+Elements are noncommutative polynomials in the shared sparse form of
+:mod:`kvtower.sparse`: words (strings over ``xy``, the empty word being
+the scalar slot) mapped to rational coefficients, with every term above
+the degree cap dropped, which is exactly the arithmetic of the quotient
+algebra at that cap.  This module adds the unit, the concatenation
+product and the exponential and logarithm series.
 """
 
 from fractions import Fraction
 
-from .errors import CapMismatch
+from .sparse import SparseElt, _require_same_cap
 
 
-def _require_same_cap(a, b):
-    if a.cap != b.cap:
-        raise CapMismatch(f"cap mismatch: {a.cap} != {b.cap}")
-
-
-class AssocElt:
+class AssocElt(SparseElt):
     """Noncommutative polynomial in x, y truncated at degree ``cap``."""
 
-    __slots__ = ("cap", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, cap, coeffs=None):
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        self.cap = cap
-        store = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) > cap:
-                    continue
-                c = Fraction(c)
-                if c != 0:
-                    store[w] = c
-        self.coeffs = store
-
-    @classmethod
-    def zero(cls, cap):
-        return cls(cap)
+    # Bound on the class itself so that per-class tracing can wrap them.
+    __init__ = SparseElt.__init__
+    __add__ = SparseElt.__add__
 
     @classmethod
     def one(cls, cap):
@@ -47,58 +30,8 @@ class AssocElt:
     def word(cls, w, cap, coeff=1):
         return cls(cap, {w: coeff})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def constant_term(self):
         return self.coeffs.get("", Fraction(0))
-
-    def homogeneous_part(self, d):
-        return AssocElt(self.cap, {w: c for w, c in self.coeffs.items() if len(w) == d})
-
-    def truncate(self, n):
-        if n > self.cap:
-            raise ValueError("cannot extend the cap by truncation")
-        return AssocElt(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
-
-    def with_cap(self, n):
-        """Reinterpret at cap ``n`` >= current cap (zero extension)."""
-        if n < self.cap:
-            raise ValueError("use truncate to lower the cap")
-        return AssocElt(n, self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, AssocElt)
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other):
-        _require_same_cap(self, other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return AssocElt(self.cap, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return AssocElt(self.cap, {w: -c for w, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return AssocElt.zero(self.cap)
-        return AssocElt(self.cap, {w: scalar * c for w, c in self.coeffs.items()})
 
     def __mul__(self, other):
         """Concatenation product, truncated at the cap."""
@@ -126,10 +59,7 @@ class AssocElt:
                             out.pop(w, None)
                         else:
                             out[w] = s
-        elt = AssocElt.__new__(AssocElt)
-        elt.cap = cap
-        elt.coeffs = out
-        return elt
+        return AssocElt._new(cap, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -139,21 +69,9 @@ class AssocElt:
             out = out * self
         return out
 
-    def min_degree(self):
-        """Lowest degree with a nonzero term; None for the zero element."""
-        if not self.coeffs:
-            return None
-        return min(len(w) for w in self.coeffs)
-
-    def sorted_terms(self):
-        """Terms ordered by (degree, word) — the canonical order."""
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        parts = [f"{c}*{w or '1'}" for w, c in self.sorted_terms()]
-        return " + ".join(parts)
+    @staticmethod
+    def _show(w):
+        return w or "1"
 
 
 def assoc_mul(a, b):
@@ -206,4 +124,4 @@ def decompose(a):
             dx[w[:-1]] = c
         else:
             dy[w[:-1]] = c
-    return a0, AssocElt(a.cap, dx), AssocElt(a.cap, dy)
+    return a0, AssocElt._new(a.cap, dx), AssocElt._new(a.cap, dy)

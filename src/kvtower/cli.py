@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success / verification passed, 1 verification failed,
-2 usage or parse error, 3 internal inconsistency (an extension system
+2 usage, parse or I/O error, 3 internal inconsistency (an extension system
 that theory says is always solvable failed to solve).
 """
 
@@ -68,8 +68,11 @@ def _write_output(text, path):
     if path is None:
         sys.stdout.write(text)
     else:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_bch(args):

@@ -1,108 +1,38 @@
 """Cyclic words: the quotient of the associative algebra by commutators.
 
 A cyclic word is stored by its canonical necklace — the lexicographically
-least rotation — so the trace map just rotates every word to canonical
-form and accumulates coefficients.
+least rotation — as a key in the shared sparse form of
+:mod:`kvtower.sparse`, so the trace map just rotates every word to
+canonical form and accumulates coefficients.  The public constructor
+rejects keys that are not canonical.
 """
 
 from fractions import Fraction
 
 from .assoc import AssocElt
-from .errors import CapMismatch
 from .lie import bch_xy, lie_to_assoc
+from .sparse import SparseElt
 from .words import min_rotation
 
 
-class CycElt:
+class CycElt(SparseElt):
     """Element of the space of cyclic words truncated at ``cap``."""
 
-    __slots__ = ("cap", "coeffs")
+    __slots__ = ()
 
     def __init__(self, cap, coeffs=None):
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        self.cap = cap
-        store = {}
         if coeffs:
-            for w, c in coeffs.items():
-                if len(w) > cap:
-                    continue
-                if w != min_rotation(w):
+            for w in coeffs:
+                if len(w) <= cap and w != min_rotation(w):
                     raise ValueError(f"not a canonical necklace: {w!r}")
-                c = Fraction(c)
-                if c != 0:
-                    store[w] = c
-        self.coeffs = store
-
-    @classmethod
-    def zero(cls, cap):
-        return cls(cap)
-
-    def is_zero(self):
-        return not self.coeffs
+        super().__init__(cap, coeffs)
 
     def coeff(self, word):
         return self.coeffs.get(min_rotation(word), Fraction(0))
 
-    def min_degree(self):
-        if not self.coeffs:
-            return None
-        return min(len(w) for w in self.coeffs)
-
-    def homogeneous_part(self, d):
-        return CycElt(self.cap, {w: c for w, c in self.coeffs.items() if len(w) == d})
-
-    def truncate(self, n):
-        if n > self.cap:
-            raise ValueError("cannot extend the cap by truncation")
-        return CycElt(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
-
-    def with_cap(self, n):
-        if n < self.cap:
-            raise ValueError("use truncate to lower the cap")
-        return CycElt(n, self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, CycElt)
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other):
-        if self.cap != other.cap:
-            raise CapMismatch(f"cap mismatch: {self.cap} != {other.cap}")
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return CycElt(self.cap, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return CycElt(self.cap, {w: -c for w, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return CycElt.zero(self.cap)
-        return CycElt(self.cap, {w: scalar * c for w, c in self.coeffs.items()})
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*({w})" for w, c in self.sorted_terms())
+    @staticmethod
+    def _show(w):
+        return f"({w})"
 
 
 def trace(a):
@@ -115,10 +45,7 @@ def trace(a):
             out.pop(k, None)
         else:
             out[k] = s
-    elt = CycElt.__new__(CycElt)
-    elt.cap = a.cap
-    elt.coeffs = out
-    return elt
+    return CycElt._new(a.cap, out)
 
 
 def duflo_pattern(k, target, cap):

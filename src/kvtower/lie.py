@@ -7,15 +7,17 @@ triangular — its lexicographically least word is ``w`` itself, with
 coefficient one — which makes conversion from associative elements a
 simple elimination.
 
-The bracket is computed through the associative algebra once per pair of
-basis words and cached as structure constants; everything downstream is
-sparse linear algebra over those tables.
+Elements keep their Lyndon-word coordinates in the shared sparse form of
+:mod:`kvtower.sparse`.  The bracket is computed through the associative
+algebra once per pair of basis words and cached as structure constants;
+everything downstream is sparse linear algebra over those tables.
 """
 
 from fractions import Fraction
 
 from .assoc import AssocElt, assoc_exp, assoc_log
-from .errors import CapMismatch, NotPrimitive
+from .errors import InconsistentSystem, NotPrimitive
+from .sparse import SparseElt, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
@@ -23,6 +25,18 @@ from .words import is_lyndon, lyndon_words, standard_factorization
 # homogeneous and cap-independent, so the caches are global.
 _EXPANSION = {}
 _BRACKET = {}
+
+
+def _commutator(a, b):
+    """``ab - ba`` for word polynomials given as maps word -> coefficient."""
+    out = {}
+    for wa, ca in a.items():
+        for wb, cb in b.items():
+            w = wa + wb
+            out[w] = out.get(w, 0) + ca * cb
+            w = wb + wa
+            out[w] = out.get(w, 0) - ca * cb
+    return {w: c for w, c in out.items() if c}
 
 
 def basis_expansion(word):
@@ -35,16 +49,7 @@ def basis_expansion(word):
         result = {word: 1}
     else:
         u, v = standard_factorization(word)
-        a = basis_expansion(u)
-        b = basis_expansion(v)
-        result = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                result[w] = result.get(w, 0) + ca * cb
-                w = wb + wa
-                result[w] = result.get(w, 0) - ca * cb
-        result = {w: c for w, c in result.items() if c}
+        result = _commutator(basis_expansion(u), basis_expansion(v))
     _EXPANSION[word] = result
     return result
 
@@ -84,46 +89,23 @@ def bracket_table(w1, w2):
     elif (w2, w1) in _BRACKET:
         result = {w: -c for w, c in _BRACKET[(w2, w1)].items()}
     else:
-        a = basis_expansion(w1)
-        b = basis_expansion(w2)
-        comm = {}
-        for wa, ca in a.items():
-            for wb, cb in b.items():
-                w = wa + wb
-                comm[w] = comm.get(w, 0) + ca * cb
-                w = wb + wa
-                comm[w] = comm.get(w, 0) - ca * cb
-        comm = {w: c for w, c in comm.items() if c}
+        comm = _commutator(basis_expansion(w1), basis_expansion(w2))
         result, residual = _lyndon_coords_of_homogeneous(comm, len(w1) + len(w2))
         if residual:
-            raise AssertionError("bracket of basis elements left a residual")
+            raise InconsistentSystem("bracket of basis elements left a residual")
     _BRACKET[key] = result
     return result
 
 
-class LieElt:
+class LieElt(SparseElt):
     """Element of the free Lie algebra truncated at degree ``cap``,
     stored as a sparse map Lyndon word -> rational coefficient."""
 
-    __slots__ = ("cap", "coeffs")
+    __slots__ = ()
 
-    def __init__(self, cap, coeffs=None):
-        if cap < 1:
-            raise ValueError("cap must be >= 1")
-        self.cap = cap
-        store = {}
-        if coeffs:
-            for w, c in coeffs.items():
-                if len(w) > cap:
-                    continue
-                c = Fraction(c)
-                if c != 0:
-                    store[w] = c
-        self.coeffs = store
-
-    @classmethod
-    def zero(cls, cap):
-        return cls(cap)
+    # Bound on the class itself so that per-class tracing can wrap them.
+    __init__ = SparseElt.__init__
+    __add__ = SparseElt.__add__
 
     @classmethod
     def basis(cls, word, cap, coeff=1):
@@ -139,77 +121,13 @@ class LieElt:
     def gen_y(cls, cap):
         return cls(cap, {"y": 1})
 
-    def is_zero(self):
-        return not self.coeffs
-
     def coeff(self, word):
         return self.coeffs.get(word, Fraction(0))
-
-    def min_degree(self):
-        if not self.coeffs:
-            return None
-        return min(len(w) for w in self.coeffs)
-
-    def homogeneous_part(self, d):
-        return LieElt(self.cap, {w: c for w, c in self.coeffs.items() if len(w) == d})
-
-    def truncate(self, n):
-        if n > self.cap:
-            raise ValueError("cannot extend the cap by truncation")
-        return LieElt(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
-
-    def with_cap(self, n):
-        if n < self.cap:
-            raise ValueError("use truncate to lower the cap")
-        return LieElt(n, self.coeffs)
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, LieElt)
-            and self.cap == other.cap
-            and self.coeffs == other.coeffs
-        )
-
-    def __hash__(self):
-        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
-
-    def __add__(self, other):
-        if self.cap != other.cap:
-            raise CapMismatch(f"cap mismatch: {self.cap} != {other.cap}")
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return LieElt(self.cap, out)
-
-    def __sub__(self, other):
-        return self + (-other)
-
-    def __neg__(self):
-        return LieElt(self.cap, {w: -c for w, c in self.coeffs.items()})
-
-    def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return LieElt.zero(self.cap)
-        return LieElt(self.cap, {w: scalar * c for w, c in self.coeffs.items()})
-
-    def sorted_terms(self):
-        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        return " + ".join(f"{c}*{w}" for w, c in self.sorted_terms())
 
 
 def lie_bracket(u, v):
     """Lie bracket ``[u, v]`` truncated at the common cap."""
-    if u.cap != v.cap:
-        raise CapMismatch(f"cap mismatch: {u.cap} != {v.cap}")
+    _require_same_cap(u, v)
     cap = u.cap
     out = {}
     for w1, c1 in u.coeffs.items():
@@ -224,10 +142,7 @@ def lie_bracket(u, v):
                     out.pop(w, None)
                 else:
                     out[w] = s
-    elt = LieElt.__new__(LieElt)
-    elt.cap = cap
-    elt.coeffs = out
-    return elt
+    return LieElt._new(cap, out)
 
 
 def lie_to_assoc(u):
@@ -241,10 +156,7 @@ def lie_to_assoc(u):
                 out.pop(ww, None)
             else:
                 out[ww] = s
-    elt = AssocElt.__new__(AssocElt)
-    elt.cap = u.cap
-    elt.coeffs = out
-    return elt
+    return AssocElt._new(u.cap, out)
 
 
 def lie_from_assoc(a):
@@ -269,7 +181,7 @@ def lie_from_assoc(a):
         bad.update(residual)
     if bad:
         raise NotPrimitive(f"not primitive; residual {bad}", AssocElt(a.cap, bad))
-    return LieElt(a.cap, out)
+    return LieElt._new(a.cap, out)
 
 
 def bch(u, v):
@@ -278,8 +190,7 @@ def bch(u, v):
     Computed through the associative algebra; primitivity of the result
     is a theorem, so the conversion back never reports a residual.
     """
-    if u.cap != v.cap:
-        raise CapMismatch(f"cap mismatch: {u.cap} != {v.cap}")
+    _require_same_cap(u, v)
     product = assoc_exp(lie_to_assoc(u)) * assoc_exp(lie_to_assoc(v))
     return lie_from_assoc(assoc_log(product))
 

@@ -83,8 +83,13 @@ class LinearSolution:
         return self.particular is not None
 
 
-def _rref(dense, ncols):
-    """Row-reduce ``dense`` in place; return the list of pivot columns."""
+def _rref(dense, ncols, ops=None):
+    """Row-reduce ``dense`` in place; return the list of pivot columns.
+
+    When ``ops`` is a list, every row operation that changes something is
+    appended to it as ``(kind, i, j, factor)``, so that it can be replayed
+    on a right-hand side; no-op swaps and unit scalings are skipped.
+    """
     pivots = []
     r = 0
     nrows = len(dense)
@@ -96,13 +101,21 @@ def _rref(dense, ncols):
                 break
         if pivot_row is None:
             continue
-        dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
+        if pivot_row != r:
+            dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
+            if ops is not None:
+                ops.append(("swap", r, pivot_row, None))
         inv = Fraction(1) / dense[r][c]
-        dense[r] = [v * inv for v in dense[r]]
+        if inv != 1:
+            dense[r] = [v * inv for v in dense[r]]
+            if ops is not None:
+                ops.append(("scale", r, None, inv))
         for i in range(nrows):
             if i != r and dense[i][c] != 0:
                 f = dense[i][c]
                 dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+                if ops is not None:
+                    ops.append(("axpy", i, r, f))
         pivots.append(c)
         r += 1
         if r == nrows:
@@ -173,39 +186,8 @@ class PresolvedSystem:
     def __init__(self, M):
         self.cols = M.cols
         self.rows = M.rows
-        dense = M.dense()
         self._ops = []
-        self._pivots = self._rref_recording(dense)
-        self._dense = dense
-
-    def _rref_recording(self, dense):
-        pivots = []
-        r = 0
-        for c in range(self.cols):
-            pivot_row = None
-            for i in range(r, len(dense)):
-                if dense[i][c] != 0:
-                    pivot_row = i
-                    break
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-                self._ops.append(("swap", r, pivot_row, None))
-            inv = Fraction(1) / dense[r][c]
-            if inv != 1:
-                dense[r] = [v * inv for v in dense[r]]
-                self._ops.append(("scale", r, None, inv))
-            for i in range(len(dense)):
-                if i != r and dense[i][c] != 0:
-                    f = dense[i][c]
-                    dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-                    self._ops.append(("axpy", i, r, f))
-            pivots.append(c)
-            r += 1
-            if r == len(dense):
-                break
-        return pivots
+        self._pivots = _rref(M.dense(), self.cols, self._ops)
 
     def solve(self, b):
         """Particular solution with free variables zero, or ``None``."""

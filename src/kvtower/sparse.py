@@ -1,0 +1,130 @@
+"""The sparse representation shared by the three word algebras.
+
+An element of the truncated free associative algebra, of the free Lie
+algebra in the Lyndon basis, or of the space of cyclic words is a degree
+cap plus a sparse map from words (strings over ``xy``) to nonzero
+``Fraction`` coefficients.  Terms above the cap are dropped, which is the
+arithmetic of the quotient at that cap.
+
+The public constructor normalises its input: it drops over-cap words,
+converts every coefficient with ``Fraction()`` and removes zeros.  Results
+computed from elements that are already valid go through the trusted
+:meth:`SparseElt._new` instead, which adopts the map as it is.
+"""
+
+from fractions import Fraction
+
+from .errors import CapMismatch
+
+
+def _require_same_cap(a, b):
+    if a.cap != b.cap:
+        raise CapMismatch(f"cap mismatch: {a.cap} != {b.cap}")
+
+
+def _check_cap(cap):
+    if cap < 1:
+        raise ValueError("cap must be >= 1")
+
+
+class SparseElt:
+    """Sparse map word -> nonzero ``Fraction``, truncated at degree ``cap``."""
+
+    __slots__ = ("cap", "coeffs")
+
+    def __init__(self, cap, coeffs=None):
+        _check_cap(cap)
+        self.cap = cap
+        store = {}
+        if coeffs:
+            for w, c in coeffs.items():
+                if len(w) > cap:
+                    continue
+                c = Fraction(c)
+                if c != 0:
+                    store[w] = c
+        self.coeffs = store
+
+    @classmethod
+    def _new(cls, cap, coeffs):
+        """Trusted constructor: ``coeffs`` must already hold only nonzero
+        ``Fraction``s on valid words of degree at most ``cap``.  The map is
+        adopted, not copied."""
+        elt = object.__new__(cls)
+        elt.cap = cap
+        elt.coeffs = coeffs
+        return elt
+
+    @classmethod
+    def zero(cls, cap):
+        return cls(cap)
+
+    def is_zero(self):
+        return not self.coeffs
+
+    def min_degree(self):
+        """Lowest degree with a nonzero term; None for the zero element."""
+        if not self.coeffs:
+            return None
+        return min(len(w) for w in self.coeffs)
+
+    def homogeneous_part(self, d):
+        return self._new(self.cap, {w: c for w, c in self.coeffs.items() if len(w) == d})
+
+    def truncate(self, n):
+        if n > self.cap:
+            raise ValueError("cannot extend the cap by truncation")
+        _check_cap(n)
+        return self._new(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
+
+    def with_cap(self, n):
+        """Reinterpret at cap ``n`` >= current cap (zero extension)."""
+        if n < self.cap:
+            raise ValueError("use truncate to lower the cap")
+        return self._new(n, dict(self.coeffs))
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.cap == other.cap
+            and self.coeffs == other.coeffs
+        )
+
+    def __hash__(self):
+        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
+
+    def __add__(self, other):
+        _require_same_cap(self, other)
+        out = dict(self.coeffs)
+        for w, c in other.coeffs.items():
+            s = out.get(w, 0) + c
+            if s == 0:
+                out.pop(w, None)
+            else:
+                out[w] = s
+        return self._new(self.cap, out)
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __neg__(self):
+        return self._new(self.cap, {w: -c for w, c in self.coeffs.items()})
+
+    def __rmul__(self, scalar):
+        scalar = Fraction(scalar)
+        if scalar == 0:
+            return self.zero(self.cap)
+        return self._new(self.cap, {w: scalar * c for w, c in self.coeffs.items()})
+
+    def sorted_terms(self):
+        """Terms ordered by (degree, word) — the canonical order."""
+        return sorted(self.coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+
+    @staticmethod
+    def _show(w):
+        return w
+
+    def __repr__(self):
+        if not self.coeffs:
+            return "0"
+        return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())

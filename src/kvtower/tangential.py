@@ -21,9 +21,10 @@ from fractions import Fraction
 
 from .assoc import AssocElt, assoc_exp
 from .cyclic import CycElt, trace
-from .errors import CapMismatch
+from .errors import InconsistentSystem
 from .lie import LieElt, bch, lie_bracket, lie_to_assoc
 from .linalg import PresolvedSystem, QMatrix
+from .sparse import _require_same_cap
 from .words import lyndon_words, standard_factorization
 
 
@@ -32,7 +33,7 @@ def _normalize_pair(u1, u2):
     c1.pop("x", None)
     c2 = dict(u2.coeffs)
     c2.pop("y", None)
-    return LieElt(u1.cap, c1), LieElt(u2.cap, c2)
+    return LieElt._new(u1.cap, c1), LieElt._new(u2.cap, c2)
 
 
 class TDer:
@@ -41,8 +42,7 @@ class TDer:
     __slots__ = ("cap", "u1", "u2")
 
     def __init__(self, u1, u2):
-        if u1.cap != u2.cap:
-            raise CapMismatch(f"cap mismatch: {u1.cap} != {u2.cap}")
+        _require_same_cap(u1, u2)
         self.cap = u1.cap
         self.u1, self.u2 = _normalize_pair(u1, u2)
 
@@ -125,16 +125,14 @@ class _DerEngine:
 
 def tder_apply(u, w):
     """Apply the derivation ``u`` to a Lie element by the Leibniz rule."""
-    if u.cap != w.cap:
-        raise CapMismatch(f"cap mismatch: {u.cap} != {w.cap}")
+    _require_same_cap(u, w)
     return _DerEngine(u).apply(w)
 
 
 def tder_bracket(u, v):
     """Derivation commutator; again tangential, as the pair
     ``(u(v1) - v(u1) + [u1,v1], u(v2) - v(u2) + [u2,v2])``."""
-    if u.cap != v.cap:
-        raise CapMismatch(f"cap mismatch: {u.cap} != {v.cap}")
+    _require_same_cap(u, v)
     ue = _DerEngine(u)
     ve = _DerEngine(v)
     w1 = ue.apply(v.u1) - ve.apply(u.u1) + lie_bracket(u.u1, v.u1)
@@ -159,7 +157,7 @@ def divergence(u):
                 keep.pop(w, None)
             else:
                 keep[w] = s
-    return trace(AssocElt(u.cap, keep))
+    return trace(AssocElt._new(u.cap, keep))
 
 
 def _word_sandwich(prefix, elt, suffix, cap):
@@ -174,14 +172,13 @@ def _word_sandwich(prefix, elt, suffix, cap):
             out.pop(key, None)
         else:
             out[key] = s
-    return AssocElt(cap, out)
+    return AssocElt._new(cap, out)
 
 
 def cyc_tder_act(u, c):
     """Derivation action on cyclic words: act letter by letter on any
     representative, then re-trace."""
-    if u.cap != c.cap:
-        raise CapMismatch(f"cap mismatch: {u.cap} != {c.cap}")
+    _require_same_cap(u, c)
     cap = u.cap
     images = {
         "x": lie_to_assoc(lie_bracket(LieElt.gen_x(cap), u.u1)),
@@ -198,8 +195,7 @@ def cyc_tder_act(u, c):
 def cyc_taut_act(F, c):
     """Automorphism action on cyclic words: substitute the images of the
     generators into a representative, multiply out, re-trace."""
-    if F.cap != c.cap:
-        raise CapMismatch(f"cap mismatch: {F.cap} != {c.cap}")
+    _require_same_cap(F, c)
     cap = F.cap
     images = {
         "x": F.generator_image_assoc("x"),
@@ -221,8 +217,7 @@ class TAutElt:
     __slots__ = ("cap", "f1", "f2")
 
     def __init__(self, f1, f2):
-        if f1.cap != f2.cap:
-            raise CapMismatch(f"cap mismatch: {f1.cap} != {f2.cap}")
+        _require_same_cap(f1, f2)
         self.cap = f1.cap
         c = f1.coeff("x")
         if c != 0:
@@ -316,7 +311,7 @@ class _AutEngine:
                 return v
             v = v + defect
         if not (w - self.apply(v)).is_zero():
-            raise AssertionError("inverse application did not converge")
+            raise InconsistentSystem("inverse application did not converge")
         return v
 
 
@@ -335,16 +330,14 @@ def _conjugation_series(gen, f, cap=None):
 
 def taut_apply(F, w):
     """Apply the automorphism to a Lie element."""
-    if F.cap != w.cap:
-        raise CapMismatch(f"cap mismatch: {F.cap} != {w.cap}")
+    _require_same_cap(F, w)
     return _AutEngine(F).apply(w)
 
 
 def taut_compose(F, G):
     """Composition ``(F o G)(w) = F(G(w))``; exponents are
     ``bch(f_i, F(g_i))``."""
-    if F.cap != G.cap:
-        raise CapMismatch(f"cap mismatch: {F.cap} != {G.cap}")
+    _require_same_cap(F, G)
     eng = _AutEngine(F)
     return TAutElt(bch(F.f1, eng.apply(G.f1)), bch(F.f2, eng.apply(G.f2)))
 
@@ -392,8 +385,8 @@ def _solve_generator_bracket(letter, k, rhs):
         vec[row_index[w]] = c
     sol = solver.solve(vec)
     if sol is None:
-        raise AssertionError("generator-bracket system inconsistent")
-    return LieElt(rhs.cap, {w: c for w, c in zip(columns, sol) if c != 0})
+        raise InconsistentSystem("generator-bracket system inconsistent")
+    return LieElt._new(rhs.cap, {w: c for w, c in zip(columns, sol) if c != 0})
 
 
 def _exponent_from_action(image, letter, out_cap):
@@ -472,8 +465,7 @@ def jacobian(F):
 
 def group_commutator(F, G):
     """``F^{-1} o G^{-1} o F o G``."""
-    if F.cap != G.cap:
-        raise CapMismatch(f"cap mismatch: {F.cap} != {G.cap}")
+    _require_same_cap(F, G)
     Fi = taut_inverse(F)
     Gi = taut_inverse(G)
     return taut_compose(taut_compose(taut_compose(Fi, Gi), F), G)

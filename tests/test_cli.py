@@ -1,14 +1,67 @@
 import json
+from pathlib import Path
+
+import pytest
 
 from kvtower.cli import emit_report, run_command
 from kvtower.kv import check_sol_kv, extend_solkv
+from kvtower.linalg import PresolvedSystem
 from kvtower.tangential import TAutElt
+
+
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def run(capsys, *argv):
     code = run_command(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def _golden_extend_d8(tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    out = tmp_path / "sol8.json"
+    run(capsys, "seed", "--out", str(seed))
+    code, _, _ = run(capsys, "extend", "--in", str(seed), "--to-degree", "8",
+                     "--out", str(out))
+    return code, out.read_bytes()
+
+
+def _golden_verify_d8_fail(tmp_path, capsys):
+    # The degree-8 golden document with its first degree-7 f1 coefficient
+    # doubled.
+    doc = json.loads((GOLDEN / "extend_d8.json").read_text())
+    item = next(i for i in doc["f1"] if len(i["word"]) == 7)
+    item["num"] = str(2 * int(item["num"]))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(path), "--degree", "8",
+                       "--variant", "SolKV")
+    return code, out.encode()
+
+
+def _golden_stdout(*argv):
+    def job(tmp_path, capsys):
+        code, out, _ = run(capsys, *argv)
+        return code, out.encode()
+    return job
+
+
+GOLDEN_CASES = [
+    ("extend_d8.json", _golden_extend_d8, 0),
+    ("dims_d9.txt", _golden_stdout("dims", "--max-degree", "9"), 0),
+    ("bch_d7.txt", _golden_stdout("bch", "--degree", "7"), 0),
+    ("verify_d8_fail.txt", _golden_verify_d8_fail, 1),
+]
+
+
+@pytest.mark.parametrize(
+    "name, job, expected_code", GOLDEN_CASES, ids=[c[0] for c in GOLDEN_CASES]
+)
+def test_golden_outputs(name, job, expected_code, tmp_path, capsys):
+    code, data = job(tmp_path, capsys)
+    assert code == expected_code
+    assert data == (GOLDEN / name).read_bytes()
 
 
 def test_seed_document(tmp_path, capsys):
@@ -154,3 +207,25 @@ def test_emit_report_pass_only_when_series_zero():
     F = TAutElt.identity(1)
     text = emit_report(check_sol_kv(F, 1))
     assert text == "PASS\n"
+
+
+@pytest.mark.parametrize("command", ["seed", "extend"])
+def test_unwritable_out_exit_code(command, tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    run(capsys, "seed", "--out", str(seed))
+    target = tmp_path / "no-such-dir" / "x.json"
+    argv = ["seed"] if command == "seed" else ["extend", "--in", str(seed),
+                                                "--to-degree", "2"]
+    code, out, err = run(capsys, *argv, "--out", str(target))
+    assert code == 2
+    assert "cannot write" in err
+    assert not target.exists()
+
+
+def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
+    seed = tmp_path / "seed.json"
+    run(capsys, "seed", "--out", str(seed))
+    monkeypatch.setattr(PresolvedSystem, "solve", lambda self, b: None)
+    code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
+    assert code == 3
+    assert "internal inconsistency" in err

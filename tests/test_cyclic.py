@@ -35,6 +35,10 @@ def test_trace_is_cyclic_on_products():
 def test_non_canonical_key_rejected():
     with pytest.raises(ValueError):
         CycElt(2, {"yx": 1})
+    with pytest.raises(ValueError, match="canonical necklace"):
+        CycElt(3, {"yx": 0})
+    # Over-cap words are dropped before the check.
+    assert CycElt(1, {"yx": 1}).is_zero()
 
 
 def test_pattern_degree_two_sum():

@@ -104,3 +104,17 @@ def test_presolved_matches_solve_linear():
             assert solver.solve(b) == solve_linear(M, b).particular
         bad = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
         assert solver.solve(bad) == solve_linear(M, bad).particular
+    # Unit upper-triangular blocks (plus free columns and zero rows): every
+    # pivot is already 1 in place, so only eliminations are recorded.
+    for _ in range(20):
+        n = rng.randint(1, 5)
+        M = QMatrix(n + rng.randint(0, 1), n + rng.randint(0, 2))
+        for i in range(n):
+            M[i, i] = 1
+            for j in range(i + 1, M.cols):
+                M[i, j] = rng.randint(-3, 3)
+        solver = PresolvedSystem(M)
+        assert all(op == "axpy" for op, _, _, _ in solver._ops)
+        for _ in range(3):
+            b = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
+            assert solver.solve(b) == solve_linear(M, b).particular

@@ -1,0 +1,88 @@
+"""The sparse element base shared by AssocElt, LieElt and CycElt."""
+
+from fractions import Fraction
+
+from conftest import random_fraction, rng_for
+from kvtower.assoc import AssocElt
+from kvtower.cyclic import CycElt
+from kvtower.errors import CapMismatch
+from kvtower.lie import LieElt
+from kvtower.words import all_words, lyndon_words, necklaces
+
+import pytest
+
+# Element type, its valid words of one degree, a fixed sample and its repr.
+CASES = [
+    (
+        AssocElt,
+        all_words,
+        {"": 1, "xy": Fraction(-1, 2), "x": 2},
+        "1*1 + 2*x + -1/2*xy",
+    ),
+    (LieElt, lyndon_words, {"xy": Fraction(1, 2), "x": 1}, "1*x + 1/2*xy"),
+    (CycElt, necklaces, {"xxy": 3, "y": Fraction(-2, 3)}, "-2/3*(y) + 3*(xxy)"),
+]
+
+
+def _random_elt(rng, cls, words_of, cap, terms=4):
+    pool = [w for d in range(1, cap + 1) for w in words_of(d)]
+    chosen = rng.sample(pool, min(terms, len(pool)))
+    return cls(cap, {w: random_fraction(rng) for w in chosen})
+
+
+@pytest.mark.parametrize(
+    "cls, words_of, sample, expected_repr", CASES, ids=[c[0].__name__ for c in CASES]
+)
+def test_shared_sparse_base(cls, words_of, sample, expected_repr):
+    rng = rng_for(f"sparse-base-{cls.__name__}")
+    cap = 5
+    for _ in range(10):
+        a, b, c = (_random_elt(rng, cls, words_of, cap) for _ in range(3))
+        s, t = random_fraction(rng), random_fraction(rng)
+        zero = cls.zero(cap)
+
+        # Additive inverse, associativity, scalar distributivity.
+        assert a + (-a) == zero
+        assert (a - b) + b == a
+        assert (a + b) + c == a + (b + c)
+        assert s * (a + b) == s * a + s * b
+        assert (s + t) * a == s * a + t * a
+        assert 0 * a == zero
+        assert hash(a + b) == hash(b + a)
+
+        # Cap round trips; the homogeneous parts add back up.
+        assert a.with_cap(cap + 2).truncate(cap) == a
+        for k in range(1, cap + 1):
+            low = zero
+            for d in range(k + 1):
+                low = low + a.homogeneous_part(d)
+            assert a.truncate(k).with_cap(cap) == low
+        assert low == a
+
+        # with_cap hands out its own dict.
+        wide = a.with_cap(cap + 1)
+        assert wide.coeffs is not a.coeffs
+        before = dict(a.coeffs)
+        wide.coeffs.clear()
+        assert a.coeffs == before
+
+    # Mixed caps are rejected.
+    with pytest.raises(CapMismatch):
+        cls.zero(2) + cls.zero(3)
+    with pytest.raises(CapMismatch):
+        cls.zero(2) - cls.zero(3)
+
+    # Caps below one are rejected, also by truncation.
+    with pytest.raises(ValueError):
+        cls.zero(0)
+    with pytest.raises(ValueError):
+        cls(3, sample).truncate(0)
+
+    # Terms above the cap are dropped; coefficients become Fractions.
+    elt = cls(2, sample)
+    assert all(len(w) <= 2 for w in elt.coeffs)
+    assert all(type(v) is Fraction for v in elt.coeffs.values())
+
+    assert repr(cls(3, sample)) == expected_repr
+    assert repr(cls.zero(3)) == "0"
+

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 from conftest import random_lie, random_taut, random_tder, rng_for
 from kvtower.cyclic import trace
-from kvtower.errors import CapMismatch
+from kvtower.errors import CapMismatch, InconsistentSystem
 from kvtower.lie import LieElt, lie_bracket, lie_to_assoc
 from kvtower.assoc import AssocElt
+from kvtower.linalg import PresolvedSystem
 from kvtower.tangential import (
     TAutElt,
     TDer,
@@ -507,3 +508,10 @@ def test_cap_mismatch_raises():
         taut_compose(TAutElt.identity(2), TAutElt.identity(3))
     with pytest.raises(CapMismatch):
         tder_bracket(TDer.zero(2), TDer.zero(3))
+
+
+def test_taut_exp_reports_unsolvable_generator_bracket(monkeypatch):
+    monkeypatch.setattr(PresolvedSystem, "solve", lambda self, b: None)
+    u = TDer(LieElt.gen_y(3), LieElt.zero(3))
+    with pytest.raises(InconsistentSystem):
+        taut_exp(u)

@@ -3,7 +3,7 @@ free Lie algebras: Lyndon-basis arithmetic, tangential derivations and
 automorphisms, divergence and Jacobian cocycles, equation checkers, and
 the degree-by-degree extension of solutions."""
 
-from .assoc import AssocElt, assoc_exp, assoc_log, assoc_mul, decompose
+from .assoc import AssocElt, assoc_exp, assoc_log
 from .cyclic import CycElt, duflo_pattern, trace
 from .errors import (
     CapMismatch,
@@ -29,7 +29,7 @@ from .kv import (
     torsor_quotient,
 )
 from .lie import LieElt, bch, bch_xy, lie_bracket, lie_from_assoc, lie_to_assoc
-from .linalg import LinearSolution, QMatrix, kernel_basis, solve_linear
+from .linalg import QMatrix, kernel_basis, solve_linear
 from .tangential import (
     TAutElt,
     TDer,
@@ -60,7 +60,6 @@ __all__ = [
     "InconsistentSystem",
     "KVReport",
     "LieElt",
-    "LinearSolution",
     "NotPrimitive",
     "PreconditionFailed",
     "QMatrix",
@@ -68,7 +67,6 @@ __all__ = [
     "TDer",
     "assoc_exp",
     "assoc_log",
-    "assoc_mul",
     "bch",
     "bch_xy",
     "check_krv",
@@ -77,7 +75,6 @@ __all__ = [
     "check_sol_kv",
     "cyc_taut_act",
     "cyc_tder_act",
-    "decompose",
     "divergence",
     "duflo_pattern",
     "extend_krv_step",

@@ -74,11 +74,6 @@ class AssocElt(SparseElt):
         return w or "1"
 
 
-def assoc_mul(a, b):
-    """Product in the truncated algebra; same as ``a * b``."""
-    return a * b
-
-
 def assoc_exp(a):
     """Exponential series of an element with zero constant term."""
     if a.constant_term() != 0:

@@ -46,12 +46,12 @@ def emit_report(report):
     return "\n".join(lines) + "\n"
 
 
-def _guard_degree(n, allow_large):
+def _guard_degree(n, allow_large, what="degree"):
     if n < 1:
-        raise DocumentError("degree must be >= 1")
+        raise DocumentError(f"{what} must be >= 1")
     if n > DEGREE_GUARD and not allow_large:
         raise DocumentError(
-            f"degree {n} exceeds the guard ({DEGREE_GUARD}); pass --allow-large "
+            f"{what} {n} exceeds the guard ({DEGREE_GUARD}); pass --allow-large "
             "to override"
         )
 
@@ -59,9 +59,12 @@ def _guard_degree(n, allow_large):
 def _load(path):
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return parse_document(fh.read())
+            text = fh.read()
     except OSError as exc:
         raise DocumentError(f"cannot read {path}: {exc}") from None
+    except UnicodeDecodeError as exc:
+        raise DocumentError(f"{path} is not UTF-8: {exc}") from None
+    return parse_document(text)
 
 
 def _write_output(text, path):
@@ -132,6 +135,8 @@ def _cmd_seed(args):
 def _cmd_gr_test(args):
     _guard_degree(args.degree, args.allow_large)
     doc = _load(args.infile)
+    # The transport is checked at the document's own cap, so guard it too.
+    _guard_degree(doc.cap, args.allow_large, "document cap")
     F = doc.to_taut()
     r = gr_leading_rank(F, args.degree)
     d, _ = krv_dim(args.degree)

@@ -83,6 +83,8 @@ def parse_document(text):
         data = json.loads(text)
     except json.JSONDecodeError as exc:
         raise DocumentError(f"malformed JSON: {exc}") from None
+    except RecursionError:
+        raise DocumentError("malformed JSON: nested too deeply") from None
     if not isinstance(data, dict):
         raise DocumentError("top level must be an object")
     for key in ("format_version", "cap", "f1", "f2", "duflo", "variant"):

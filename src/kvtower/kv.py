@@ -18,11 +18,12 @@ from fractions import Fraction
 
 from .cyclic import duflo_pattern
 from .errors import InconsistentSystem, PreconditionFailed
-from .lie import LieElt, bch_xy, lie_bracket
+from .lie import LieElt, bch_xy, bracket_table
 from .linalg import QMatrix, kernel_basis, rank, solve_linear
 from .tangential import (
     TAutElt,
     TDer,
+    _slot_columns,
     divergence,
     jacobian,
     taut_apply,
@@ -164,82 +165,60 @@ def check_krv_lie(u, n):
     return KVReport("krv-lie", n, defect, duflo, residual)
 
 
-def _tder_columns(n):
-    """Coordinate words for the normalized degree-n derivation block."""
-    words = list(lyndon_words(n))
-    if n == 1:
-        return ["y"], ["x"]
-    return words, words
-
-
-def _homogeneous_tder(cols1, cols2, values, n, cap):
-    u1 = {w: v for w, v in zip(cols1, values[: len(cols1)]) if v != 0}
-    u2 = {w: v for w, v in zip(cols2, values[len(cols1) : len(cols1) + len(cols2)]) if v != 0}
-    return TDer(LieElt(cap, u1), LieElt(cap, u2))
-
-
-def _divergence_rows(cols1, cols2, n, cap):
-    """Divergence of each coordinate derivation, as necklace columns."""
-    neck = list(necklaces(n))
-    index = {w: i for i, w in enumerate(neck)}
-    out = []
-    for block, letter in ((cols1, "x"), (cols2, "y")):
-        for w in block:
-            u1 = LieElt(cap, {w: 1}) if letter == "x" else LieElt.zero(cap)
-            u2 = LieElt(cap, {w: 1}) if letter == "y" else LieElt.zero(cap)
-            j = divergence(TDer(u1, u2))
-            col = [Fraction(0)] * len(neck)
-            for ww, c in j.coeffs.items():
-                col[index[ww]] = c
-            out.append(col)
-    return neck, index, out
-
-
 class _GradedSystem:
     """The degree-n linear system shared by the extension step and the
     graded-dimension solver.
 
-    Columns: normalized first-slot coordinates, then second-slot
-    coordinates, then (for n >= 2) the Duflo multiplier.  Rows: the
-    generator-bracket equation over degree-(n+1) basis words (optional),
-    then the divergence equation over degree-n necklaces.
+    Columns: the normalized coordinates of the first slot, then of the
+    second slot (:func:`~kvtower.tangential._slot_columns`), then, for
+    n >= 2, the Duflo multiplier.  Rows: optionally the generator-bracket
+    equation ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the
+    divergence equation over the degree-n necklaces.  The two kinds of
+    row key differ in length, so one word -> row index serves both.
     """
 
     def __init__(self, n, with_bracket_rows):
         cap = n + 1
         self.n = n
-        self.cols1, self.cols2 = _tder_columns(n)
-        neck, _, div_cols = _divergence_rows(self.cols1, self.cols2, n, cap)
-        lw = list(lyndon_words(cap)) if with_bracket_rows else []
-        self.lw_index = {w: i for i, w in enumerate(lw)}
-        base = len(lw)
-        self.neck_index = {w: base + i for i, w in enumerate(neck)}
+        self.cols1 = _slot_columns("x", n)
+        self.cols2 = _slot_columns("y", n)
+        lw = lyndon_words(cap) if with_bracket_rows else ()
+        self.row_index = {w: i for i, w in enumerate(lw + necklaces(n))}
         ncols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
-        M = QMatrix(base + len(neck), ncols)
-        if with_bracket_rows:
-            gens = (
-                (self.cols1, LieElt.gen_x(cap), 0),
-                (self.cols2, LieElt.gen_y(cap), len(self.cols1)),
-            )
-            for block, gen, offset in gens:
-                for j, w in enumerate(block):
-                    img = lie_bracket(gen, LieElt(cap, {w: 1}))
-                    for ww, cc in img.coeffs.items():
-                        M[self.lw_index[ww], offset + j] = cc
-        for j, col in enumerate(div_cols):
-            for i, cc in enumerate(col):
-                if cc != 0:
-                    M[base + i, j] = cc
+        M = QMatrix(len(self.row_index), ncols)
+        zero = LieElt.zero(cap)
+        columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
+        for j, (letter, w) in enumerate(columns):
+            if with_bracket_rows:
+                for ww, c in bracket_table(letter, w).items():
+                    M[self.row_index[ww], j] = c
+            u = LieElt(cap, {w: 1})
+            div = divergence(TDer(u, zero) if letter == "x" else TDer(zero, u))
+            for ww, c in div.coeffs.items():
+                M[self.row_index[ww], j] = c
         if n >= 2:
-            pat = duflo_pattern(n, "sum", cap)
-            for ww, cc in pat.coeffs.items():
-                M[self.neck_index[ww], ncols - 1] = -cc
+            for ww, c in duflo_pattern(n, "sum", cap).coeffs.items():
+                M[self.row_index[ww], ncols - 1] = -c
         self.matrix = M
 
     def tder_from(self, values, cap):
         """Read a homogeneous derivation off a solution/kernel vector,
         dropping the trailing Duflo coordinate if present."""
-        return _homogeneous_tder(self.cols1, self.cols2, values, self.n, cap)
+        k = len(self.cols1)
+        u1 = {w: v for w, v in zip(self.cols1, values[:k]) if v != 0}
+        u2 = {w: v for w, v in zip(self.cols2, values[k:]) if v != 0}
+        return TDer(LieElt(cap, u1), LieElt(cap, u2))
+
+    def solve(self, defect, cap):
+        """The derivation whose row image cancels ``defect``, a Lie or
+        cyclic element keyed by row words, read off at ``cap``."""
+        rhs = [Fraction(0)] * self.matrix.rows
+        for w, c in defect.coeffs.items():
+            rhs[self.row_index[w]] = -c
+        sol = solve_linear(self.matrix, rhs)
+        if not sol.consistent:
+            raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
+        return self.tder_from(sol.particular, cap)
 
 
 def extend_solkv_step(F):
@@ -262,26 +241,12 @@ def extend_solkv_step(F):
 
     # Stage A: degree-n correction.
     E1 = (taut_apply(Fx, bch_xy(cap)) - xy).homogeneous_part(cap)
-    sysA = _GradedSystem(n, with_bracket_rows=True)
-    rhs = [Fraction(0)] * sysA.matrix.rows
-    for ww, cc in E1.coeffs.items():
-        rhs[sysA.lw_index[ww]] = -cc
-    sol = solve_linear(sysA.matrix, rhs)
-    if not sol.consistent:
-        raise InconsistentSystem("degree-n correction system inconsistent")
-    a = sysA.tder_from(sol.particular, cap)
+    a = _GradedSystem(n, with_bracket_rows=True).solve(E1, cap)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
     # Stage B: new degree-(n+1) terms.
     E2 = jacobian(F1).homogeneous_part(cap)
-    sysB = _GradedSystem(cap, with_bracket_rows=False)
-    rhsb = [Fraction(0)] * sysB.matrix.rows
-    for ww, cc in E2.coeffs.items():
-        rhsb[sysB.neck_index[ww]] = -cc
-    solb = solve_linear(sysB.matrix, rhsb)
-    if not solb.consistent:
-        raise InconsistentSystem("degree-(n+1) divergence system inconsistent")
-    b = sysB.tder_from(solb.particular, cap)
+    b = _GradedSystem(cap, with_bracket_rows=False).solve(E2, cap)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)
 
 
@@ -371,9 +336,5 @@ def gr_leading_rank(F, n):
         lead = taut_log(G).homogeneous_part(n)
         vec = [lead.u1.coeff(w) for w in cols] + [lead.u2.coeff(w) for w in cols]
         vectors.append(vec)
-    M = QMatrix(len(vectors[0]), len(vectors))
-    for j, vec in enumerate(vectors):
-        for i, c in enumerate(vec):
-            if c != 0:
-                M[i, j] = c
-    return rank(M)
+    # The rank is the same for the transpose, so the vectors can be rows.
+    return rank(QMatrix.from_rows(vectors))

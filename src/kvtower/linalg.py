@@ -1,10 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries, so no rounding
-ever occurs.  Systems are solved by plain Gauss-Jordan elimination with a
-fixed pivot rule (first nonzero entry, scanning rows top-down and columns
-left-to-right), which makes every output deterministic: identical inputs
-yield identical results on any platform.
+ever occurs.  There is one elimination, :class:`PresolvedSystem`: plain
+Gauss-Jordan with a fixed pivot rule (first nonzero entry, scanning rows
+top-down and columns left-to-right), which records its row operations
+for replay on right-hand sides and keeps what the null-space basis needs.
+``solve_linear``, ``kernel_basis`` and ``rank`` all read their answers
+off it, and the fixed pivot rule makes every output deterministic:
+identical inputs yield identical results on any platform.
 """
 
 from fractions import Fraction
@@ -83,116 +86,54 @@ class LinearSolution:
         return self.particular is not None
 
 
-def _rref(dense, ncols, ops=None):
-    """Row-reduce ``dense`` in place; return the list of pivot columns.
-
-    When ``ops`` is a list, every row operation that changes something is
-    appended to it as ``(kind, i, j, factor)``, so that it can be replayed
-    on a right-hand side; no-op swaps and unit scalings are skipped.
-    """
-    pivots = []
-    r = 0
-    nrows = len(dense)
-    for c in range(ncols):
-        pivot_row = None
-        for i in range(r, nrows):
-            if dense[i][c] != 0:
-                pivot_row = i
-                break
-        if pivot_row is None:
-            continue
-        if pivot_row != r:
-            dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-            if ops is not None:
-                ops.append(("swap", r, pivot_row, None))
-        inv = Fraction(1) / dense[r][c]
-        if inv != 1:
-            dense[r] = [v * inv for v in dense[r]]
-            if ops is not None:
-                ops.append(("scale", r, None, inv))
-        for i in range(nrows):
-            if i != r and dense[i][c] != 0:
-                f = dense[i][c]
-                dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-                if ops is not None:
-                    ops.append(("axpy", i, r, f))
-        pivots.append(c)
-        r += 1
-        if r == nrows:
-            break
-    return pivots
-
-
-def _kernel_from_rref(dense, pivots, ncols):
-    pivot_set = set(pivots)
-    free_cols = [c for c in range(ncols) if c not in pivot_set]
-    basis = []
-    for fc in free_cols:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -dense[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def solve_linear(M, b):
-    """Solve ``M x = b`` exactly.
-
-    Returns a :class:`LinearSolution` whose particular solution has free
-    variables zeroed; ``particular`` is ``None`` when no solution exists.
-    """
-    if len(b) != M.rows:
-        raise ValueError("dimension mismatch: len(b) != M.rows")
-    ncols = M.cols
-    dense = [M.row(i) + [Fraction(b[i])] for i in range(M.rows)]
-    pivots = _rref(dense, ncols)
-    # A pivot in the augmented column means the system is inconsistent.
-    inconsistent = any(
-        all(row[c] == 0 for c in range(ncols)) and row[ncols] != 0
-        for row in dense
-    )
-    stripped = [row[:ncols] for row in dense]
-    kernel = _kernel_from_rref(stripped, pivots, ncols)
-    if inconsistent:
-        return LinearSolution(None, kernel)
-    particular = [Fraction(0)] * ncols
-    for r, pc in enumerate(pivots):
-        particular[pc] = dense[r][ncols]
-    return LinearSolution(particular, kernel)
-
-
-def kernel_basis(M):
-    """Exact basis of the null space of ``M``; deterministic ordering."""
-    dense = M.dense()
-    pivots = _rref(dense, M.cols)
-    return _kernel_from_rref(dense, pivots, M.cols)
-
-
-def rank(M):
-    dense = M.dense()
-    return len(_rref(dense, M.cols))
-
-
 class PresolvedSystem:
     """Gauss-Jordan elimination of a fixed matrix, reusable across many
     right-hand sides.
 
-    Row operations are recorded once and replayed on each ``b``; this is
-    what the degree-by-degree solvers use for the generator-bracket
-    systems that recur at every degree.
+    Every row operation that changes something is recorded once as
+    ``(kind, i, j, factor)`` and replayed on each ``b``; no-op swaps and
+    unit scalings are skipped.  ``pivots`` lists the pivot columns, and
+    the free columns of the reduced rows are kept for :meth:`kernel`.
     """
 
     def __init__(self, M):
         self.cols = M.cols
         self.rows = M.rows
-        self._ops = []
-        self._pivots = _rref(M.dense(), self.cols, self._ops)
+        self._ops = ops = []
+        self.pivots = pivots = []
+        dense = M.dense()
+        r = 0
+        for c in range(self.cols):
+            if r == self.rows:
+                break
+            pivot_row = next((i for i in range(r, self.rows) if dense[i][c] != 0), None)
+            if pivot_row is None:
+                continue
+            if pivot_row != r:
+                dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
+                ops.append(("swap", r, pivot_row, None))
+            inv = Fraction(1) / dense[r][c]
+            if inv != 1:
+                dense[r] = [v * inv for v in dense[r]]
+                ops.append(("scale", r, None, inv))
+            for i in range(self.rows):
+                if i != r and dense[i][c] != 0:
+                    f = dense[i][c]
+                    dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
+                    ops.append(("axpy", i, r, f))
+            pivots.append(c)
+            r += 1
+        pivot_set = set(pivots)
+        self._free = [
+            (c, [row[c] for row in dense[:r]])
+            for c in range(self.cols)
+            if c not in pivot_set
+        ]
 
     def solve(self, b):
         """Particular solution with free variables zero, or ``None``."""
         if len(b) != self.rows:
-            raise ValueError("dimension mismatch")
+            raise ValueError("dimension mismatch: len(b) != M.rows")
         vec = [Fraction(v) for v in b]
         for op, i, j, f in self._ops:
             if op == "swap":
@@ -201,10 +142,41 @@ class PresolvedSystem:
                 vec[i] *= f
             else:
                 vec[i] -= f * vec[j]
-        npiv = len(self._pivots)
+        npiv = len(self.pivots)
         if any(vec[i] != 0 for i in range(npiv, self.rows)):
             return None
         out = [Fraction(0)] * self.cols
-        for r, pc in enumerate(self._pivots):
+        for r, pc in enumerate(self.pivots):
             out[pc] = vec[r]
         return out
+
+    def kernel(self):
+        """Null-space basis in reduced echelon form: one vector per free
+        column, in ascending order, with a one in that column."""
+        basis = []
+        for fc, entries in self._free:
+            vec = [Fraction(0)] * self.cols
+            vec[fc] = Fraction(1)
+            for pc, v in zip(self.pivots, entries):
+                vec[pc] = -v
+            basis.append(vec)
+        return basis
+
+
+def solve_linear(M, b):
+    """Solve ``M x = b`` exactly.
+
+    Returns a :class:`LinearSolution` whose particular solution has free
+    variables zeroed; ``particular`` is ``None`` when no solution exists.
+    """
+    P = PresolvedSystem(M)
+    return LinearSolution(P.solve(b), P.kernel())
+
+
+def kernel_basis(M):
+    """Exact basis of the null space of ``M``; deterministic ordering."""
+    return PresolvedSystem(M).kernel()
+
+
+def rank(M):
+    return len(PresolvedSystem(M).pivots)

@@ -22,7 +22,7 @@ from fractions import Fraction
 from .assoc import AssocElt, assoc_exp
 from .cyclic import CycElt, trace
 from .errors import InconsistentSystem
-from .lie import LieElt, bch, lie_bracket, lie_to_assoc
+from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
 from .linalg import PresolvedSystem, QMatrix
 from .sparse import _require_same_cap
 from .words import lyndon_words, standard_factorization
@@ -315,12 +315,11 @@ class _AutEngine:
         return v
 
 
-def _conjugation_series(gen, f, cap=None):
+def _conjugation_series(gen, f):
     """``e^{-f} gen e^{f}`` as a Lie element: ``gen + [gen,f] + ...``."""
-    cap = cap if cap is not None else gen.cap
     out = gen
     term = gen
-    for j in range(1, cap + 1):
+    for j in range(1, gen.cap + 1):
         term = Fraction(1, j) * lie_bracket(term, f)
         if term.is_zero():
             break
@@ -348,39 +347,35 @@ def taut_inverse(F):
     return TAutElt(-eng.inverse_apply(F.f1), -eng.inverse_apply(F.f2))
 
 
+def _slot_columns(letter, k):
+    """Normalized degree-``k`` coordinates of the slot that brackets with
+    ``letter``: the Lyndon words, minus the generator itself at degree one."""
+    return [w for w in lyndon_words(k) if w != letter]
+
+
 _AD_SOLVERS = {}
 
 
 def _ad_generator_solver(letter, k):
     """Presolved system for ``[gen, a] = rhs`` with ``a`` homogeneous of
-    degree ``k``; at degree one the unknown space excludes the generator
-    itself (the normalized complement)."""
+    degree ``k`` in the normalized coordinates of :func:`_slot_columns`."""
     key = (letter, k)
     solver = _AD_SOLVERS.get(key)
-    if solver is not None:
-        return solver
-    if k == 1:
-        columns = ["y"] if letter == "x" else ["x"]
-    else:
-        columns = list(lyndon_words(k))
-    rows = list(lyndon_words(k + 1))
-    row_index = {w: i for i, w in enumerate(rows)}
-    cap = k + 1
-    gen = LieElt.basis(letter, cap)
-    M = QMatrix(len(rows), len(columns))
-    for j, w in enumerate(columns):
-        img = lie_bracket(gen, LieElt.basis(w, cap))
-        for ww, c in img.coeffs.items():
-            M[row_index[ww], j] = c
-    solver = (PresolvedSystem(M), columns, rows, row_index)
-    _AD_SOLVERS[key] = solver
+    if solver is None:
+        columns = _slot_columns(letter, k)
+        row_index = {w: i for i, w in enumerate(lyndon_words(k + 1))}
+        M = QMatrix(len(row_index), len(columns))
+        for j, w in enumerate(columns):
+            for ww, c in bracket_table(letter, w).items():
+                M[row_index[ww], j] = c
+        solver = _AD_SOLVERS[key] = (PresolvedSystem(M), columns, row_index)
     return solver
 
 
 def _solve_generator_bracket(letter, k, rhs):
     """Solve ``[gen, a] = rhs`` for homogeneous ``a`` of degree ``k``."""
-    solver, columns, rows, row_index = _ad_generator_solver(letter, k)
-    vec = [Fraction(0)] * len(rows)
+    solver, columns, row_index = _ad_generator_solver(letter, k)
+    vec = [Fraction(0)] * len(row_index)
     for w, c in rhs.coeffs.items():
         vec[row_index[w]] = c
     sol = solver.solve(vec)

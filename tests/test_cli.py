@@ -148,6 +148,32 @@ def test_degree_guard(capsys):
     assert "allow-large" in err
 
 
+@pytest.mark.parametrize(
+    "content",
+    [b"\xff\xfe{}", b"[" * 200000],
+    ids=["non-utf8", "deeply-nested"],
+)
+def test_unreadable_document_exit_code(content, tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    path.write_bytes(content)
+    code, out, err = run(capsys, "verify", "--in", str(path), "--degree", "2",
+                         "--variant", "SolKV")
+    assert code == 2
+    assert err.startswith("error: ")
+
+
+def test_gr_test_guards_document_cap(tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    run(capsys, "seed", "--out", str(seed))
+    doc = json.loads(seed.read_text())
+    doc["cap"] = 13
+    path = tmp_path / "cap13.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "gr-test", "--in", str(path), "--degree", "3")
+    assert code == 2
+    assert "allow-large" in err
+
+
 def test_extend_rejects_non_solution_variant(tmp_path, capsys):
     doc = {
         "format_version": "1",

@@ -1,6 +1,9 @@
 import json
 from fractions import Fraction
+from pathlib import Path
 
+from conftest import rng_for
+from kvtower.cli import _load
 from kvtower.documents import (
     SolutionDocument,
     emit_document,
@@ -151,3 +154,35 @@ def test_duflo_series_preserved():
         )
     )
     assert doc.duflo_series().coeff(2) == Fraction(1, 48)
+
+
+def _mutants(data, rng, count):
+    """Seeded byte flips, deletions and truncations of ``data``."""
+    for i in range(count):
+        pos = rng.randrange(len(data))
+        kind = i % 3
+        if kind == 0:
+            yield data[:pos] + bytes([data[pos] ^ (1 << rng.randrange(8))]) + data[pos + 1 :]
+        elif kind == 1:
+            yield data[:pos] + data[pos + rng.randint(1, 8) :]
+        else:
+            yield data[:pos]
+
+
+def test_parser_fuzz_mutated_canonical_document(tmp_path):
+    # Every mutant is either rejected as a document error or parses to a
+    # document whose canonical form re-emits byte for byte.
+    golden = (Path(__file__).parent / "golden" / "extend_d8.json").read_bytes()
+    path = tmp_path / "mutant.json"
+    outcomes = {"rejected": 0, "parsed": 0}
+    for mutant in _mutants(golden, rng_for("documents-fuzz"), 300):
+        path.write_bytes(mutant)
+        try:
+            doc = _load(str(path))
+        except DocumentError:
+            outcomes["rejected"] += 1
+            continue
+        text = emit_document(doc)
+        assert emit_document(parse_document(text)) == text
+        outcomes["parsed"] += 1
+    assert outcomes["rejected"] > 0 and outcomes["parsed"] > 0

@@ -93,17 +93,79 @@ def test_determinism():
     assert first.kernel_basis == second.kernel_basis
 
 
+def _reference_solve(M, b):
+    """Augmented-column Gauss-Jordan, kept as the reference the eliminator
+    is checked against: ``(particular or None, kernel basis, rank)``."""
+    n = M.cols
+    rows = [M.row(i) + [Fraction(v)] for i, v in enumerate(b)]
+    pivots = []
+    for c in range(n):
+        r = len(pivots)
+        pr = next((i for i in range(r, len(rows)) if rows[i][c] != 0), None)
+        if pr is None:
+            continue
+        rows[r], rows[pr] = rows[pr], rows[r]
+        p = rows[r][c]
+        rows[r] = [v / p for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != 0:
+                f = rows[i][c]
+                rows[i] = [a - f * v for a, v in zip(rows[i], rows[r])]
+        pivots.append(c)
+    kernel = []
+    for fc in (c for c in range(n) if c not in pivots):
+        vec = [Fraction(0)] * n
+        vec[fc] = Fraction(1)
+        for r, pc in enumerate(pivots):
+            vec[pc] = -rows[r][fc]
+        kernel.append(vec)
+    if any(row[n] != 0 for row in rows[len(pivots):]):
+        return None, kernel, len(pivots)
+    particular = [Fraction(0)] * n
+    for r, pc in enumerate(pivots):
+        particular[pc] = rows[r][n]
+    return particular, kernel, len(pivots)
+
+
+def _shaped_matrix(rng, shape):
+    """A random matrix that is tall, wide, zero or rank-deficient."""
+    rows, cols = rng.randint(2, 6), rng.randint(2, 6)
+    if shape == "tall":
+        rows = cols + rng.randint(1, 3)
+    elif shape == "wide":
+        cols = rows + rng.randint(1, 3)
+    elif shape == "zero":
+        return QMatrix(rows, cols)
+    elif shape == "rank-deficient":
+        # A product through a smaller inner dimension.
+        k = rng.randint(1, min(rows, cols) - 1)
+        A = _random_matrix(rng, rows, k).dense()
+        B = _random_matrix(rng, k, cols).dense()
+        return QMatrix.from_rows(
+            [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
+        )
+    return _random_matrix(rng, rows, cols)
+
+
 def test_presolved_matches_solve_linear():
     rng = rng_for("linalg-presolved")
-    for _ in range(30):
-        M = _random_matrix(rng, rng.randint(1, 5), rng.randint(1, 5))
-        solver = PresolvedSystem(M)
-        for _ in range(3):
+    inconsistent = 0
+    for shape in ("tall", "wide", "zero", "rank-deficient"):
+        for _ in range(30):
+            M = _shaped_matrix(rng, shape)
+            solver = PresolvedSystem(M)
             x = [Fraction(rng.randint(-2, 2)) for _ in range(M.cols)]
-            b = M.mul_vector(x)
-            assert solver.solve(b) == solve_linear(M, b).particular
-        bad = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
-        assert solver.solve(bad) == solve_linear(M, bad).particular
+            bad = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
+            for b in (M.mul_vector(x), bad):
+                particular, kernel, r = _reference_solve(M, b)
+                sol = solve_linear(M, b)
+                assert solver.solve(b) == sol.particular == particular
+                assert solver.kernel() == sol.kernel_basis == kernel_basis(M) == kernel
+                assert len(solver.pivots) == rank(M) == r
+                assert particular is not None or b is bad
+                inconsistent += particular is None
+    # Inconsistent right-hand sides were met, and gave no solution above.
+    assert inconsistent > 0
     # Unit upper-triangular blocks (plus free columns and zero rows): every
     # pivot is already 1 in place, so only eliminations are recorded.
     for _ in range(20):
@@ -117,4 +179,4 @@ def test_presolved_matches_solve_linear():
         assert all(op == "axpy" for op, _, _, _ in solver._ops)
         for _ in range(3):
             b = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
-            assert solver.solve(b) == solve_linear(M, b).particular
+            assert solver.solve(b) == _reference_solve(M, b)[0]

@@ -10,7 +10,7 @@ product and the exponential and logarithm series.
 
 from fractions import Fraction
 
-from .sparse import SparseElt, _require_same_cap
+from .sparse import SparseElt, _exp_series, _require_same_cap
 
 
 class AssocElt(SparseElt):
@@ -54,12 +54,8 @@ class AssocElt(SparseElt):
                 for wa, ca in terms_a:
                     for wb, cb in terms_b:
                         w = wa + wb
-                        s = out.get(w, 0) + ca * cb
-                        if s == 0:
-                            out.pop(w, None)
-                        else:
-                            out[w] = s
-        return AssocElt._new(cap, out)
+                        out[w] = out.get(w, 0) + ca * cb
+        return AssocElt._collect(cap, out)
 
     def __pow__(self, n):
         if n < 0:
@@ -78,14 +74,7 @@ def assoc_exp(a):
     """Exponential series of an element with zero constant term."""
     if a.constant_term() != 0:
         raise ValueError("exp requires zero constant term")
-    out = AssocElt.one(a.cap)
-    term = AssocElt.one(a.cap)
-    for k in range(1, a.cap + 1):
-        term = Fraction(1, k) * (term * a)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return _exp_series(AssocElt.one(a.cap), lambda term: term * a)
 
 
 def assoc_log(a):

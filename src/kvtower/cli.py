@@ -6,6 +6,8 @@ that theory says is always solvable failed to solve).
 """
 
 import argparse
+import contextlib
+import os
 import sys
 
 from .documents import (
@@ -23,7 +25,8 @@ from .kv import (
     gr_leading_rank,
     krv_dim,
 )
-from .lie import bch_xy
+from .lie import LieElt, bch_xy
+from .tangential import TAutElt
 from .words import lyndon_words
 
 DEGREE_GUARD = 12
@@ -68,14 +71,20 @@ def _load(path):
 
 
 def _write_output(text, path):
+    """Print ``text``, or put it at ``path`` atomically: it is written to a
+    new file beside ``path`` first and then renamed over it."""
     if path is None:
         sys.stdout.write(text)
-    else:
-        try:
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            raise DocumentError(f"cannot write {path}: {exc}") from None
+        return
+    tmp = f"{path}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            fh.write(text)
+        os.replace(tmp, path)
+    except OSError as exc:
+        with contextlib.suppress(OSError):
+            os.remove(tmp)
+        raise DocumentError(f"cannot write {path}: {exc}") from None
 
 
 def _cmd_bch(args):
@@ -98,8 +107,11 @@ def _cmd_dims(args):
 def _cmd_verify(args):
     _guard_degree(args.degree, args.allow_large)
     doc = _load(args.infile)
-    F = doc.to_taut()
-    if args.degree > F.cap:
+    # Only exponent terms of degree <= --degree reach the check, so the
+    # exponents are normalised at that cap, not at the document's.
+    cap = min(args.degree, doc.cap)
+    F = TAutElt(LieElt(cap, doc.f1), LieElt(cap, doc.f2))
+    if args.degree > cap:
         # The exponents define an automorphism at any cap; check the
         # zero extension when asked beyond the stored degree.
         F = F.with_cap(args.degree)
@@ -122,6 +134,8 @@ def _cmd_extend(args):
         return 1
     F = extend_solkv(F, args.to_degree)
     final = check_sol_kv(F, args.to_degree)
+    if not final.passed:
+        raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")
     out = SolutionDocument.from_taut(F, "SolKV", final.duflo)
     _write_output(emit_document(out), args.out)
     return 0

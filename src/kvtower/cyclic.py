@@ -40,12 +40,8 @@ def trace(a):
     out = {}
     for w, c in a.coeffs.items():
         k = min_rotation(w)
-        s = out.get(k, 0) + c
-        if s == 0:
-            out.pop(k, None)
-        else:
-            out[k] = s
-    return CycElt._new(a.cap, out)
+        out[k] = out.get(k, 0) + c
+    return CycElt._collect(a.cap, out)
 
 
 def duflo_pattern(k, target, cap):

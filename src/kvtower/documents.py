@@ -52,6 +52,15 @@ def _parse_int(value, field):
         raise DocumentError(f"{field}: not an integer: {value!r}", field) from None
 
 
+def _parse_fraction(item, where):
+    """The ``num``/``den`` pair of one entry as a ``Fraction``."""
+    num = _parse_int(item["num"], where + ".num")
+    den = _parse_int(item["den"], where + ".den")
+    if den == 0:
+        raise DocumentError(f"{where}: zero denominator", where)
+    return Fraction(num, den)
+
+
 def _parse_coeff_list(items, cap, field):
     if not isinstance(items, list):
         raise DocumentError(f"{field}: expected a list", field)
@@ -69,11 +78,7 @@ def _parse_coeff_list(items, cap, field):
             raise DocumentError(f"{where}: word degree exceeds cap", where)
         if word in out:
             raise DocumentError(f"{where}: duplicate word {word!r}", where)
-        num = _parse_int(item["num"], where + ".num")
-        den = _parse_int(item["den"], where + ".den")
-        if den == 0:
-            raise DocumentError(f"{where}: zero denominator", where)
-        out[word] = Fraction(num, den)
+        out[word] = _parse_fraction(item, where)
     return out
 
 
@@ -114,22 +119,23 @@ def parse_document(text):
             raise DocumentError(f"{where}: k must be an integer in 2..cap", where)
         if k in duflo:
             raise DocumentError(f"{where}: duplicate index {k}", where)
-        num = _parse_int(item["num"], where + ".num")
-        den = _parse_int(item["den"], where + ".den")
-        if den == 0:
-            raise DocumentError(f"{where}: zero denominator", where)
-        duflo[k] = Fraction(num, den)
+        duflo[k] = _parse_fraction(item, where)
     return SolutionDocument(cap, f1, f2, duflo, variant)
 
 
-def _coeff_entries(coeffs):
+def _entries(key, items):
+    """``{key, num, den}`` entries for the nonzero ``(index, coefficient)``
+    pairs of ``items``, in the given order."""
     out = []
-    for word in sorted(coeffs, key=lambda w: (len(w), w)):
-        c = Fraction(coeffs[word])
-        if c == 0:
-            continue
-        out.append({"word": word, "num": str(c.numerator), "den": str(c.denominator)})
+    for index, c in items:
+        c = Fraction(c)
+        if c != 0:
+            out.append({key: index, "num": str(c.numerator), "den": str(c.denominator)})
     return out
+
+
+def _by_degree(coeffs):
+    return sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
 
 
 def emit_document(doc):
@@ -137,17 +143,9 @@ def emit_document(doc):
     payload = {
         "format_version": FORMAT_VERSION,
         "cap": doc.cap,
-        "f1": _coeff_entries(doc.f1),
-        "f2": _coeff_entries(doc.f2),
-        "duflo": [
-            {
-                "k": k,
-                "num": str(Fraction(c).numerator),
-                "den": str(Fraction(c).denominator),
-            }
-            for k, c in sorted(doc.duflo.items())
-            if c != 0
-        ],
+        "f1": _entries("word", _by_degree(doc.f1)),
+        "f2": _entries("word", _by_degree(doc.f2)),
+        "duflo": _entries("k", sorted(doc.duflo.items())),
         "variant": doc.variant,
     }
     return json.dumps(payload, indent=2) + "\n"

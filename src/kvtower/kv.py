@@ -118,39 +118,36 @@ def solve_duflo(c, n, target):
     return series, remaining
 
 
-def _check(variant, Ft, n, defect, target):
+def _side(kind, n):
+    """``x + y`` (``"sum"``) or ``bch(x, y)`` (``"bch"``) at cap ``n``."""
+    return bch_xy(n) if kind == "bch" else LieElt(n, {"x": 1, "y": 1})
+
+
+def _check(variant, F, n, source, target):
+    """Check ``F(source) = target`` and the Jacobian against the Duflo
+    patterns of ``target``, both up to degree ``n``; the sides are
+    ``"sum"`` or ``"bch"`` as in :func:`_side`."""
+    if n > F.cap:
+        raise PreconditionFailed("degree exceeds the element's cap")
+    Ft = F.truncate(n)
+    defect = taut_apply(Ft, _side(source, n)) - _side(target, n)
     duflo, residual = solve_duflo(jacobian(Ft), n, target)
     return KVReport(variant, n, defect, duflo, residual)
 
 
 def check_sol_kv(F, n):
     """Does ``F`` solve the KV equations up to degree ``n``?"""
-    if n > F.cap:
-        raise PreconditionFailed("degree exceeds the element's cap")
-    Ft = F.truncate(n)
-    xy = LieElt(n, {"x": 1, "y": 1})
-    defect = taut_apply(Ft, bch_xy(n)) - xy
-    return _check("SolKV", Ft, n, defect, "sum")
+    return _check("SolKV", F, n, "bch", "sum")
 
 
 def check_krv(F, n):
     """Membership in the graded symmetry group up to degree ``n``."""
-    if n > F.cap:
-        raise PreconditionFailed("degree exceeds the element's cap")
-    Ft = F.truncate(n)
-    xy = LieElt(n, {"x": 1, "y": 1})
-    defect = taut_apply(Ft, xy) - xy
-    return _check("KRV", Ft, n, defect, "sum")
+    return _check("KRV", F, n, "sum", "sum")
 
 
 def check_kv(F, n):
     """Membership in the left symmetry group up to degree ``n``."""
-    if n > F.cap:
-        raise PreconditionFailed("degree exceeds the element's cap")
-    Ft = F.truncate(n)
-    b = bch_xy(n)
-    defect = taut_apply(Ft, b) - b
-    return _check("KV", Ft, n, defect, "bch")
+    return _check("KV", F, n, "bch", "bch")
 
 
 def check_krv_lie(u, n):
@@ -159,8 +156,7 @@ def check_krv_lie(u, n):
     if n > u.cap:
         raise PreconditionFailed("degree exceeds the element's cap")
     ut = u.truncate(n)
-    xy = LieElt(n, {"x": 1, "y": 1})
-    defect = tder_apply(ut, xy)
+    defect = tder_apply(ut, _side("sum", n))
     duflo, residual = solve_duflo(divergence(ut), n, "sum")
     return KVReport("krv-lie", n, defect, duflo, residual)
 
@@ -237,10 +233,9 @@ def extend_solkv_step(F):
         raise PreconditionFailed("input does not solve the system at its cap")
     cap = n + 1
     Fx = F.with_cap(cap)
-    xy = LieElt(cap, {"x": 1, "y": 1})
 
     # Stage A: degree-n correction.
-    E1 = (taut_apply(Fx, bch_xy(cap)) - xy).homogeneous_part(cap)
+    E1 = (taut_apply(Fx, bch_xy(cap)) - _side("sum", cap)).homogeneous_part(cap)
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1, cap)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 

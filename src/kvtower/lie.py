@@ -54,28 +54,25 @@ def basis_expansion(word):
     return result
 
 
-def _lyndon_coords_of_homogeneous(poly, degree):
-    """Express a homogeneous integer word polynomial in the Lyndon basis.
+def _lyndon_coords(poly):
+    """Express a word polynomial without constant term in the Lyndon basis.
 
     Returns (coords, residual): ``coords`` maps Lyndon words to
     coefficients, ``residual`` is whatever is left outside the span.
-    Triangularity of the basis expansions makes this a single sweep in
-    lexicographic order.
+    The basis expansions are homogeneous and triangular, so this is one
+    sweep in lexicographic order per degree.
     """
     residual = dict(poly)
     coords = {}
-    for w in lyndon_words(degree):
-        c = residual.get(w, 0)
-        if c == 0:
-            continue
-        coords[w] = c
-        for ww, cc in basis_expansion(w).items():
-            s = residual.get(ww, 0) - c * cc
-            if s == 0:
-                residual.pop(ww, None)
-            else:
-                residual[ww] = s
-    return coords, residual
+    for d in sorted({len(w) for w in poly}):
+        for w in lyndon_words(d):
+            c = residual.get(w, 0)
+            if c == 0:
+                continue
+            coords[w] = c
+            for ww, cc in basis_expansion(w).items():
+                residual[ww] = residual.get(ww, 0) - c * cc
+    return coords, {w: c for w, c in residual.items() if c}
 
 
 def bracket_table(w1, w2):
@@ -90,7 +87,7 @@ def bracket_table(w1, w2):
         result = {w: -c for w, c in _BRACKET[(w2, w1)].items()}
     else:
         comm = _commutator(basis_expansion(w1), basis_expansion(w2))
-        result, residual = _lyndon_coords_of_homogeneous(comm, len(w1) + len(w2))
+        result, residual = _lyndon_coords(comm)
         if residual:
             raise InconsistentSystem("bracket of basis elements left a residual")
     _BRACKET[key] = result
@@ -137,12 +134,8 @@ def lie_bracket(u, v):
                 continue
             c = c1 * c2
             for w, k in bracket_table(w1, w2).items():
-                s = out.get(w, 0) + c * k
-                if s == 0:
-                    out.pop(w, None)
-                else:
-                    out[w] = s
-    return LieElt._new(cap, out)
+                out[w] = out.get(w, 0) + c * k
+    return LieElt._collect(cap, out)
 
 
 def lie_to_assoc(u):
@@ -151,12 +144,8 @@ def lie_to_assoc(u):
     out = {}
     for w, c in u.coeffs.items():
         for ww, k in basis_expansion(w).items():
-            s = out.get(ww, 0) + c * k
-            if s == 0:
-                out.pop(ww, None)
-            else:
-                out[ww] = s
-    return AssocElt._new(u.cap, out)
+            out[ww] = out.get(ww, 0) + c * k
+    return AssocElt._collect(u.cap, out)
 
 
 def lie_from_assoc(a):
@@ -170,15 +159,7 @@ def lie_from_assoc(a):
         raise NotPrimitive(
             "nonzero constant term", AssocElt(a.cap, {"": a.constant_term()})
         )
-    by_degree = {}
-    for w, c in a.coeffs.items():
-        by_degree.setdefault(len(w), {})[w] = c
-    out = {}
-    bad = {}
-    for d in sorted(by_degree):
-        coords, residual = _lyndon_coords_of_homogeneous(by_degree[d], d)
-        out.update(coords)
-        bad.update(residual)
+    out, bad = _lyndon_coords(a.coeffs)
     if bad:
         raise NotPrimitive(f"not primitive; residual {bad}", AssocElt(a.cap, bad))
     return LieElt._new(a.cap, out)

@@ -6,10 +6,14 @@ cap plus a sparse map from words (strings over ``xy``) to nonzero
 ``Fraction`` coefficients.  Terms above the cap are dropped, which is the
 arithmetic of the quotient at that cap.
 
-The public constructor normalises its input: it drops over-cap words,
-converts every coefficient with ``Fraction()`` and removes zeros.  Results
-computed from elements that are already valid go through the trusted
-:meth:`SparseElt._new` instead, which adopts the map as it is.
+This module alone keeps the rule that no stored coefficient is zero.  The
+public constructor normalises its input: it drops over-cap words, converts
+every coefficient with ``Fraction()`` and removes zeros.  Results computed
+from valid elements go through a trusted constructor instead:
+:meth:`SparseElt._new` adopts a clean map as it is, and
+:meth:`SparseElt._collect` adopts accumulated sums (``out[w] =
+out.get(w, 0) + c``) after dropping those that cancelled.  It also holds
+:func:`_exp_series`, the one truncated exponential series.
 """
 
 from fractions import Fraction
@@ -54,6 +58,12 @@ class SparseElt:
         elt.cap = cap
         elt.coeffs = coeffs
         return elt
+
+    @classmethod
+    def _collect(cls, cap, sums):
+        """Trusted constructor for accumulated sums: like :meth:`_new`, but
+        the entries of ``sums`` that cancelled to zero are dropped."""
+        return cls._new(cap, {w: c for w, c in sums.items() if c})
 
     @classmethod
     def zero(cls, cap):
@@ -128,3 +138,15 @@ class SparseElt:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
+
+
+def _exp_series(v, step):
+    """``v + step(v) + step(step(v))/2! + ...`` for a linear, degree-raising
+    ``step``; the terms vanish after at most ``v.cap`` steps."""
+    out = term = v
+    for k in range(1, v.cap + 1):
+        term = Fraction(1, k) * step(term)
+        if term.is_zero():
+            break
+        out = out + term
+    return out

@@ -14,17 +14,20 @@ The action of an automorphism on the generators only sees exponent terms
 below the cap, so the exponential of a derivation is pinned down at its
 top degree by matching actions one degree above the cap; ``taut_exp`` and
 ``taut_log`` do that internally.
+
+The actions on cyclic words reuse the generator images that the engines
+behind the actions on Lie elements compute.
 """
 
 import math
 from fractions import Fraction
 
-from .assoc import AssocElt, assoc_exp
+from .assoc import AssocElt
 from .cyclic import CycElt, trace
 from .errors import InconsistentSystem
 from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
 from .linalg import PresolvedSystem, QMatrix
-from .sparse import _require_same_cap
+from .sparse import _exp_series, _require_same_cap
 from .words import lyndon_words, standard_factorization
 
 
@@ -145,51 +148,34 @@ def divergence(u):
     normalized representative.
 
     ``d_x(u1) x`` is just the part of ``u1`` whose words end in x, so no
-    word surgery is needed before tracing.
+    word surgery is needed before tracing.  The two parts share no word,
+    so nothing cancels between them.
     """
-    keep = {
-        w: c for w, c in lie_to_assoc(u.u1).coeffs.items() if w.endswith("x")
-    }
-    for w, c in lie_to_assoc(u.u2).coeffs.items():
-        if w.endswith("y"):
-            s = keep.get(w, 0) + c
-            if s == 0:
-                keep.pop(w, None)
-            else:
-                keep[w] = s
+    keep = {w: c for w, c in lie_to_assoc(u.u1).coeffs.items() if w.endswith("x")}
+    keep.update((w, c) for w, c in lie_to_assoc(u.u2).coeffs.items() if w.endswith("y"))
     return trace(AssocElt._new(u.cap, keep))
-
-
-def _word_sandwich(prefix, elt, suffix, cap):
-    out = {}
-    base = len(prefix) + len(suffix)
-    for w, c in elt.coeffs.items():
-        if base + len(w) > cap:
-            continue
-        key = prefix + w + suffix
-        s = out.get(key, 0) + c
-        if s == 0:
-            out.pop(key, None)
-        else:
-            out[key] = s
-    return AssocElt._new(cap, out)
 
 
 def cyc_tder_act(u, c):
     """Derivation action on cyclic words: act letter by letter on any
-    representative, then re-trace."""
+    representative, then re-trace.
+
+    A trace does not change under rotation, so each word is rotated to
+    put the acted-on letter first and the image is prepended to the rest.
+    """
     _require_same_cap(u, c)
     cap = u.cap
-    images = {
-        "x": lie_to_assoc(lie_bracket(LieElt.gen_x(cap), u.u1)),
-        "y": lie_to_assoc(lie_bracket(LieElt.gen_y(cap), u.u2)),
-    }
-    acc = AssocElt.zero(cap)
+    images = {g: lie_to_assoc(img).coeffs for g, img in _DerEngine(u)._images.items()}
+    out = {}
     for word, coeff in c.coeffs.items():
+        room = cap + 1 - len(word)
         for i, letter in enumerate(word):
-            term = _word_sandwich(word[:i], images[letter], word[i + 1 :], cap)
-            acc = acc + coeff * term
-    return trace(acc)
+            rest = word[i + 1 :] + word[:i]
+            for w, k in images[letter].items():
+                if len(w) <= room:
+                    key = w + rest
+                    out[key] = out.get(key, 0) + coeff * k
+    return trace(AssocElt._collect(cap, out))
 
 
 def cyc_taut_act(F, c):
@@ -197,10 +183,7 @@ def cyc_taut_act(F, c):
     generators into a representative, multiply out, re-trace."""
     _require_same_cap(F, c)
     cap = F.cap
-    images = {
-        "x": F.generator_image_assoc("x"),
-        "y": F.generator_image_assoc("y"),
-    }
+    images = {g: lie_to_assoc(img) for g, img in _AutEngine(F)._images.items()}
     acc = AssocElt.zero(cap)
     one = AssocElt.one(cap)
     for word, coeff in c.coeffs.items():
@@ -256,13 +239,6 @@ class TAutElt:
     def with_cap(self, n):
         return TAutElt(self.f1.with_cap(n), self.f2.with_cap(n))
 
-    def generator_image_assoc(self, letter):
-        """Image of a generator inside the associative algebra."""
-        f = self.f1 if letter == "x" else self.f2
-        ef = assoc_exp(lie_to_assoc(f))
-        emf = assoc_exp(lie_to_assoc(-f))
-        return emf * AssocElt.word(letter, self.cap) * ef
-
     def __repr__(self):
         return f"TAutElt(e^({self.f1!r}), e^({self.f2!r}))"
 
@@ -317,14 +293,7 @@ class _AutEngine:
 
 def _conjugation_series(gen, f):
     """``e^{-f} gen e^{f}`` as a Lie element: ``gen + [gen,f] + ...``."""
-    out = gen
-    term = gen
-    for j in range(1, gen.cap + 1):
-        term = Fraction(1, j) * lie_bracket(term, f)
-        if term.is_zero():
-            break
-        out = out + term
-    return out
+    return _exp_series(gen, lambda term: lie_bracket(term, f))
 
 
 def taut_apply(F, w):
@@ -381,7 +350,7 @@ def _solve_generator_bracket(letter, k, rhs):
     sol = solver.solve(vec)
     if sol is None:
         raise InconsistentSystem("generator-bracket system inconsistent")
-    return LieElt._new(rhs.cap, {w: c for w, c in zip(columns, sol) if c != 0})
+    return LieElt._collect(rhs.cap, dict(zip(columns, sol)))
 
 
 def _exponent_from_action(image, letter, out_cap):
@@ -409,20 +378,12 @@ def taut_exp(u):
     """
     cap = u.cap
     work = cap + 1
-    uu = u.with_cap(work)
-    eng = _DerEngine(uu)
-    exponents = []
-    for letter in ("x", "y"):
-        gen = LieElt.basis(letter, work)
-        acc = gen
-        term = gen
-        for j in range(1, work + 1):
-            term = Fraction(1, j) * eng.apply(term)
-            if term.is_zero():
-                break
-            acc = acc + term
-        exponents.append(_exponent_from_action(acc, letter, cap))
-    return TAutElt(exponents[0], exponents[1])
+    eng = _DerEngine(u.with_cap(work))
+    f1, f2 = (
+        _exponent_from_action(_exp_series(LieElt.basis(g, work), eng.apply), g, cap)
+        for g in "xy"
+    )
+    return TAutElt(f1, f2)
 
 
 def taut_log(F):

@@ -3,7 +3,9 @@ from pathlib import Path
 
 import pytest
 
+import kvtower.tangential
 from kvtower.cli import emit_report, run_command
+from kvtower.documents import SolutionDocument, emit_document
 from kvtower.kv import check_sol_kv, extend_solkv
 from kvtower.linalg import PresolvedSystem
 from kvtower.tangential import TAutElt
@@ -255,3 +257,60 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+def test_verify_normalises_at_the_checked_degree(tmp_path, capsys, monkeypatch):
+    # f1 = x + y needs a BCH normalisation; below the document's cap it
+    # must run at the checked degree, not at the cap.
+    outputs = {}
+    for cap in (11, 2):
+        path = tmp_path / f"cap{cap}.json"
+        doc = SolutionDocument(cap, {"x": 1, "y": 1}, {}, {}, "SolKV")
+        path.write_text(emit_document(doc))
+        caps = []
+        real_bch = kvtower.tangential.bch
+
+        def recording_bch(u, v):
+            caps.append(u.cap)
+            return real_bch(u, v)
+
+        monkeypatch.setattr(kvtower.tangential, "bch", recording_bch)
+        code, out, _ = run(capsys, "verify", "--in", str(path), "--degree", "2",
+                           "--variant", "SolKV")
+        monkeypatch.undo()
+        assert code == 1
+        assert caps and max(caps) <= 2
+        outputs[cap] = out
+    assert outputs[11] == outputs[2]
+
+
+def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
+    seed = tmp_path / "seed.json"
+    out = tmp_path / "sol2.json"
+    run(capsys, "seed", "--out", str(seed))
+    monkeypatch.setattr(
+        "kvtower.cli.extend_solkv", lambda F, to_degree: TAutElt.identity(2)
+    )
+    code, _, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "2",
+                       "--out", str(out))
+    assert code == 3
+    assert "internal inconsistency" in err
+    assert not out.exists()
+
+
+def test_out_is_replaced_atomically(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "seed.json"
+    assert run(capsys, "seed", "--out", str(out))[0] == 0
+    old = out.read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.json"]
+
+    def failing_replace(src, dst):
+        raise OSError("simulated rename failure")
+
+    monkeypatch.setattr("kvtower.cli.os.replace", failing_replace)
+    code, _, err = run(capsys, "extend", "--in", str(out), "--to-degree", "2",
+                       "--out", str(out))
+    assert code == 2
+    assert "cannot write" in err
+    assert out.read_bytes() == old
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["seed.json"]

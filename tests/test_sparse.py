@@ -2,11 +2,12 @@
 
 from fractions import Fraction
 
-from conftest import random_fraction, rng_for
+from conftest import random_fraction, random_lie, random_tder, rng_for
 from kvtower.assoc import AssocElt
-from kvtower.cyclic import CycElt
+from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch
-from kvtower.lie import LieElt
+from kvtower.lie import LieElt, basis_expansion, lie_bracket, lie_to_assoc
+from kvtower.tangential import TDer, cyc_tder_act, divergence
 from kvtower.words import all_words, lyndon_words, necklaces
 
 import pytest
@@ -86,3 +87,40 @@ def test_shared_sparse_base(cls, words_of, sample, expected_repr):
     assert repr(cls(3, sample)) == expected_repr
     assert repr(cls.zero(3)) == "0"
 
+
+
+def _assert_clean(elt):
+    assert all(type(c) is Fraction and c != 0 for c in elt.coeffs.values()), elt
+
+
+def test_accumulated_results_hold_no_zero_coefficient():
+    cap = 6
+    x, y = LieElt.gen_x(cap), LieElt.gen_y(cap)
+
+    # Inputs built so that some sums cancel to exactly zero.
+    a = AssocElt(cap, {"": 1, "x": 1})
+    b = AssocElt(cap, {"y": 1, "xy": -1})
+    assert (a * b).coeffs == {"y": 1, "xxy": -1}  # the two xy terms cancel
+    p, q = "xxxyy", "xxyxy"
+    shared = next(w for w in basis_expansion(p) if w in basis_expansion(q))
+    mix = LieElt(cap, {p: basis_expansion(q)[shared], q: -basis_expansion(p)[shared]})
+    assert shared not in lie_to_assoc(mix).coeffs
+    xy = LieElt(cap, {"xy": 1})
+    cases = [
+        a * b,
+        lie_to_assoc(mix),
+        divergence(TDer(xy, xy)),  # tr(xy) - tr(yx)
+        cyc_tder_act(TDer(y, x), trace(AssocElt(cap, {"x": 1, "y": 1}))),
+    ]
+    rng = rng_for("sparse-no-zero")
+    for _ in range(10):
+        u = random_lie(rng, cap, terms=4)
+        v = random_lie(rng, cap, terms=4)
+        ua, va = lie_to_assoc(u), lie_to_assoc(v)
+        assert lie_bracket(u, u).is_zero()
+        assert trace(ua * va - va * ua).is_zero()
+        d = random_tder(rng, cap, terms=3)
+        cases += [ua * va, lie_bracket(u, v) + lie_bracket(v, u), lie_bracket(u, v)]
+        cases += [trace(ua * va), divergence(d), cyc_tder_act(d, trace(ua * va))]
+    for elt in cases:
+        _assert_clean(elt)

@@ -1,11 +1,11 @@
 import math
 from fractions import Fraction
 
-from conftest import random_lie, random_taut, random_tder, rng_for
-from kvtower.cyclic import trace
+from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
+from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch, InconsistentSystem
 from kvtower.lie import LieElt, lie_bracket, lie_to_assoc
-from kvtower.assoc import AssocElt
+from kvtower.assoc import AssocElt, assoc_exp
 from kvtower.linalg import PresolvedSystem
 from kvtower.tangential import (
     TAutElt,
@@ -24,6 +24,7 @@ from kvtower.tangential import (
     tder_bracket,
     valuation,
 )
+from kvtower.words import necklaces
 
 import pytest
 
@@ -219,6 +220,76 @@ def test_cyc_taut_act_is_group_action():
         assert cyc_taut_act(taut_compose(F, G), c) == cyc_taut_act(
             F, cyc_taut_act(G, c)
         )
+
+
+def _reference_cyc_tder_act(u, c):
+    # Letter by letter on the representative itself, without rotating:
+    # prefix + image of the letter + suffix, summed and then traced.
+    cap = u.cap
+    images = {
+        "x": lie_to_assoc(lie_bracket(LieElt.gen_x(cap), u.u1)),
+        "y": lie_to_assoc(lie_bracket(LieElt.gen_y(cap), u.u2)),
+    }
+    acc = AssocElt.zero(cap)
+    for word, coeff in c.coeffs.items():
+        for i, letter in enumerate(word):
+            sandwich = {}
+            for w, k in images[letter].coeffs.items():
+                key = word[:i] + w + word[i + 1 :]
+                if len(key) <= cap:
+                    sandwich[key] = k
+            acc = acc + coeff * AssocElt(cap, sandwich)
+    return trace(acc)
+
+
+def _reference_cyc_taut_act(F, c):
+    # Generator images as e^{-f} g e^{f}, multiplied out in the associative
+    # algebra, instead of the engine's conjugation series.
+    cap = F.cap
+    images = {}
+    for letter, f in (("x", F.f1), ("y", F.f2)):
+        ef = assoc_exp(lie_to_assoc(f))
+        emf = assoc_exp(lie_to_assoc(-f))
+        images[letter] = emf * AssocElt.word(letter, cap) * ef
+    acc = AssocElt.zero(cap)
+    for word, coeff in c.coeffs.items():
+        prod = AssocElt.one(cap)
+        for letter in word:
+            prod = prod * images[letter]
+        acc = acc + coeff * prod
+    return trace(acc)
+
+
+def _random_cyc(rng, cap, degrees, terms=4):
+    pool = [w for d in degrees for w in necklaces(d)]
+    chosen = rng.sample(pool, min(terms, len(pool)))
+    return CycElt(cap, {w: random_fraction(rng) for w in chosen})
+
+
+def test_cyc_tder_act_matches_reference():
+    # Degrees are drawn so that results reach the cap and some terms fall
+    # one degree above it.  Single letters are left out of ``c``: their
+    # images are commutators, which trace to zero.
+    rng = rng_for("cyc-tder-reference")
+    nonzero = 0
+    for cap in range(2, 8):
+        for _ in range(6):
+            k = rng.randint(1, cap - 1)
+            u = random_tder(rng, k, terms=3).with_cap(cap)
+            c = _random_cyc(rng, cap, range(2, cap + 2 - k))
+            got = cyc_tder_act(u, c)
+            assert got == _reference_cyc_tder_act(u, c)
+            nonzero += not got.is_zero()
+    assert nonzero >= 12
+
+
+def test_cyc_taut_act_matches_reference():
+    rng = rng_for("cyc-taut-reference")
+    for cap in range(1, 8):
+        for _ in range(2):
+            F = random_taut(rng, cap)
+            c = _random_cyc(rng, cap, range(1, cap + 1), terms=3)
+            assert cyc_taut_act(F, c) == _reference_cyc_taut_act(F, c)
 
 
 # -- automorphisms ------------------------------------------------------------

@@ -23,7 +23,6 @@ from .linalg import QMatrix, kernel_basis, rank, solve_linear
 from .tangential import (
     TAutElt,
     TDer,
-    _slot_columns,
     divergence,
     jacobian,
     taut_apply,
@@ -161,16 +160,22 @@ def check_krv_lie(u, n):
     return KVReport("krv-lie", n, defect, duflo, residual)
 
 
+def _slot_columns(letter, k):
+    """Normalized degree-``k`` coordinates of the slot that brackets with
+    ``letter``: the Lyndon words, minus the generator itself at degree one."""
+    return [w for w in lyndon_words(k) if w != letter]
+
+
 class _GradedSystem:
     """The degree-n linear system shared by the extension step and the
     graded-dimension solver.
 
     Columns: the normalized coordinates of the first slot, then of the
-    second slot (:func:`~kvtower.tangential._slot_columns`), then, for
-    n >= 2, the Duflo multiplier.  Rows: optionally the generator-bracket
-    equation ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the
-    divergence equation over the degree-n necklaces.  The two kinds of
-    row key differ in length, so one word -> row index serves both.
+    second slot (:func:`_slot_columns`), then, for n >= 2, the Duflo
+    multiplier.  Rows: optionally the generator-bracket equation
+    ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the divergence
+    equation over the degree-n necklaces.  The two kinds of row key differ
+    in length, so one word -> row index serves both.
     """
 
     def __init__(self, n, with_bracket_rows):

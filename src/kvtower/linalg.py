@@ -1,13 +1,13 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries, so no rounding
-ever occurs.  There is one elimination, :class:`PresolvedSystem`: plain
+ever occurs.  There is one elimination, :func:`_reduce`: plain
 Gauss-Jordan with a fixed pivot rule (first nonzero entry, scanning rows
-top-down and columns left-to-right), which records its row operations
-for replay on right-hand sides and keeps what the null-space basis needs.
-``solve_linear``, ``kernel_basis`` and ``rank`` all read their answers
-off it, and the fixed pivot rule makes every output deterministic:
-identical inputs yield identical results on any platform.
+top-down and columns left-to-right), with an optional right-hand side
+carried along as a last column.  ``solve_linear``, ``kernel_basis`` and
+``rank`` all read their answers off the reduced rows, and the fixed pivot
+rule makes every output deterministic: identical inputs yield identical
+results on any platform.
 """
 
 from fractions import Fraction
@@ -86,81 +86,54 @@ class LinearSolution:
         return self.particular is not None
 
 
-class PresolvedSystem:
-    """Gauss-Jordan elimination of a fixed matrix, reusable across many
-    right-hand sides.
+def _reduce(M, b=None):
+    """Reduced row echelon form of ``M`` as ``(rows, pivots)``: the dense
+    reduced rows and the pivot columns in ascending order.
 
-    Every row operation that changes something is recorded once as
-    ``(kind, i, j, factor)`` and replayed on each ``b``; no-op swaps and
-    unit scalings are skipped.  ``pivots`` lists the pivot columns, and
-    the free columns of the reduced rows are kept for :meth:`kernel`.
+    When ``b`` is given it rides along as a last column that never holds
+    a pivot, so the rows past the pivots show whether ``M x = b`` is
+    consistent and the pivot rows hold the particular solution.
     """
-
-    def __init__(self, M):
-        self.cols = M.cols
-        self.rows = M.rows
-        self._ops = ops = []
-        self.pivots = pivots = []
-        dense = M.dense()
-        r = 0
-        for c in range(self.cols):
-            if r == self.rows:
-                break
-            pivot_row = next((i for i in range(r, self.rows) if dense[i][c] != 0), None)
-            if pivot_row is None:
-                continue
-            if pivot_row != r:
-                dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-                ops.append(("swap", r, pivot_row, None))
-            inv = Fraction(1) / dense[r][c]
-            if inv != 1:
-                dense[r] = [v * inv for v in dense[r]]
-                ops.append(("scale", r, None, inv))
-            for i in range(self.rows):
-                if i != r and dense[i][c] != 0:
-                    f = dense[i][c]
-                    dense[i] = [a - f * b for a, b in zip(dense[i], dense[r])]
-                    ops.append(("axpy", i, r, f))
-            pivots.append(c)
-            r += 1
-        pivot_set = set(pivots)
-        self._free = [
-            (c, [row[c] for row in dense[:r]])
-            for c in range(self.cols)
-            if c not in pivot_set
-        ]
-
-    def solve(self, b):
-        """Particular solution with free variables zero, or ``None``."""
-        if len(b) != self.rows:
+    dense = M.dense()
+    if b is not None:
+        if len(b) != M.rows:
             raise ValueError("dimension mismatch: len(b) != M.rows")
-        vec = [Fraction(v) for v in b]
-        for op, i, j, f in self._ops:
-            if op == "swap":
-                vec[i], vec[j] = vec[j], vec[i]
-            elif op == "scale":
-                vec[i] *= f
-            else:
-                vec[i] -= f * vec[j]
-        npiv = len(self.pivots)
-        if any(vec[i] != 0 for i in range(npiv, self.rows)):
-            return None
-        out = [Fraction(0)] * self.cols
-        for r, pc in enumerate(self.pivots):
-            out[pc] = vec[r]
-        return out
+        for row, v in zip(dense, b):
+            row.append(Fraction(v))
+    pivots = []
+    for c in range(M.cols):
+        r = len(pivots)
+        if r == M.rows:
+            break
+        pivot_row = next((i for i in range(r, M.rows) if dense[i][c] != 0), None)
+        if pivot_row is None:
+            continue
+        dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
+        inv = Fraction(1) / dense[r][c]
+        if inv != 1:
+            dense[r] = [v * inv for v in dense[r]]
+        for i in range(M.rows):
+            if i != r and dense[i][c] != 0:
+                f = dense[i][c]
+                dense[i] = [a - f * v for a, v in zip(dense[i], dense[r])]
+        pivots.append(c)
+    return dense, pivots
 
-    def kernel(self):
-        """Null-space basis in reduced echelon form: one vector per free
-        column, in ascending order, with a one in that column."""
-        basis = []
-        for fc, entries in self._free:
-            vec = [Fraction(0)] * self.cols
-            vec[fc] = Fraction(1)
-            for pc, v in zip(self.pivots, entries):
-                vec[pc] = -v
-            basis.append(vec)
-        return basis
+
+def _kernel(ncols, rows, pivots):
+    """Null-space basis in reduced echelon form: one vector per free
+    column, in ascending order, with a one in that column."""
+    pivot_set = set(pivots)
+    basis = []
+    for fc in range(ncols):
+        if fc in pivot_set:
+            continue
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(rows, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
 
 
 def solve_linear(M, b):
@@ -169,14 +142,19 @@ def solve_linear(M, b):
     Returns a :class:`LinearSolution` whose particular solution has free
     variables zeroed; ``particular`` is ``None`` when no solution exists.
     """
-    P = PresolvedSystem(M)
-    return LinearSolution(P.solve(b), P.kernel())
+    rows, pivots = _reduce(M, b)
+    particular = None
+    if not any(row[-1] != 0 for row in rows[len(pivots):]):
+        particular = [Fraction(0)] * M.cols
+        for row, pc in zip(rows, pivots):
+            particular[pc] = row[-1]
+    return LinearSolution(particular, _kernel(M.cols, rows, pivots))
 
 
 def kernel_basis(M):
     """Exact basis of the null space of ``M``; deterministic ordering."""
-    return PresolvedSystem(M).kernel()
+    return _kernel(M.cols, *_reduce(M))
 
 
 def rank(M):
-    return len(PresolvedSystem(M).pivots)
+    return len(_reduce(M)[1])

@@ -13,7 +13,8 @@ logarithm are all computed degree by degree in exact arithmetic.
 The action of an automorphism on the generators only sees exponent terms
 below the cap, so the exponential of a derivation is pinned down at its
 top degree by matching actions one degree above the cap; ``taut_exp`` and
-``taut_log`` do that internally.
+``taut_log`` do that internally, solving ``[gen, a] = r`` degree by degree
+with one triangular sweep over the Lyndon basis.
 
 The actions on cyclic words reuse the generator images that the engines
 behind the actions on Lie elements compute.
@@ -26,9 +27,8 @@ from .assoc import AssocElt
 from .cyclic import CycElt, trace
 from .errors import InconsistentSystem
 from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
-from .linalg import PresolvedSystem, QMatrix
 from .sparse import _exp_series, _require_same_cap
-from .words import lyndon_words, standard_factorization
+from .words import is_lyndon, lyndon_words, standard_factorization
 
 
 def _normalize_pair(u1, u2):
@@ -96,34 +96,39 @@ class TDer:
         return f"TDer({self.u1!r}, {self.u2!r})"
 
 
-class _DerEngine:
-    """Applies one tangential derivation with memoized basis images."""
+class _Engine:
+    """A linear map on Lie elements, given by the generator images in
+    ``_images``; the image of a longer Lyndon word is built by
+    ``_from_factors`` from those of its standard factors, and memoized."""
+
+    def _image(self, word):
+        img = self._images.get(word)
+        if img is None:
+            img = self._images[word] = self._from_factors(*standard_factorization(word))
+        return img
+
+    def apply(self, w):
+        out = {}
+        for word, c in w.coeffs.items():
+            for ww, k in self._image(word).coeffs.items():
+                out[ww] = out.get(ww, 0) + c * k
+        return LieElt._collect(self.cap, out)
+
+
+class _DerEngine(_Engine):
+    """Applies one tangential derivation by the Leibniz rule."""
 
     def __init__(self, u):
-        self.u = u
         self.cap = u.cap
         self._images = {
             "x": lie_bracket(LieElt.gen_x(u.cap), u.u1),
             "y": lie_bracket(LieElt.gen_y(u.cap), u.u2),
         }
 
-    def _image(self, word):
-        img = self._images.get(word)
-        if img is None:
-            p, q = standard_factorization(word)
-            bp = LieElt.basis(p, self.cap)
-            bq = LieElt.basis(q, self.cap)
-            img = lie_bracket(self._image(p), bq) + lie_bracket(bp, self._image(q))
-            self._images[word] = img
-        return img
-
-    def apply(self, w):
-        out = LieElt.zero(self.cap)
-        for word, c in w.coeffs.items():
-            img = self._image(word)
-            if not img.is_zero():
-                out = out + c * img
-        return out
+    def _from_factors(self, p, q):
+        bp = LieElt.basis(p, self.cap)
+        bq = LieElt.basis(q, self.cap)
+        return lie_bracket(self._image(p), bq) + lie_bracket(bp, self._image(q))
 
 
 def tder_apply(u, w):
@@ -184,14 +189,15 @@ def cyc_taut_act(F, c):
     _require_same_cap(F, c)
     cap = F.cap
     images = {g: lie_to_assoc(img) for g, img in _AutEngine(F)._images.items()}
-    acc = AssocElt.zero(cap)
     one = AssocElt.one(cap)
+    out = {}
     for word, coeff in c.coeffs.items():
         prod = one
         for letter in word:
             prod = prod * images[letter]
-        acc = acc + coeff * prod
-    return trace(acc)
+        for w, k in prod.coeffs.items():
+            out[w] = out.get(w, 0) + coeff * k
+    return trace(AssocElt._collect(cap, out))
 
 
 class TAutElt:
@@ -243,8 +249,8 @@ class TAutElt:
         return f"TAutElt(e^({self.f1!r}), e^({self.f2!r}))"
 
 
-class _AutEngine:
-    """Applies one tangential automorphism with memoized basis images.
+class _AutEngine(_Engine):
+    """Applies one tangential automorphism.
 
     Images of the generators are the conjugation series
     ``x + [x, f1] + [[x, f1], f1]/2 + ...``; images of longer Lyndon
@@ -253,28 +259,14 @@ class _AutEngine:
     """
 
     def __init__(self, F):
-        self.F = F
         self.cap = F.cap
         self._images = {
             "x": _conjugation_series(LieElt.gen_x(self.cap), F.f1),
             "y": _conjugation_series(LieElt.gen_y(self.cap), F.f2),
         }
 
-    def _image(self, word):
-        img = self._images.get(word)
-        if img is None:
-            p, q = standard_factorization(word)
-            img = lie_bracket(self._image(p), self._image(q))
-            self._images[word] = img
-        return img
-
-    def apply(self, w):
-        out = LieElt.zero(self.cap)
-        for word, c in w.coeffs.items():
-            img = self._image(word)
-            if not img.is_zero():
-                out = out + c * img
-        return out
+    def _from_factors(self, p, q):
+        return lie_bracket(self._image(p), self._image(q))
 
     def inverse_apply(self, w):
         """Solve ``F(v) = w`` for ``v``; the deviation of F from the
@@ -316,41 +308,32 @@ def taut_inverse(F):
     return TAutElt(-eng.inverse_apply(F.f1), -eng.inverse_apply(F.f2))
 
 
-def _slot_columns(letter, k):
-    """Normalized degree-``k`` coordinates of the slot that brackets with
-    ``letter``: the Lyndon words, minus the generator itself at degree one."""
-    return [w for w in lyndon_words(k) if w != letter]
-
-
-_AD_SOLVERS = {}
-
-
-def _ad_generator_solver(letter, k):
-    """Presolved system for ``[gen, a] = rhs`` with ``a`` homogeneous of
-    degree ``k`` in the normalized coordinates of :func:`_slot_columns`."""
-    key = (letter, k)
-    solver = _AD_SOLVERS.get(key)
-    if solver is None:
-        columns = _slot_columns(letter, k)
-        row_index = {w: i for i, w in enumerate(lyndon_words(k + 1))}
-        M = QMatrix(len(row_index), len(columns))
-        for j, w in enumerate(columns):
-            for ww, c in bracket_table(letter, w).items():
-                M[row_index[ww], j] = c
-        solver = _AD_SOLVERS[key] = (PresolvedSystem(M), columns, row_index)
-    return solver
-
-
 def _solve_generator_bracket(letter, k, rhs):
-    """Solve ``[gen, a] = rhs`` for homogeneous ``a`` of degree ``k``."""
-    solver, columns, row_index = _ad_generator_solver(letter, k)
-    vec = [Fraction(0)] * len(row_index)
-    for w, c in rhs.coeffs.items():
-        vec[row_index[w]] = c
-    sol = solver.solve(vec)
-    if sol is None:
-        raise InconsistentSystem("generator-bracket system inconsistent")
-    return LieElt._collect(rhs.cap, dict(zip(columns, sol)))
+    """Solve ``[gen, a] = rhs`` for normalized homogeneous ``a`` of
+    degree ``k``.
+
+    In the Lyndon basis ``[x, B(w)]`` has least word ``xw`` with
+    coefficient one and ``[y, B(w)]`` has least word ``wy`` with
+    coefficient minus one, so one sweep over the degree-(k+1) Lyndon words
+    in lexicographic order solves the triangular system, as in
+    :func:`~kvtower.lie._lyndon_coords`.  ``xx`` and ``yy`` are not
+    Lyndon, so the generator itself never enters ``a``.
+    """
+    residual = dict(rhs.coeffs)
+    a = {}
+    for z in lyndon_words(k + 1):
+        c = residual.get(z, 0)
+        if c == 0:
+            continue
+        w, c = (z[1:], c) if letter == "x" else (z[:-1], -c)
+        if not is_lyndon(w):
+            raise InconsistentSystem(f"generator-bracket system inconsistent at {z}")
+        a[w] = c
+        for ww, cc in bracket_table(letter, w).items():
+            residual[ww] = residual.get(ww, 0) - c * cc
+    if any(residual.values()):
+        raise InconsistentSystem("generator-bracket system leaves a residual")
+    return LieElt._new(rhs.cap, a)
 
 
 def _exponent_from_action(image, letter, out_cap):

@@ -3,11 +3,12 @@ from pathlib import Path
 
 import pytest
 
+import kvtower.kv
 import kvtower.tangential
 from kvtower.cli import emit_report, run_command
 from kvtower.documents import SolutionDocument, emit_document
 from kvtower.kv import check_sol_kv, extend_solkv
-from kvtower.linalg import PresolvedSystem
+from kvtower.linalg import LinearSolution
 from kvtower.tangential import TAutElt
 
 
@@ -253,7 +254,9 @@ def test_unwritable_out_exit_code(command, tmp_path, capsys):
 def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     seed = tmp_path / "seed.json"
     run(capsys, "seed", "--out", str(seed))
-    monkeypatch.setattr(PresolvedSystem, "solve", lambda self, b: None)
+    monkeypatch.setattr(
+        kvtower.kv, "solve_linear", lambda M, b: LinearSolution(None, [])
+    )
     code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
     assert code == 3
     assert "internal inconsistency" in err

@@ -4,12 +4,14 @@ from fractions import Fraction
 from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
 from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch, InconsistentSystem
-from kvtower.lie import LieElt, lie_bracket, lie_to_assoc
+from kvtower.lie import LieElt, bracket_table, lie_bracket, lie_to_assoc
 from kvtower.assoc import AssocElt, assoc_exp
-from kvtower.linalg import PresolvedSystem
+from kvtower.kv import _slot_columns
+from kvtower.linalg import QMatrix, solve_linear
 from kvtower.tangential import (
     TAutElt,
     TDer,
+    _solve_generator_bracket,
     cyc_taut_act,
     cyc_tder_act,
     divergence,
@@ -24,7 +26,7 @@ from kvtower.tangential import (
     tder_bracket,
     valuation,
 )
-from kvtower.words import necklaces
+from kvtower.words import lyndon_words, necklaces
 
 import pytest
 
@@ -581,8 +583,68 @@ def test_cap_mismatch_raises():
         tder_bracket(TDer.zero(2), TDer.zero(3))
 
 
-def test_taut_exp_reports_unsolvable_generator_bracket(monkeypatch):
-    monkeypatch.setattr(PresolvedSystem, "solve", lambda self, b: None)
-    u = TDer(LieElt.gen_y(3), LieElt.zero(3))
-    with pytest.raises(InconsistentSystem):
-        taut_exp(u)
+def test_taut_exp_reports_unsolvable_generator_bracket():
+    # xyy = x·yy, and yy is not Lyndon: no [x, B(w)] leads with it.
+    with pytest.raises(InconsistentSystem, match="inconsistent at xyy"):
+        _solve_generator_bracket("x", 2, LieElt(3, {"xyy": 1}))
+    # A degree-3 word cannot be [y, a] for a of degree 1; it is left over
+    # after the sweep over the degree-2 words.
+    with pytest.raises(InconsistentSystem, match="residual"):
+        _solve_generator_bracket("y", 1, LieElt(3, {"xyy": 1}))
+
+
+# -- generator-bracket sweep ---------------------------------------------------
+
+
+def _reference_solve_generator_bracket(letter, k, rhs):
+    # The linear system the sweep replaced: the normalized slot columns
+    # against the degree-(k+1) Lyndon rows, solved by Gauss-Jordan.
+    columns = _slot_columns(letter, k)
+    row_index = {w: i for i, w in enumerate(lyndon_words(k + 1))}
+    M = QMatrix(len(row_index), len(columns))
+    for j, w in enumerate(columns):
+        for ww, c in bracket_table(letter, w).items():
+            M[row_index[ww], j] = c
+    vec = [Fraction(0)] * len(row_index)
+    for w, c in rhs.coeffs.items():
+        vec[row_index[w]] = c
+    sol = solve_linear(M, vec).particular
+    return None if sol is None else LieElt(rhs.cap, dict(zip(columns, sol)))
+
+
+def test_generator_bracket_sweep_matches_linear_solve():
+    rng = rng_for("generator-bracket-sweep")
+    outcomes = set()
+    for letter in "xy":
+        for k in range(1, 8):
+            cap = k + 1
+            gen = LieElt.basis(letter, cap)
+            for _ in range(4):
+                a = random_lie(rng, k, terms=3, min_degree=k).with_cap(cap)
+                other = random_lie(rng, cap, terms=3, min_degree=cap)
+                for rhs in (lie_bracket(gen, a), other):
+                    expected = _reference_solve_generator_bracket(letter, k, rhs)
+                    outcomes.add(expected is None)
+                    if expected is None:
+                        with pytest.raises(InconsistentSystem):
+                            _solve_generator_bracket(letter, k, rhs)
+                    else:
+                        assert _solve_generator_bracket(letter, k, rhs) == expected
+    # Both consistent and inconsistent right-hand sides were met.
+    assert outcomes == {False, True}
+
+
+def test_generator_brackets_are_triangular_in_the_lyndon_basis():
+    # The premise of the sweep: [x, B(w)] has least word xw with
+    # coefficient 1, and [y, B(w)] has least word wy with coefficient -1.
+    checked = 0
+    for d in range(1, 9):
+        for w in lyndon_words(d):
+            for letter, lead, value in (("x", "x" + w, 1), ("y", w + "y", -1)):
+                if w == letter:
+                    continue
+                table = bracket_table(letter, w)
+                assert min(table) == lead
+                assert table[lead] == value
+                checked += 1
+    assert checked == 140

@@ -215,6 +215,10 @@ class _GradedSystem:
         cyclic element keyed by row words, read off at ``cap``."""
         rhs = [Fraction(0)] * self.matrix.rows
         for w, c in defect.coeffs.items():
+            if w not in self.row_index:
+                raise InconsistentSystem(
+                    f"degree-{self.n} graded system has no row for defect word {w}"
+                )
             rhs[self.row_index[w]] = -c
         sol = solve_linear(self.matrix, rhs)
         if not sol.consistent:

@@ -1,13 +1,22 @@
 """Exact linear algebra over the rationals.
 
 Everything here works with ``fractions.Fraction`` entries, so no rounding
-ever occurs.  There is one elimination, :func:`_reduce`: plain
-Gauss-Jordan with a fixed pivot rule (first nonzero entry, scanning rows
-top-down and columns left-to-right), with an optional right-hand side
-carried along as a last column.  ``solve_linear``, ``kernel_basis`` and
-``rank`` all read their answers off the reduced rows, and the fixed pivot
-rule makes every output deterministic: identical inputs yield identical
-results on any platform.
+ever occurs.  There is one elimination, :func:`_reduce`: a sparse
+Gauss-Jordan on rows stored as dicts col -> nonzero ``Fraction``, with an
+optional right-hand side carried along under a column key of its own.
+Columns are taken in ascending order, and the pivot of a column is the
+shortest row not yet reduced that holds it (the first such row in row
+order on ties), which keeps fill-in low on the very sparse graded
+systems.  The column is then eliminated from every other row, reduced
+ones included, and entries that cancel are deleted.
+
+The pivot rule changes only the work, never the answer: the reduced row
+echelon form of a matrix is unique, and so are its pivot columns, the
+null-space basis read off it (one vector per free column, with a one
+there) and the particular solution with its free variables set to zero.
+``solve_linear``, ``kernel_basis`` and ``rank`` all read their answers
+off the reduced rows, so every output is deterministic: identical inputs
+yield identical results on any platform.
 """
 
 from fractions import Fraction
@@ -87,37 +96,50 @@ class LinearSolution:
 
 
 def _reduce(M, b=None):
-    """Reduced row echelon form of ``M`` as ``(rows, pivots)``: the dense
-    reduced rows and the pivot columns in ascending order.
+    """Reduced row echelon form of ``M`` as ``(rows, pivots)``.
 
-    When ``b`` is given it rides along as a last column that never holds
-    a pivot, so the rows past the pivots show whether ``M x = b`` is
-    consistent and the pivot rows hold the particular solution.
+    ``rows`` are sparse rows (dicts col -> nonzero ``Fraction``): first the
+    reduced rows, one per pivot column, then the rows left without a
+    pivot; ``pivots`` lists the pivot columns in ascending order.  When
+    ``b`` is given it is stored under key ``M.cols``, a column that never
+    holds a pivot, so the pivot rows hold the particular solution and
+    ``M x = b`` is consistent exactly when every row left over is empty.
     """
-    dense = M.dense()
+    rows = [{} for _ in range(M.rows)]
+    for (i, j), v in M.entries.items():
+        rows[i][j] = v
     if b is not None:
         if len(b) != M.rows:
             raise ValueError("dimension mismatch: len(b) != M.rows")
-        for row, v in zip(dense, b):
-            row.append(Fraction(v))
-    pivots = []
+        for row, v in zip(rows, b):
+            if v != 0:
+                row[M.cols] = Fraction(v)
+    reduced, pivots = [], []
     for c in range(M.cols):
-        r = len(pivots)
-        if r == M.rows:
+        if not rows:
             break
-        pivot_row = next((i for i in range(r, M.rows) if dense[i][c] != 0), None)
-        if pivot_row is None:
+        holders = [row for row in rows if c in row]
+        if not holders:
             continue
-        dense[r], dense[pivot_row] = dense[pivot_row], dense[r]
-        inv = Fraction(1) / dense[r][c]
+        p = min(holders, key=len)
+        rows = [row for row in rows if row is not p]
+        inv = Fraction(1) / p[c]
         if inv != 1:
-            dense[r] = [v * inv for v in dense[r]]
-        for i in range(M.rows):
-            if i != r and dense[i][c] != 0:
-                f = dense[i][c]
-                dense[i] = [a - f * v for a, v in zip(dense[i], dense[r])]
+            for k in p:
+                p[k] *= inv
+        for row in holders + [row for row in reduced if c in row]:
+            if row is p:
+                continue
+            f = row[c]
+            for k, v in p.items():
+                v = row.get(k, 0) - f * v
+                if v:
+                    row[k] = v
+                else:
+                    del row[k]
+        reduced.append(p)
         pivots.append(c)
-    return dense, pivots
+    return reduced + rows, pivots
 
 
 def _kernel(ncols, rows, pivots):
@@ -131,7 +153,7 @@ def _kernel(ncols, rows, pivots):
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
         for row, pc in zip(rows, pivots):
-            vec[pc] = -row[fc]
+            vec[pc] = -row.get(fc, Fraction(0))
         basis.append(vec)
     return basis
 
@@ -144,10 +166,10 @@ def solve_linear(M, b):
     """
     rows, pivots = _reduce(M, b)
     particular = None
-    if not any(row[-1] != 0 for row in rows[len(pivots):]):
+    if not any(rows[len(pivots):]):
         particular = [Fraction(0)] * M.cols
         for row, pc in zip(rows, pivots):
-            particular[pc] = row[-1]
+            particular[pc] = row.get(M.cols, Fraction(0))
     return LinearSolution(particular, _kernel(M.cols, rows, pivots))
 
 

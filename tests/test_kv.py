@@ -2,9 +2,10 @@ from fractions import Fraction
 
 from conftest import rng_for
 from kvtower.cyclic import CycElt
-from kvtower.errors import PreconditionFailed
+from kvtower.errors import InconsistentSystem, PreconditionFailed
 from kvtower.kv import (
     DufloSeries,
+    _GradedSystem,
     check_krv,
     check_krv_lie,
     check_kv,
@@ -314,6 +315,22 @@ def test_krv_dim_degree_two():
 def test_krv_dim_regression_three_to_six():
     # Frozen on first verified run; cross-checked by the graded-rank test.
     assert [krv_dim(n)[0] for n in (3, 4, 5, 6)] == [1, 0, 1, 0]
+
+
+def test_krv_dim_matches_theory_to_degree_eleven():
+    # krv_2 = grt_1 + K t, and grt_1 is predicted free on sigma_3, sigma_5,
+    # ... (Alekseev-Torossian 2012; Brown 2012 gives the lower bound), so
+    # the graded dimensions are those of the free Lie algebra on one
+    # generator in each odd degree >= 3, plus t in degree 1.
+    dims = [krv_dim(n)[0] for n in range(1, 12)]
+    assert dims == [1, 0, 1, 0, 1, 0, 1, 1, 1, 1, 2]
+
+
+def test_graded_system_rejects_a_defect_word_without_a_row():
+    # Rows are the degree-4 Lyndon words and the degree-3 necklaces.
+    system = _GradedSystem(3, with_bracket_rows=True)
+    with pytest.raises(InconsistentSystem, match="xxxxy"):
+        system.solve(LieElt(5, {"xxxxy": 1}), 4)
 
 
 def test_krv_basis_elements_satisfy_equations():

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from conftest import rng_for
+from kvtower.kv import _GradedSystem
 from kvtower.linalg import QMatrix, kernel_basis, rank, solve_linear
 
 import pytest
@@ -177,3 +178,77 @@ def test_presolved_matches_solve_linear():
         for _ in range(3):
             b = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
             assert solve_linear(M, b).particular == _reference_solve(M, b)[0]
+
+
+def _sparse_matrix(rng):
+    """A seeded sparse matrix of 10-40 rows and columns at 5-25% density;
+    about half of them rank-deficient, with some rows replaced by sums of
+    earlier rows (a sum of one row is a copy)."""
+    rows, cols = rng.randint(10, 40), rng.randint(10, 40)
+    density = rng.uniform(0.05, 0.25)
+    M = QMatrix(rows, cols)
+    for i in range(rows):
+        for j in range(cols):
+            if rng.random() < density:
+                M[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+    if rng.random() < 0.5:
+        for i in rng.sample(range(1, rows), rng.randint(1, rows // 2)):
+            for j in range(cols):
+                M[i, j] = 0
+            for k in rng.sample(range(i), rng.randint(1, min(i, 3))):
+                for j in range(cols):
+                    M[i, j] += M[k, j]
+    return M
+
+
+def _longer_row_first(M):
+    """Whether some column is held by a row that is longer than a later
+    row holding it, so that the shortest row is not the first one."""
+    length = [0] * M.rows
+    for i, _ in M.entries:
+        length[i] += 1
+    for j in range(M.cols):
+        held = [length[i] for i in range(M.rows) if (i, j) in M.entries]
+        if any(a > min(held[k + 1 :]) for k, a in enumerate(held[:-1])):
+            return True
+    return False
+
+
+def test_sparse_eliminator_matches_reference_on_larger_sparse_matrices():
+    rng = rng_for("linalg-sparse")
+    outcomes = {True: 0, False: 0}
+    deficient = longer_first = 0
+    for _ in range(30):
+        M = _sparse_matrix(rng)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(M.cols)]
+        bad = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
+        for b in (M.mul_vector(x), bad):
+            particular, kernel, r = _reference_solve(M, b)
+            sol = solve_linear(M, b)
+            assert sol.particular == particular
+            assert sol.kernel_basis == kernel_basis(M) == kernel
+            assert rank(M) == r
+            assert particular is not None or b is bad
+            outcomes[particular is not None] += 1
+        deficient += r < min(M.rows, M.cols)
+        longer_first += _longer_row_first(M)
+    assert outcomes[True] > 0 and outcomes[False] > 0
+    assert deficient > 0 and longer_first > 0
+
+
+@pytest.mark.parametrize(
+    "with_bracket_rows, degrees", [(True, range(1, 9)), (False, range(2, 9))]
+)
+def test_sparse_eliminator_matches_reference_on_graded_systems(
+    with_bracket_rows, degrees
+):
+    rng = rng_for(f"linalg-graded-{with_bracket_rows}")
+    for n in degrees:
+        M = _GradedSystem(n, with_bracket_rows).matrix
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(M.cols)]
+        b = M.mul_vector(x)
+        particular, kernel, r = _reference_solve(M, b)
+        sol = solve_linear(M, b)
+        assert sol.particular == particular is not None
+        assert sol.kernel_basis == kernel_basis(M) == kernel
+        assert rank(M) == r

@@ -17,14 +17,10 @@ from .documents import (
     parse_document,
 )
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
-from .kv import (
-    check_kv,
-    check_krv,
-    check_sol_kv,
-    extend_solkv,
-    gr_leading_rank,
-    krv_dim,
-)
+# ``extend`` checks its input itself, to print the report, so it extends
+# with the unchecked loop behind :func:`kvtower.kv.extend_solkv`.
+from .kv import _extend_from as extend_solkv
+from .kv import check_kv, check_krv, check_sol_kv, gr_leading_rank, krv_dim
 from .lie import LieElt, bch_xy
 from .tangential import TAutElt
 from .words import lyndon_words

@@ -226,20 +226,14 @@ class _GradedSystem:
         return self.tder_from(sol.particular, cap)
 
 
-def extend_solkv_step(F):
-    """Extend a degree-n solution to degree n+1.
-
-    Stage A solves for a degree-n exponent correction: the generator
-    brackets must cancel the first equation's new defect while the
-    correction's divergence stays a multiple of the degree-n pattern.
-    Stage B solves for the fresh degree-(n+1) exponent terms matching
-    the Jacobian one degree up.  Both systems are consistent whenever
-    the input really is a degree-n solution; a failed solve indicates an
-    internal bug and raises :class:`InconsistentSystem`.
-    """
-    n = F.cap
-    if not check_sol_kv(F, n).passed:
+def _require_solution(F):
+    if not check_sol_kv(F, F.cap).passed:
         raise PreconditionFailed("input does not solve the system at its cap")
+
+
+def _extend_step(F):
+    """:func:`extend_solkv_step` without its precondition check."""
+    n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
 
@@ -254,12 +248,39 @@ def extend_solkv_step(F):
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)
 
 
-def extend_solkv(F, to_degree):
-    """Iterate :func:`extend_solkv_step` up to the requested degree."""
+def extend_solkv_step(F):
+    """Extend a degree-n solution to degree n+1.
+
+    Stage A solves for a degree-n exponent correction: the generator
+    brackets must cancel the first equation's new defect while the
+    correction's divergence stays a multiple of the degree-n pattern.
+    Stage B solves for the fresh degree-(n+1) exponent terms matching
+    the Jacobian one degree up.  Both systems are consistent whenever
+    the input really is a degree-n solution; a failed solve indicates an
+    internal bug and raises :class:`InconsistentSystem`.
+    """
+    _require_solution(F)
+    return _extend_step(F)
+
+
+def _extend_from(F, to_degree):
+    """Iterate :func:`_extend_step` up to the requested degree; ``F`` must
+    already be known to solve the system at its cap.  Each step's output
+    is again a solution, so no step re-checks its input."""
     out = F
     while out.cap < to_degree:
-        out = extend_solkv_step(out)
+        out = _extend_step(out)
     return out
+
+
+def extend_solkv(F, to_degree):
+    """Extend a solution degree by degree up to the requested degree.
+
+    ``F`` is checked once, and only when a step will run.
+    """
+    if F.cap < to_degree:
+        _require_solution(F)
+    return _extend_from(F, to_degree)
 
 
 def extend_krv_step(G):

@@ -11,13 +11,18 @@ A tangential automorphism is stored by its normalized exponent pair
 logarithm are all computed degree by degree in exact arithmetic.
 
 The action of an automorphism on the generators only sees exponent terms
-below the cap, so the exponential of a derivation is pinned down at its
-top degree by matching actions one degree above the cap; ``taut_exp`` and
-``taut_log`` do that internally, solving ``[gen, a] = r`` degree by degree
-with one triangular sweep over the Lyndon basis.
+below the cap, so both directions between a derivation and its
+exponential match actions on the generators one degree above the cap:
+``taut_exp`` finds the exponents whose conjugation action equals the
+derivation's exponential series, and ``taut_log`` finds the derivation
+whose exponential series equals the automorphism's conjugation action.
+Each solves ``[gen, a] = r`` degree by degree with one triangular sweep
+over the Lyndon basis; neither calls the other.
 
 The actions on cyclic words reuse the generator images that the engines
-behind the actions on Lie elements compute.
+behind the actions on Lie elements compute.  A derivation's images are
+expanded into words once, so :func:`jacobian` pays for them once for its
+whole series.
 """
 
 import math
@@ -161,26 +166,43 @@ def divergence(u):
     return trace(AssocElt._new(u.cap, keep))
 
 
-def cyc_tder_act(u, c):
-    """Derivation action on cyclic words: act letter by letter on any
+def _cyc_action(u):
+    """The action of ``u`` on cyclic words, as a function of one
+    :class:`CycElt` at ``u``'s cap: act letter by letter on any
     representative, then re-trace.
 
-    A trace does not change under rotation, so each word is rotated to
-    put the acted-on letter first and the image is prepended to the rest.
+    The two generator images are expanded into words once and sorted by
+    length, so each letter stops at the first image word that does not
+    fit under the cap.  A trace does not change under rotation, so each
+    word is rotated to put the acted-on letter first and the image is
+    prepended to the rest.
     """
-    _require_same_cap(u, c)
     cap = u.cap
-    images = {g: lie_to_assoc(img).coeffs for g, img in _DerEngine(u)._images.items()}
-    out = {}
-    for word, coeff in c.coeffs.items():
-        room = cap + 1 - len(word)
-        for i, letter in enumerate(word):
-            rest = word[i + 1 :] + word[:i]
-            for w, k in images[letter].items():
-                if len(w) <= room:
+    images = {
+        g: sorted(lie_to_assoc(img).coeffs.items(), key=lambda wk: len(wk[0]))
+        for g, img in _DerEngine(u)._images.items()
+    }
+
+    def act(c):
+        out = {}
+        for word, coeff in c.coeffs.items():
+            room = cap + 1 - len(word)
+            for i, letter in enumerate(word):
+                rest = word[i + 1 :] + word[:i]
+                for w, k in images[letter]:
+                    if len(w) > room:
+                        break
                     key = w + rest
                     out[key] = out.get(key, 0) + coeff * k
-    return trace(AssocElt._collect(cap, out))
+        return trace(AssocElt._collect(cap, out))
+
+    return act
+
+
+def cyc_tder_act(u, c):
+    """Derivation action on cyclic words."""
+    _require_same_cap(u, c)
+    return _cyc_action(u)(c)
 
 
 def cyc_taut_act(F, c):
@@ -370,18 +392,26 @@ def taut_exp(u):
 
 
 def taut_log(F):
-    """Inverse of :func:`taut_exp`, by degree-by-degree defect correction:
-    the degree-``k`` component of the log is read off from the degree-``k``
-    mismatch between ``F`` and the exponential of what is known so far."""
+    """Inverse of :func:`taut_exp`: the normalized derivation whose
+    exponential acts on the generators as ``F`` does.
+
+    The actions of ``F`` are computed once, one degree above the cap.  The
+    degree-``k`` part of the log is then read off from the degree-(k+1)
+    mismatch between those actions and the exponential of what is known
+    so far, by one generator-bracket sweep per slot.
+    """
     cap = F.cap
-    u1 = LieElt.zero(cap)
-    u2 = LieElt.zero(cap)
+    work = cap + 1
+    targets = _AutEngine(F.with_cap(work))._images
+    u = {"x": LieElt.zero(work), "y": LieElt.zero(work)}
     for k in range(1, cap + 1):
-        partial = TDer(u1.truncate(k), u2.truncate(k))
-        E = taut_exp(partial)
-        u1 = u1 + F.f1.homogeneous_part(k) - E.f1.homogeneous_part(k).with_cap(cap)
-        u2 = u2 + F.f2.homogeneous_part(k) - E.f2.homogeneous_part(k).with_cap(cap)
-    return TDer(u1, u2)
+        eng = _DerEngine(TDer(u["x"].truncate(k + 1), u["y"].truncate(k + 1)))
+        for g, target in targets.items():
+            cur = _exp_series(LieElt.basis(g, k + 1), eng.apply)
+            defect = (target.truncate(k + 1) - cur).homogeneous_part(k + 1)
+            if not defect.is_zero():
+                u[g] = u[g] + _solve_generator_bracket(g, k, defect).with_cap(work)
+    return TDer(u["x"].truncate(cap), u["y"].truncate(cap))
 
 
 def jacobian(F):
@@ -389,13 +419,13 @@ def jacobian(F):
     ``J(e^w) = sum_k w^k (j(w)) / (k+1)!`` with ``w = log F`` acting on
     cyclic words."""
     w = taut_log(F)
-    jw = divergence(w)
+    act = _cyc_action(w)
     out = CycElt.zero(F.cap)
-    term = jw
+    term = divergence(w)
     k = 0
     while not term.is_zero():
         out = out + Fraction(1, math.factorial(k + 1)) * term
-        term = cyc_tder_act(w, term)
+        term = act(term)
         k += 1
         if k > F.cap:
             break

@@ -301,6 +301,33 @@ def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
+def test_extend_checks_its_input_and_its_output_once(tmp_path, capsys, monkeypatch):
+    calls = []
+    real = check_sol_kv
+
+    def counting(F, n):
+        calls.append(n)
+        return real(F, n)
+
+    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
+    monkeypatch.setattr("kvtower.cli.check_sol_kv", counting)
+    seed = tmp_path / "seed.json"
+    out = tmp_path / "sol4.json"
+    run(capsys, "seed", "--out", str(seed))
+    code, _, _ = run(capsys, "extend", "--in", str(seed), "--to-degree", "4",
+                     "--out", str(out))
+    assert code == 0
+    assert calls == [1, 4]
+    # A non-solution is reported once, and nothing is extended.
+    calls.clear()
+    bad = tmp_path / "bad.json"
+    bad.write_text(emit_document(SolutionDocument(2, {}, {}, {}, "SolKV")))
+    code, report, _ = run(capsys, "extend", "--in", str(bad), "--to-degree", "4")
+    assert code == 1
+    assert report == emit_report(real(TAutElt.identity(2), 2))
+    assert calls == [2]
+
+
 def test_out_is_replaced_atomically(tmp_path, capsys, monkeypatch):
     out = tmp_path / "seed.json"
     assert run(capsys, "seed", "--out", str(out))[0] == 0

@@ -1,6 +1,7 @@
 from fractions import Fraction
 
 from conftest import rng_for
+import kvtower.kv
 from kvtower.cyclic import CycElt
 from kvtower.errors import InconsistentSystem, PreconditionFailed
 from kvtower.kv import (
@@ -195,6 +196,36 @@ def test_extension_of_truncated_solution():
     D = torsor_quotient(G.truncate(5), H, 5)
     assert check_krv(D, 5).passed
     assert valuation(D) >= 4
+
+
+def test_extend_solkv_equals_the_checked_chain():
+    chain = identity(1)
+    while chain.cap < 7:
+        chain = extend_solkv_step(chain)
+    assert extend_solkv(identity(1), 7) == chain
+
+
+def test_extend_solkv_checks_its_input_once(monkeypatch):
+    calls = []
+
+    def counting(F, n):
+        calls.append(n)
+        return check_sol_kv(F, n)
+
+    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
+    F = extend_solkv(identity(1), 5)
+    assert calls == [1]
+    # No step runs, so nothing is checked.
+    assert extend_solkv(F, 5) is F
+    assert calls == [1]
+    # The public single step keeps its own check.
+    extend_solkv_step(F)
+    assert calls == [1, 5]
+
+
+def test_extend_solkv_requires_a_solution():
+    with pytest.raises(PreconditionFailed):
+        extend_solkv(identity(2), 3)
 
 
 def test_extend_krv_identity():

@@ -1,11 +1,13 @@
 import math
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
 from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch, InconsistentSystem
 from kvtower.lie import LieElt, bracket_table, lie_bracket, lie_to_assoc
 from kvtower.assoc import AssocElt, assoc_exp
+from kvtower.documents import parse_document
 from kvtower.kv import _slot_columns
 from kvtower.linalg import QMatrix, solve_linear
 from kvtower.tangential import (
@@ -436,7 +438,75 @@ def test_exp_log_roundtrips():
         assert taut_exp(taut_log(F)) == F
 
 
+def _reference_log(F):
+    # The defect correction the action-matching log replaced: the degree-k
+    # part is F's degree-k exponent minus that of the exponential of the
+    # lower-degree parts, with one full taut_exp per degree.
+    cap = F.cap
+    u1 = LieElt.zero(cap)
+    u2 = LieElt.zero(cap)
+    for k in range(1, cap + 1):
+        E = taut_exp(TDer(u1.truncate(k), u2.truncate(k)))
+        u1 = u1 + F.f1.homogeneous_part(k) - E.f1.homogeneous_part(k).with_cap(cap)
+        u2 = u2 + F.f2.homogeneous_part(k) - E.f2.homogeneous_part(k).with_cap(cap)
+    return TDer(u1, u2)
+
+
+def test_log_matches_reference():
+    rng = rng_for("taut-log-reference")
+    crossed = 0
+    for cap in range(1, 8):
+        for i in range(4):
+            F = random_taut(rng, cap, terms=3)
+            if i % 2:
+                # Degree-one cross terms: y in the first slot, x in the second.
+                F = TAutElt(
+                    F.f1 + LieElt(cap, {"y": random_fraction(rng)}),
+                    F.f2 + LieElt(cap, {"x": random_fraction(rng)}),
+                )
+            crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
+            assert taut_log(F) == _reference_log(F)
+    assert crossed >= 14
+
+
+def test_log_matches_reference_on_the_degree_8_solution():
+    golden = Path(__file__).parent / "golden" / "extend_d8.json"
+    F = parse_document(golden.read_text()).to_taut()
+    for n in range(1, 9):
+        Fn = F.truncate(n)
+        assert taut_log(Fn) == _reference_log(Fn)
+
+
 # -- jacobian -----------------------------------------------------------------
+
+
+def _reference_jacobian(F):
+    # The series with one public cyc_tder_act call per term, each of which
+    # expands the generator images of the log into words again.
+    w = taut_log(F)
+    out = CycElt.zero(F.cap)
+    term = divergence(w)
+    k = 0
+    while not term.is_zero():
+        out = out + Fraction(1, math.factorial(k + 1)) * term
+        term = cyc_tder_act(w, term)
+        k += 1
+        if k > F.cap:
+            break
+    return out
+
+
+def test_jacobian_matches_reference():
+    rng = rng_for("jacobian-reference")
+    acted = 0
+    for cap in range(3, 8):
+        for _ in range(4):
+            F = random_taut(rng, cap, terms=4)
+            assert jacobian(F) == _reference_jacobian(F)
+            w = taut_log(F)
+            acted += not cyc_tder_act(w, divergence(w)).is_zero()
+    # The series reaches the cyclic action in half of the cases.
+    assert acted >= 10
 
 
 def test_jacobian_of_identity():

@@ -10,12 +10,15 @@ simple elimination.
 Elements keep their Lyndon-word coordinates in the shared sparse form of
 :mod:`kvtower.sparse`.  The bracket is computed through the associative
 algebra once per pair of basis words and cached as structure constants;
-everything downstream is sparse linear algebra over those tables.
+everything downstream is sparse linear algebra over those tables,
+including the Baker-Campbell-Hausdorff product, which the Varadarajan
+recursion builds from brackets alone.
 """
 
 from fractions import Fraction
+from math import comb, factorial
 
-from .assoc import AssocElt, assoc_exp, assoc_log
+from .assoc import AssocElt
 from .errors import InconsistentSystem, NotPrimitive
 from .sparse import SparseElt, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
@@ -165,15 +168,53 @@ def lie_from_assoc(a):
     return LieElt._new(a.cap, out)
 
 
+def _bernoulli_weights(n):
+    """``B_m / m!`` for the even ``m`` with ``2 <= m <= n``, keyed by ``m``;
+    ``B_m`` are the Bernoulli numbers, from ``sum_k C(m+1, k) B_k = 0``."""
+    b = [Fraction(1)]
+    for m in range(1, n + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return {m: b[m] / factorial(m) for m in range(2, n + 1, 2)}
+
+
 def bch(u, v):
     """Baker-Campbell-Hausdorff product ``log(e^u e^v)`` at the cap.
 
-    Computed through the associative algebra; primitivity of the result
-    is a theorem, so the conversion back never reports a residual.
+    Computed with brackets alone by the Varadarajan recursion on the part
+    ``Z_n`` of formal degree ``n`` in ``u`` and ``v``::
+
+        Z_1 = u + v
+        (n+1) Z_{n+1} = 1/2 [u - v, Z_n] + sum_{2 <= 2p <= n} B_2p/(2p)! A_{2p,n}
+
+    where ``A_{m,s}`` sums ``[Z_k1, [Z_k2, ..., [Z_km, u + v]...]]`` over
+    the compositions ``k1 + ... + km = s``.  Every term of ``u`` and ``v``
+    has degree at least one, so ``Z_n`` starts in degree ``n`` and the
+    recursion is exact when it stops at ``n = cap``.
     """
     _require_same_cap(u, v)
-    product = assoc_exp(lie_to_assoc(u)) * assoc_exp(lie_to_assoc(v))
-    return lie_from_assoc(assoc_log(product))
+    cap = u.cap
+    zero = LieElt.zero(cap)
+    s = u + v
+    half_diff = Fraction(1, 2) * (u - v)
+    weights = _bernoulli_weights(cap - 1)
+    z = [None, s]
+    # nested[t][m] is A_{m,t}; A_{0,0} = u + v and A_{0,t} = 0 for t > 0.
+    nested = [[s]]
+    out = s
+    for n in range(1, cap):
+        row = [zero]
+        for m in range(1, n + 1):
+            acc = zero
+            for k in range(1, n - m + 2):
+                acc = acc + lie_bracket(z[k], nested[n - k][m - 1])
+            row.append(acc)
+        nested.append(row)
+        acc = lie_bracket(half_diff, z[n])
+        for m in range(2, n + 1, 2):
+            acc = acc + weights[m] * row[m]
+        z.append(Fraction(1, n + 1) * acc)
+        out = out + z[n + 1]
+    return out
 
 
 def bch_xy(cap):

@@ -1,10 +1,12 @@
-"""BCH product: worked low degrees, an independent Dynkin-series oracle,
-and the group-law identities."""
+"""BCH product: worked low degrees, the associative construction as a
+reference, independent Dynkin-series and Bernoulli oracles, and the
+group-law identities."""
 
 import math
 from fractions import Fraction
 
-from conftest import random_lie, rng_for
+from conftest import random_fraction, random_lie, rng_for
+from kvtower.assoc import assoc_exp, assoc_log
 from kvtower.errors import NotPrimitive
 from kvtower.lie import LieElt, bch, bch_xy, lie_from_assoc, lie_to_assoc
 
@@ -137,3 +139,89 @@ def test_from_assoc_of_exponential_product():
     y = LieElt.gen_y(5)
     b = bch(x, y)
     assert lie_from_assoc(lie_to_assoc(b)) == b
+
+
+# ---------------------------------------------------------------------------
+# The associative construction that ``bch`` replaced: exponentiate both
+# sides as word series, multiply, take the logarithm and read the result
+# back in the Lyndon basis.
+
+
+def _reference_bch(u, v):
+    product = assoc_exp(lie_to_assoc(u)) * assoc_exp(lie_to_assoc(v))
+    return lie_from_assoc(assoc_log(product))
+
+
+def test_bch_xy_matches_the_associative_reference():
+    for cap in range(1, 11):
+        x = LieElt.gen_x(cap)
+        y = LieElt.gen_y(cap)
+        assert bch_xy(cap) == _reference_bch(x, y), cap
+
+
+def _random_pair(rng, cap, kind):
+    if kind == "linear":
+        # Degree-1 terms in both arguments, plus higher terms.
+        u = random_lie(rng, cap, terms=2) + LieElt(cap, {
+            "x": random_fraction(rng), "y": random_fraction(rng)})
+        v = random_lie(rng, cap, terms=2) + LieElt(cap, {
+            "x": random_fraction(rng), "y": random_fraction(rng)})
+    elif kind == "valuation-2":
+        u = random_lie(rng, cap, terms=3, min_degree=2)
+        v = random_lie(rng, cap, terms=3, min_degree=2)
+    else:
+        u = random_lie(rng, cap, terms=3)
+        v = random_lie(rng, cap, terms=3, min_degree=2)
+    return u, v
+
+
+def test_bch_matches_the_associative_reference_on_random_pairs():
+    rng = rng_for("bch-reference")
+    kinds = ["linear", "valuation-2", "mixed"]
+    seen = set()
+    for i in range(60):
+        cap = 1 + i % 7
+        kind = kinds[i % 3] if cap >= 2 else "linear"
+        u, v = _random_pair(rng, cap, kind)
+        assert bch(u, v) == _reference_bch(u, v), (cap, kind, u, v)
+        assert bch(v, u) == _reference_bch(v, u), (cap, kind, u, v)
+        seen.add(kind)
+    assert seen == set(kinds)
+
+
+def test_bch_matches_the_associative_reference_on_edge_cases():
+    rng = rng_for("bch-edges")
+    for cap in range(1, 8):
+        zero = LieElt.zero(cap)
+        u = random_lie(rng, cap, terms=3) + LieElt.gen_x(cap)
+        for a, b in [(zero, zero), (u, zero), (zero, u), (u, u), (u, -u), (-u, u)]:
+            assert bch(a, b) == _reference_bch(a, b), (cap, a, b)
+
+
+# ---------------------------------------------------------------------------
+# The part of log(e^x e^y) linear in y is ad_x / (1 - e^{-ad_x}) (y), and
+# the part linear in x is ad_y / (e^{ad_y} - 1) (x).  In the Lyndon basis
+# B(x^n y) = ad_x^n (y) and B(x y^n) = (-1)^n ad_y^n (x), so with the
+# Bernoulli numbers B_n (B_1 = -1/2) the coefficients are read off.
+
+
+def _bernoulli_over_factorial(n):
+    """``B_k / k!`` for k = 0..n, as the coefficients of ``t / (e^t - 1)``,
+    found by inverting the series ``(e^t - 1) / t = sum t^k / (k+1)!``."""
+    a = [Fraction(1, math.factorial(k + 1)) for k in range(n + 1)]
+    b = [Fraction(1)]
+    for k in range(1, n + 1):
+        b.append(-sum(a[j] * b[k - j] for j in range(1, k + 1)))
+    return b
+
+
+def test_bch_linear_parts_match_bernoulli_numbers_through_degree_twelve():
+    b = _bernoulli_over_factorial(11)
+    assert b[1] == Fraction(-1, 2) and b[2] == Fraction(1, 12)
+    # B_11 = 0, so cap 11 is checked too: its top degree is B_10 / 10!.
+    for cap in (11, 12):
+        series = bch_xy(cap)
+        for n in range(1, cap):
+            expected_x = Fraction(1, 2) if n == 1 else b[n]
+            assert series.coeff("x" * n + "y") == expected_x, (cap, n)
+            assert series.coeff("x" + "y" * n) == (-1) ** n * b[n], (cap, n)

@@ -54,6 +54,7 @@ GOLDEN_CASES = [
     ("extend_d8.json", _golden_extend_d8, 0),
     ("dims_d9.txt", _golden_stdout("dims", "--max-degree", "9"), 0),
     ("bch_d7.txt", _golden_stdout("bch", "--degree", "7"), 0),
+    ("bch_d10.txt", _golden_stdout("bch", "--degree", "10"), 0),
     ("verify_d8_fail.txt", _golden_verify_d8_fail, 1),
 ]
 
@@ -326,6 +327,29 @@ def test_extend_checks_its_input_and_its_output_once(tmp_path, capsys, monkeypat
     assert code == 1
     assert report == emit_report(real(TAutElt.identity(2), 2))
     assert calls == [2]
+
+
+def test_extend_to_its_own_cap_checks_once(tmp_path, capsys, monkeypatch):
+    seed = tmp_path / "seed.json"
+    sol4 = tmp_path / "sol4.json"
+    out = tmp_path / "again.json"
+    run(capsys, "seed", "--out", str(seed))
+    run(capsys, "extend", "--in", str(seed), "--to-degree", "4", "--out", str(sol4))
+    calls = []
+    real = check_sol_kv
+
+    def counting(F, n):
+        calls.append(n)
+        return real(F, n)
+
+    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
+    monkeypatch.setattr("kvtower.cli.check_sol_kv", counting)
+    code, _, _ = run(capsys, "extend", "--in", str(sol4), "--to-degree", "4",
+                     "--out", str(out))
+    assert code == 0
+    # No step runs, so the entry check is the only check.
+    assert calls == [4]
+    assert out.read_bytes() == sol4.read_bytes()
 
 
 def test_out_is_replaced_atomically(tmp_path, capsys, monkeypatch):

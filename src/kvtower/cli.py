@@ -17,10 +17,14 @@ from .documents import (
     parse_document,
 )
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
-# ``extend`` checks its input itself, to print the report, so it extends
-# with the unchecked loop behind :func:`kvtower.kv.extend_solkv`.
-from .kv import _extend_from as extend_solkv
-from .kv import check_kv, check_krv, check_sol_kv, gr_leading_rank, krv_dim
+from .kv import (
+    _extend_from,
+    check_kv,
+    check_krv,
+    check_sol_kv,
+    gr_leading_rank,
+    krv_dim,
+)
 from .lie import LieElt, bch_xy
 from .tangential import TAutElt
 from .words import lyndon_words
@@ -132,7 +136,7 @@ def _cmd_extend(args):
         # No step runs, so the entry check is the final check.
         final = report
     else:
-        F = extend_solkv(F, args.to_degree)
+        F = _extend_from(F, args.to_degree)
         final = check_sol_kv(F, args.to_degree)
     if not final.passed:
         raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")

@@ -7,6 +7,7 @@ a canonical document and re-emitting it is byte-identical.
 """
 
 import json
+import re
 from fractions import Fraction
 
 from .errors import DocumentError
@@ -17,6 +18,7 @@ from .words import is_lyndon
 
 FORMAT_VERSION = "1"
 VARIANTS = ("SolKV", "KV", "KRV")
+_INTEGER = re.compile(r"-?[0-9]+")
 
 
 class SolutionDocument:
@@ -44,12 +46,16 @@ class SolutionDocument:
 
 
 def _parse_int(value, field):
+    """An integer written ``-?[0-9]+`` in ASCII.  ``int`` alone would also
+    take ``1_000``, surrounding spaces, ``+3`` and non-ASCII digits."""
     if not isinstance(value, str):
         raise DocumentError(f"{field}: integer must be a string", field)
     try:
-        return int(value, 10)
-    except ValueError:
-        raise DocumentError(f"{field}: not an integer: {value!r}", field) from None
+        if _INTEGER.fullmatch(value):
+            return int(value)
+    except ValueError:  # more digits than ``int`` converts
+        pass
+    raise DocumentError(f"{field}: not an integer: {value!r}", field)
 
 
 def _parse_fraction(item, where):

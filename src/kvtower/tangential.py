@@ -12,17 +12,17 @@ logarithm are all computed degree by degree in exact arithmetic.
 
 The action of an automorphism on the generators only sees exponent terms
 below the cap, so both directions between a derivation and its
-exponential match actions on the generators one degree above the cap:
-``taut_exp`` finds the exponents whose conjugation action equals the
-derivation's exponential series, and ``taut_log`` finds the derivation
-whose exponential series equals the automorphism's conjugation action.
-Each solves ``[gen, a] = r`` degree by degree with one triangular sweep
-over the Lyndon basis; neither calls the other.
+exponential match actions on the generators one degree above the cap.
+One matcher does both, solving ``[gen, a] = r`` degree by degree with one
+triangular sweep over the Lyndon basis: ``taut_exp`` matches conjugation
+by the unknown exponents to the derivation's exponential series, and
+``taut_log`` matches the exponential series of the unknown derivation to
+the automorphism's conjugation action.
 
-The actions on cyclic words reuse the generator images that the engines
-behind the actions on Lie elements compute.  A derivation's images are
-expanded into words once, so :func:`jacobian` pays for them once for its
-whole series.
+A derivation acts on cyclic words letter by letter through its generator
+images, expanded into words once, so :func:`jacobian` pays for them once
+for its whole series.  An automorphism acts on cyclic words through its
+log, as the exponential series of that action.
 """
 
 import math
@@ -206,20 +206,10 @@ def cyc_tder_act(u, c):
 
 
 def cyc_taut_act(F, c):
-    """Automorphism action on cyclic words: substitute the images of the
-    generators into a representative, multiply out, re-trace."""
+    """Automorphism action on cyclic words: ``F = exp(w)`` acts as the
+    exponential series of the derivation ``w = log F``."""
     _require_same_cap(F, c)
-    cap = F.cap
-    images = {g: lie_to_assoc(img) for g, img in _AutEngine(F)._images.items()}
-    one = AssocElt.one(cap)
-    out = {}
-    for word, coeff in c.coeffs.items():
-        prod = one
-        for letter in word:
-            prod = prod * images[letter]
-        for w, k in prod.coeffs.items():
-            out[w] = out.get(w, 0) + coeff * k
-    return trace(AssocElt._collect(cap, out))
+    return _exp_series(c, _cyc_action(taut_log(F)))
 
 
 class TAutElt:
@@ -282,10 +272,7 @@ class _AutEngine(_Engine):
 
     def __init__(self, F):
         self.cap = F.cap
-        self._images = {
-            "x": _conjugation_series(LieElt.gen_x(self.cap), F.f1),
-            "y": _conjugation_series(LieElt.gen_y(self.cap), F.f2),
-        }
+        self._images = _conjugation_images(F.f1, F.f2)
 
     def _from_factors(self, p, q):
         return lie_bracket(self._image(p), self._image(q))
@@ -305,9 +292,20 @@ class _AutEngine(_Engine):
         return v
 
 
-def _conjugation_series(gen, f):
-    """``e^{-f} gen e^{f}`` as a Lie element: ``gen + [gen,f] + ...``."""
-    return _exp_series(gen, lambda term: lie_bracket(term, f))
+def _conjugation_images(f1, f2):
+    """The generator images ``e^{-f1} x e^{f1}`` and ``e^{-f2} y e^{f2}``,
+    each the series ``gen + [gen, f] + [[gen, f], f]/2 + ...``."""
+    return {
+        g: _exp_series(LieElt.basis(g, f.cap), lambda term, f=f: lie_bracket(term, f))
+        for g, f in (("x", f1), ("y", f2))
+    }
+
+
+def _exp_images(u1, u2):
+    """The generator images ``g + u(g) + u(u(g))/2 + ...`` of ``exp(u)``
+    for the derivation ``u = (u1, u2)``."""
+    eng = _DerEngine(TDer(u1, u2))
+    return {g: _exp_series(LieElt.basis(g, eng.cap), eng.apply) for g in "xy"}
 
 
 def taut_apply(F, w):
@@ -358,60 +356,39 @@ def _solve_generator_bracket(letter, k, rhs):
     return LieElt._new(rhs.cap, a)
 
 
-def _exponent_from_action(image, letter, out_cap):
-    """Find normalized ``f`` with ``e^{-f} gen e^{f} = image``; the image
-    must be at cap ``out_cap + 1`` so the top degree of ``f`` is pinned."""
-    work_cap = image.cap
-    f = LieElt.zero(work_cap)
-    gen = LieElt.basis(letter, work_cap)
-    for k in range(1, out_cap + 1):
-        cur = _conjugation_series(gen.truncate(k + 1), f.truncate(k + 1))
-        defect = (image.truncate(k + 1) - cur).homogeneous_part(k + 1)
-        if defect.is_zero():
-            continue
-        step = _solve_generator_bracket(letter, k, defect)
-        f = f + step.with_cap(work_cap)
-    return f.truncate(out_cap)
+def _match_generator_actions(targets, cap, images):
+    """The normalized pair ``(p1, p2)`` at ``cap`` whose generator images
+    ``images(p1, p2)`` equal ``targets``, given one degree above the cap
+    so that the top degree of the pair is pinned.  A degree-``k`` term of
+    a slot first shows in degree ``k + 1`` of its image, as ``[gen, p_k]``,
+    so one generator-bracket sweep per slot and degree reads it off."""
+    work = cap + 1
+    pair = {"x": LieElt.zero(work), "y": LieElt.zero(work)}
+    for k in range(1, cap + 1):
+        cur = images(pair["x"].truncate(k + 1), pair["y"].truncate(k + 1))
+        for g, target in targets.items():
+            defect = (target.truncate(k + 1) - cur[g]).homogeneous_part(k + 1)
+            if not defect.is_zero():
+                step = _solve_generator_bracket(g, k, defect)
+                pair[g] = pair[g] + step.with_cap(work)
+    return pair["x"].truncate(cap), pair["y"].truncate(cap)
 
 
 def taut_exp(u):
-    """Exponential of a tangential derivation, as an automorphism.
-
-    The exponent pair is recovered degree by degree from the action of
-    ``exp(u)`` on the generators, with one degree of internal headroom so
-    the top-degree exponents come out right.
-    """
-    cap = u.cap
-    work = cap + 1
-    eng = _DerEngine(u.with_cap(work))
-    f1, f2 = (
-        _exponent_from_action(_exp_series(LieElt.basis(g, work), eng.apply), g, cap)
-        for g in "xy"
-    )
-    return TAutElt(f1, f2)
+    """Exponential of a tangential derivation, as an automorphism: the
+    exponents whose conjugation action on the generators is the
+    exponential series of ``u``."""
+    work = u.cap + 1
+    targets = _exp_images(u.u1.with_cap(work), u.u2.with_cap(work))
+    return TAutElt(*_match_generator_actions(targets, u.cap, _conjugation_images))
 
 
 def taut_log(F):
     """Inverse of :func:`taut_exp`: the normalized derivation whose
-    exponential acts on the generators as ``F`` does.
-
-    The actions of ``F`` are computed once, one degree above the cap.  The
-    degree-``k`` part of the log is then read off from the degree-(k+1)
-    mismatch between those actions and the exponential of what is known
-    so far, by one generator-bracket sweep per slot.
-    """
-    cap = F.cap
-    work = cap + 1
-    targets = _AutEngine(F.with_cap(work))._images
-    u = {"x": LieElt.zero(work), "y": LieElt.zero(work)}
-    for k in range(1, cap + 1):
-        eng = _DerEngine(TDer(u["x"].truncate(k + 1), u["y"].truncate(k + 1)))
-        for g, target in targets.items():
-            cur = _exp_series(LieElt.basis(g, k + 1), eng.apply)
-            defect = (target.truncate(k + 1) - cur).homogeneous_part(k + 1)
-            if not defect.is_zero():
-                u[g] = u[g] + _solve_generator_bracket(g, k, defect).with_cap(work)
-    return TDer(u["x"].truncate(cap), u["y"].truncate(cap))
+    exponential series acts on the generators as ``F`` does."""
+    work = F.cap + 1
+    targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
+    return TDer(*_match_generator_actions(targets, F.cap, _exp_images))
 
 
 def jacobian(F):

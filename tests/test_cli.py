@@ -166,6 +166,19 @@ def test_unreadable_document_exit_code(content, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+@pytest.mark.parametrize("num", ["1_000", " 7 ", "+3", "\u0663"])
+def test_non_ascii_decimal_integer_exit_code(num, tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    run(capsys, "seed", "--out", str(seed))
+    doc = json.loads(seed.read_text())
+    doc["f1"] = [{"word": "y", "num": num, "den": "1"}]
+    seed.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "verify", "--in", str(seed), "--degree", "1",
+                         "--variant", "SolKV")
+    assert code == 2
+    assert err.startswith("error: ") and "f1[0].num" in err
+
+
 def test_gr_test_guards_document_cap(tmp_path, capsys):
     seed = tmp_path / "seed.json"
     run(capsys, "seed", "--out", str(seed))
@@ -293,7 +306,7 @@ def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
     out = tmp_path / "sol2.json"
     run(capsys, "seed", "--out", str(seed))
     monkeypatch.setattr(
-        "kvtower.cli.extend_solkv", lambda F, to_degree: TAutElt.identity(2)
+        "kvtower.cli._extend_from", lambda F, to_degree: TAutElt.identity(2)
     )
     code, _, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "2",
                        "--out", str(out))

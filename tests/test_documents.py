@@ -117,6 +117,25 @@ def test_parse_rejects_integer_numbers():
         parse_document(text)
 
 
+NOT_ASCII_DECIMAL = ["1_000", " 7 ", "7\n", "+3", "\u0663", "", "-", "--1", "1.0", "0x1"]
+
+
+@pytest.mark.parametrize("text", NOT_ASCII_DECIMAL)
+@pytest.mark.parametrize("field", ["num", "den"])
+def test_parse_rejects_integers_outside_ascii_decimal(field, text):
+    entry = {"word": "y", "num": "1", "den": "1", field: text}
+    data = dict(json.loads(IDENTITY_TEXT), f1=[entry])
+    with pytest.raises(DocumentError) as info:
+        parse_document(json.dumps(data))
+    assert info.value.field == f"f1[0].{field}"
+
+
+def test_parse_accepts_ascii_decimal_integers():
+    entry = {"word": "y", "num": "-0012", "den": "30"}
+    data = dict(json.loads(IDENTITY_TEXT), f1=[entry])
+    assert parse_document(json.dumps(data)).f1 == {"y": Fraction(-2, 5)}
+
+
 def test_roundtrip_byte_identity():
     F = extend_solkv(TAutElt.identity(1), 4)
     report = check_sol_kv(F, 4)

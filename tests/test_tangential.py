@@ -10,6 +10,7 @@ from kvtower.assoc import AssocElt, assoc_exp
 from kvtower.documents import parse_document
 from kvtower.kv import _slot_columns
 from kvtower.linalg import QMatrix, solve_linear
+from kvtower.sparse import _exp_series
 from kvtower.tangential import (
     TAutElt,
     TDer,
@@ -287,13 +288,31 @@ def test_cyc_tder_act_matches_reference():
     assert nonzero >= 12
 
 
+def _cross_terms(rng, cap):
+    # Degree-one cross terms: y for the first slot, x for the second.
+    return (
+        LieElt(cap, {"y": random_fraction(rng)}),
+        LieElt(cap, {"x": random_fraction(rng)}),
+    )
+
+
 def test_cyc_taut_act_matches_reference():
+    # Drawn as for the derivation action, so that results reach the cap.
     rng = rng_for("cyc-taut-reference")
-    for cap in range(1, 8):
-        for _ in range(2):
-            F = random_taut(rng, cap)
-            c = _random_cyc(rng, cap, range(1, cap + 1), terms=3)
-            assert cyc_taut_act(F, c) == _reference_cyc_taut_act(F, c)
+    crossed = nonzero = 0
+    for cap in range(2, 8):
+        for i in range(4):
+            k = rng.randint(1, cap - 1)
+            F = random_taut(rng, k, terms=3).with_cap(cap)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                F = TAutElt(F.f1 + c1, F.f2 + c2)
+            crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
+            c = _random_cyc(rng, cap, range(2, cap + 2 - k), terms=3)
+            got = cyc_taut_act(F, c)
+            assert got == _reference_cyc_taut_act(F, c)
+            nonzero += got != c
+    assert crossed >= 12 and nonzero >= 10
 
 
 # -- automorphisms ------------------------------------------------------------
@@ -438,15 +457,52 @@ def test_exp_log_roundtrips():
         assert taut_exp(taut_log(F)) == F
 
 
+def _reference_exp(u):
+    # Each exponent on its own, matched degree by degree against the
+    # derivation's exponential series, before one matcher served both slots
+    # and the log.
+    cap = u.cap
+    work = cap + 1
+    w = u.with_cap(work)
+
+    def exponent(letter):
+        gen = LieElt.basis(letter, work)
+        image = _exp_series(gen, lambda term: tder_apply(w, term))
+        f = LieElt.zero(work)
+        for k in range(1, cap + 1):
+            f_k = f.truncate(k + 1)
+            cur = _exp_series(gen.truncate(k + 1), lambda t: lie_bracket(t, f_k))
+            defect = (image.truncate(k + 1) - cur).homogeneous_part(k + 1)
+            if not defect.is_zero():
+                f = f + _solve_generator_bracket(letter, k, defect).with_cap(work)
+        return f.truncate(cap)
+
+    return TAutElt(exponent("x"), exponent("y"))
+
+
+def test_exp_matches_reference():
+    rng = rng_for("taut-exp-reference")
+    crossed = 0
+    for cap in range(1, 8):
+        for i in range(4):
+            u = random_tder(rng, cap, terms=3)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                u = TDer(u.u1 + c1, u.u2 + c2)
+            crossed += u.u1.coeff("y") != 0 and u.u2.coeff("x") != 0
+            assert taut_exp(u) == _reference_exp(u)
+    assert crossed >= 14
+
+
 def _reference_log(F):
     # The defect correction the action-matching log replaced: the degree-k
     # part is F's degree-k exponent minus that of the exponential of the
-    # lower-degree parts, with one full taut_exp per degree.
+    # lower-degree parts, with one full exponential per degree.
     cap = F.cap
     u1 = LieElt.zero(cap)
     u2 = LieElt.zero(cap)
     for k in range(1, cap + 1):
-        E = taut_exp(TDer(u1.truncate(k), u2.truncate(k)))
+        E = _reference_exp(TDer(u1.truncate(k), u2.truncate(k)))
         u1 = u1 + F.f1.homogeneous_part(k) - E.f1.homogeneous_part(k).with_cap(cap)
         u2 = u2 + F.f2.homogeneous_part(k) - E.f2.homogeneous_part(k).with_cap(cap)
     return TDer(u1, u2)
@@ -459,11 +515,8 @@ def test_log_matches_reference():
         for i in range(4):
             F = random_taut(rng, cap, terms=3)
             if i % 2:
-                # Degree-one cross terms: y in the first slot, x in the second.
-                F = TAutElt(
-                    F.f1 + LieElt(cap, {"y": random_fraction(rng)}),
-                    F.f2 + LieElt(cap, {"x": random_fraction(rng)}),
-                )
+                c1, c2 = _cross_terms(rng, cap)
+                F = TAutElt(F.f1 + c1, F.f2 + c2)
             crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
             assert taut_log(F) == _reference_log(F)
     assert crossed >= 14

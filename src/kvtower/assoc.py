@@ -10,7 +10,7 @@ product and the exponential and logarithm series.
 
 from fractions import Fraction
 
-from .sparse import SparseElt, _exp_series, _require_same_cap
+from .sparse import SparseElt, _exp_series, _int_form, _require_same_cap
 
 
 class AssocElt(SparseElt):
@@ -39,31 +39,25 @@ class AssocElt(SparseElt):
             return self.__rmul__(other)
         _require_same_cap(self, other)
         cap = self.cap
+        da, na = _int_form(self.coeffs)
+        db, nb = _int_form(other.coeffs)
         out = {}
         # Group by degree so over-cap pairs are skipped wholesale.
         left = {}
-        for w, c in self.coeffs.items():
+        for w, c in na.items():
             left.setdefault(len(w), []).append((w, c))
         right = {}
-        for w, c in other.coeffs.items():
+        for w, c in nb.items():
             right.setdefault(len(w), []).append((w, c))
-        for da, terms_a in left.items():
-            for db, terms_b in right.items():
-                if da + db > cap:
+        for la, terms_a in left.items():
+            for lb, terms_b in right.items():
+                if la + lb > cap:
                     continue
                 for wa, ca in terms_a:
                     for wb, cb in terms_b:
                         w = wa + wb
                         out[w] = out.get(w, 0) + ca * cb
-        return AssocElt._collect(cap, out)
-
-    def __pow__(self, n):
-        if n < 0:
-            raise ValueError("negative powers are not defined")
-        out = AssocElt.one(self.cap)
-        for _ in range(n):
-            out = out * self
-        return out
+        return AssocElt._from_ints(cap, out, da * db)
 
     @staticmethod
     def _show(w):
@@ -90,22 +84,3 @@ def assoc_log(a):
             break
         out = out + (Fraction((-1) ** (k + 1), k) * power)
     return out
-
-
-def decompose(a):
-    """Unique split ``a = a0 + dx*x + dy*y``.
-
-    ``dx`` collects the words ending in x with the final letter removed,
-    ``dy`` likewise for y, and ``a0`` is the scalar part.
-    """
-    a0 = a.constant_term()
-    dx = {}
-    dy = {}
-    for w, c in a.coeffs.items():
-        if not w:
-            continue
-        if w[-1] == "x":
-            dx[w[:-1]] = c
-        else:
-            dy[w[:-1]] = c
-    return a0, AssocElt._new(a.cap, dx), AssocElt._new(a.cap, dy)

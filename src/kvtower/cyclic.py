@@ -3,15 +3,17 @@
 A cyclic word is stored by its canonical necklace — the lexicographically
 least rotation — as a key in the shared sparse form of
 :mod:`kvtower.sparse`, so the trace map just rotates every word to
-canonical form and accumulates coefficients.  The public constructor
-rejects keys that are not canonical.
+canonical form and accumulates coefficients, as integer numerators over
+the element's common denominator.  The public constructor rejects keys
+that are not canonical.  The Duflo patterns ``tr(w^k - x^k - y^k)`` of
+all degrees come from one running power of ``w``.
 """
 
 from fractions import Fraction
 
 from .assoc import AssocElt
 from .lie import bch_xy, lie_to_assoc
-from .sparse import SparseElt
+from .sparse import SparseElt, _int_form
 from .words import min_rotation
 
 
@@ -35,13 +37,39 @@ class CycElt(SparseElt):
         return f"({w})"
 
 
+def _rotated_sums(sums):
+    """Integer sums over words, summed again by canonical necklace; the
+    sums that are zero are skipped."""
+    out = {}
+    for w, n in sums.items():
+        if n:
+            k = min_rotation(w)
+            out[k] = out.get(k, 0) + n
+    return out
+
+
 def trace(a):
     """Project an associative element onto cyclic words."""
-    out = {}
-    for w, c in a.coeffs.items():
-        k = min_rotation(w)
-        out[k] = out.get(k, 0) + c
-    return CycElt._collect(a.cap, out)
+    den, nums = _int_form(a.coeffs)
+    return CycElt._from_ints(a.cap, _rotated_sums(nums), den)
+
+
+def _duflo_patterns(target, cap, low, high):
+    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``low <= k <= high``, taking
+    ``w^k`` from one running product."""
+    if target == "sum":
+        w = AssocElt(cap, {"x": 1, "y": 1})
+    elif target == "bch":
+        w = lie_to_assoc(bch_xy(cap))
+    else:
+        raise ValueError(f"unknown target {target!r}")
+    power = AssocElt.one(cap)
+    for k in range(1, high + 1):
+        power = power * w
+        if k >= low:
+            xk = AssocElt.word("x" * k, cap)
+            yk = AssocElt.word("y" * k, cap)
+            yield k, trace(power - xk - yk)
 
 
 def duflo_pattern(k, target, cap):
@@ -53,13 +81,5 @@ def duflo_pattern(k, target, cap):
     """
     if not 2 <= k <= cap:
         raise ValueError(f"k must satisfy 2 <= k <= cap, got {k}")
-    if target == "sum":
-        w = AssocElt(cap, {"x": 1, "y": 1})
-    elif target == "bch":
-        w = lie_to_assoc(bch_xy(cap))
-    else:
-        raise ValueError(f"unknown target {target!r}")
-    wk = w**k
-    xk = AssocElt.word("x" * k, cap)
-    yk = AssocElt.word("y" * k, cap)
-    return trace(wk - xk - yk)
+    ((_, pattern),) = _duflo_patterns(target, cap, k, k)
+    return pattern

@@ -16,7 +16,7 @@ extension outputs are reproducible bit for bit.
 
 from fractions import Fraction
 
-from .cyclic import duflo_pattern
+from .cyclic import _duflo_patterns, duflo_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, bch_xy, bracket_table
 from .linalg import QMatrix, kernel_basis, rank, solve_linear
@@ -103,8 +103,7 @@ def solve_duflo(c, n, target):
     """
     remaining = c.truncate(n) if c.cap > n else c.with_cap(n)
     coeffs = {}
-    for k in range(2, n + 1):
-        pattern = duflo_pattern(k, target, n)
+    for k, pattern in _duflo_patterns(target, n, 2, n):
         lead = pattern.homogeneous_part(k)
         word, pc = lead.sorted_terms()[0]
         rk = remaining.coeff(word) / pc

@@ -13,6 +13,12 @@ algebra once per pair of basis words and cached as structure constants;
 everything downstream is sparse linear algebra over those tables,
 including the Baker-Campbell-Hausdorff product, which the Varadarajan
 recursion builds from brackets alone.
+
+The structure constants and the basis expansions are integers, so
+:func:`lie_bracket` and :func:`lie_to_assoc` multiply them with the
+integer numerators of each operand over its common denominator, and
+divide once at the end: by ``du * dv`` for a bracket of operands with
+common denominators ``du`` and ``dv``.
 """
 
 from fractions import Fraction
@@ -20,7 +26,7 @@ from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import InconsistentSystem, NotPrimitive
-from .sparse import SparseElt, _require_same_cap
+from .sparse import SparseElt, _int_form, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
@@ -129,26 +135,32 @@ def lie_bracket(u, v):
     """Lie bracket ``[u, v]`` truncated at the common cap."""
     _require_same_cap(u, v)
     cap = u.cap
+    du, nu = _int_form(u.coeffs)
+    dv, nv = _int_form(v.coeffs)
+    # The terms of v that fit beside a term of u, by the room left.
+    fits = {}
     out = {}
-    for w1, c1 in u.coeffs.items():
-        d1 = len(w1)
-        for w2, c2 in v.coeffs.items():
-            if d1 + len(w2) > cap:
-                continue
+    for w1, c1 in nu.items():
+        room = cap - len(w1)
+        right = fits.get(room)
+        if right is None:
+            right = fits[room] = [(w2, c2) for w2, c2 in nv.items() if len(w2) <= room]
+        for w2, c2 in right:
             c = c1 * c2
             for w, k in bracket_table(w1, w2).items():
                 out[w] = out.get(w, 0) + c * k
-    return LieElt._collect(cap, out)
+    return LieElt._from_ints(cap, out, du * dv)
 
 
 def lie_to_assoc(u):
     """View a Lie element inside the associative algebra by expanding all
     brackets as commutators."""
+    den, nums = _int_form(u.coeffs)
     out = {}
-    for w, c in u.coeffs.items():
+    for w, c in nums.items():
         for ww, k in basis_expansion(w).items():
             out[ww] = out.get(ww, 0) + c * k
-    return AssocElt._collect(u.cap, out)
+    return AssocElt._from_ints(u.cap, out, den)
 
 
 def lie_from_assoc(a):

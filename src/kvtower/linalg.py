@@ -62,12 +62,6 @@ class QMatrix:
         else:
             self.entries[key] = value
 
-    def row(self, i):
-        return [self[i, j] for j in range(self.cols)]
-
-    def dense(self):
-        return [self.row(i) for i in range(self.rows)]
-
     def mul_vector(self, vec):
         if len(vec) != self.cols:
             raise ValueError("dimension mismatch")

@@ -6,17 +6,26 @@ cap plus a sparse map from words (strings over ``xy``) to nonzero
 ``Fraction`` coefficients.  Terms above the cap are dropped, which is the
 arithmetic of the quotient at that cap.
 
-This module alone keeps the rule that no stored coefficient is zero.  The
-public constructor normalises its input: it drops over-cap words, converts
-every coefficient with ``Fraction()`` and removes zeros.  Results computed
-from valid elements go through a trusted constructor instead:
-:meth:`SparseElt._new` adopts a clean map as it is, and
-:meth:`SparseElt._collect` adopts accumulated sums (``out[w] =
-out.get(w, 0) + c``) after dropping those that cancelled.  It also holds
-:func:`_exp_series`, the one truncated exponential series.
+This module alone keeps the rule that every stored coefficient is a
+reduced, nonzero ``Fraction``.  The public constructor normalises its
+input: it drops over-cap words, converts every coefficient with
+``Fraction()`` and removes zeros.  Results computed from valid elements go
+through a trusted constructor instead: :meth:`SparseElt._new` adopts a
+clean map as it is, and :meth:`SparseElt._from_ints` adopts accumulated
+integer sums over one common denominator, after dropping those that
+cancelled.
+
+The products (brackets, expansions, the associative product, the engines,
+the cyclic action and the trace) do their inner loops on ``int``s:
+:func:`_int_form` writes an operand as one common denominator, the lcm of
+its denominators, over integer numerators, and the sums go back through
+:meth:`SparseElt._from_ints`.  The arithmetic is exact, so the results are
+the same ``Fraction``s that coefficient loops would give.  The module also
+holds :func:`_exp_series`, the one truncated exponential series.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .errors import CapMismatch
 
@@ -60,10 +69,11 @@ class SparseElt:
         return elt
 
     @classmethod
-    def _collect(cls, cap, sums):
-        """Trusted constructor for accumulated sums: like :meth:`_new`, but
-        the entries of ``sums`` that cancelled to zero are dropped."""
-        return cls._new(cap, {w: c for w, c in sums.items() if c})
+    def _from_ints(cls, cap, sums, den):
+        """Trusted constructor for integer sums over the common positive
+        denominator ``den``: the entries that cancelled are dropped, and
+        each other one is stored as the reduced ``Fraction(n, den)``."""
+        return cls._new(cap, {w: Fraction(n, den) for w, n in sums.items() if n})
 
     @classmethod
     def zero(cls, cap):
@@ -138,6 +148,16 @@ class SparseElt:
         if not self.coeffs:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
+
+
+def _int_form(coeffs):
+    """``(D, {w: n})`` with ``D`` the lcm of the denominators of the
+    ``Fraction``s in ``coeffs`` and ``n = c * D``, an ``int``, for each
+    ``w: c``."""
+    den = lcm(*{c.denominator for c in coeffs.values()})
+    if den == 1:
+        return 1, {w: c.numerator for w, c in coeffs.items()}
+    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
 
 
 def _exp_series(v, step):

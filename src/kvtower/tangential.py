@@ -20,19 +20,21 @@ by the unknown exponents to the derivation's exponential series, and
 the automorphism's conjugation action.
 
 A derivation acts on cyclic words letter by letter through its generator
-images, expanded into words once, so :func:`jacobian` pays for them once
-for its whole series.  An automorphism acts on cyclic words through its
-log, as the exponential series of that action.
+images, expanded into words once over one shared denominator, so
+:func:`jacobian` pays for them once for its whole series.  An automorphism
+acts on cyclic words through its log, as the exponential series of that
+action.  The engines and the cyclic action sum integer numerators, as
+:mod:`kvtower.sparse` describes.
 """
 
 import math
 from fractions import Fraction
 
 from .assoc import AssocElt
-from .cyclic import CycElt, trace
+from .cyclic import CycElt, _rotated_sums, trace
 from .errors import InconsistentSystem
 from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
-from .sparse import _exp_series, _require_same_cap
+from .sparse import _exp_series, _int_form, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 
@@ -104,7 +106,13 @@ class TDer:
 class _Engine:
     """A linear map on Lie elements, given by the generator images in
     ``_images``; the image of a longer Lyndon word is built by
-    ``_from_factors`` from those of its standard factors, and memoized."""
+    ``_from_factors`` from those of its standard factors, and memoized,
+    and so is its integer form, in ``_forms``."""
+
+    def __init__(self, cap, images):
+        self.cap = cap
+        self._images = images
+        self._forms = {}
 
     def _image(self, word):
         img = self._images.get(word)
@@ -112,23 +120,34 @@ class _Engine:
             img = self._images[word] = self._from_factors(*standard_factorization(word))
         return img
 
+    def _form(self, word):
+        form = self._forms.get(word)
+        if form is None:
+            form = self._forms[word] = _int_form(self._image(word).coeffs)
+        return form
+
     def apply(self, w):
+        """Sum the images on integers: each image's numerators are scaled
+        to the lcm of the image denominators, over which they add."""
+        den, nums = _int_form(w.coeffs)
+        terms = [(c, self._form(word)) for word, c in nums.items()]
+        common = math.lcm(*(d for _, (d, _) in terms))
         out = {}
-        for word, c in w.coeffs.items():
-            for ww, k in self._image(word).coeffs.items():
+        for c, (d, img) in terms:
+            c *= common // d
+            for ww, k in img.items():
                 out[ww] = out.get(ww, 0) + c * k
-        return LieElt._collect(self.cap, out)
+        return LieElt._from_ints(self.cap, out, den * common)
 
 
 class _DerEngine(_Engine):
     """Applies one tangential derivation by the Leibniz rule."""
 
     def __init__(self, u):
-        self.cap = u.cap
-        self._images = {
+        super().__init__(u.cap, {
             "x": lie_bracket(LieElt.gen_x(u.cap), u.u1),
             "y": lie_bracket(LieElt.gen_y(u.cap), u.u2),
-        }
+        })
 
     def _from_factors(self, p, q):
         bp = LieElt.basis(p, self.cap)
@@ -171,21 +190,26 @@ def _cyc_action(u):
     :class:`CycElt` at ``u``'s cap: act letter by letter on any
     representative, then re-trace.
 
-    The two generator images are expanded into words once and sorted by
-    length, so each letter stops at the first image word that does not
-    fit under the cap.  A trace does not change under rotation, so each
-    word is rotated to put the acted-on letter first and the image is
-    prepended to the rest.
+    The two generator images are expanded into words once, written over
+    one shared denominator and sorted by length, so each letter stops at
+    the first image word that does not fit under the cap.  A trace does
+    not change under rotation, so each word is rotated to put the
+    acted-on letter first and the image is prepended to the rest.  The
+    action sums integer numerators and rotates the sums to necklaces at
+    the end, as :func:`~kvtower.cyclic.trace` does.
     """
     cap = u.cap
+    forms = {g: _int_form(lie_to_assoc(img).coeffs) for g, img in _DerEngine(u)._images.items()}
+    common = math.lcm(*(d for d, _ in forms.values()))
     images = {
-        g: sorted(lie_to_assoc(img).coeffs.items(), key=lambda wk: len(wk[0]))
-        for g, img in _DerEngine(u)._images.items()
+        g: sorted(((w, k * (common // d)) for w, k in nums.items()), key=lambda wk: len(wk[0]))
+        for g, (d, nums) in forms.items()
     }
 
     def act(c):
+        den, nums = _int_form(c.coeffs)
         out = {}
-        for word, coeff in c.coeffs.items():
+        for word, coeff in nums.items():
             room = cap + 1 - len(word)
             for i, letter in enumerate(word):
                 rest = word[i + 1 :] + word[:i]
@@ -194,7 +218,7 @@ def _cyc_action(u):
                         break
                     key = w + rest
                     out[key] = out.get(key, 0) + coeff * k
-        return trace(AssocElt._collect(cap, out))
+        return CycElt._from_ints(cap, _rotated_sums(out), den * common)
 
     return act
 
@@ -271,8 +295,7 @@ class _AutEngine(_Engine):
     """
 
     def __init__(self, F):
-        self.cap = F.cap
-        self._images = _conjugation_images(F.f1, F.f2)
+        super().__init__(F.cap, _conjugation_images(F.f1, F.f2))
 
     def _from_factors(self, p, q):
         return lie_bracket(self._image(p), self._image(q))

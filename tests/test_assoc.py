@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 from conftest import random_lie, rng_for
-from kvtower.assoc import AssocElt, assoc_exp, assoc_log, decompose
+from kvtower.assoc import AssocElt, assoc_exp, assoc_log
 from kvtower.errors import CapMismatch
 from kvtower.lie import lie_to_assoc
 
@@ -91,40 +91,3 @@ def test_exp_log_mutually_inverse_random():
         assert assoc_log(assoc_exp(u)) == u
         g = AssocElt.one(cap) + u
         assert assoc_exp(assoc_log(g)) == g
-
-
-def test_decompose_single_word():
-    a0, dx, dy = decompose(AssocElt.word("xy", 3))
-    assert a0 == 0
-    assert dx.is_zero()
-    assert dy.coeffs == {"x": 1}
-
-
-def test_decompose_with_scalar():
-    a0, dx, dy = decompose(AssocElt(3, {"": 1, "x": 1}))
-    assert a0 == 1
-    assert dx.coeffs == {"": 1}
-    assert dy.is_zero()
-
-
-def test_decompose_commutator():
-    a0, dx, dy = decompose(AssocElt(3, {"xy": 1, "yx": -1}))
-    assert a0 == 0
-    assert dx.coeffs == {"y": -1}
-    assert dy.coeffs == {"x": 1}
-
-
-def test_decompose_reconstruction_random():
-    rng = rng_for("assoc-decompose")
-    x = AssocElt.word("x", 5)
-    y = AssocElt.word("y", 5)
-    for _ in range(20):
-        coeffs = {}
-        for _ in range(6):
-            d = rng.randint(0, 5)
-            w = "".join(rng.choice("xy") for _ in range(d))
-            coeffs[w] = Fraction(rng.randint(-3, 3))
-        a = AssocElt(5, coeffs)
-        a0, dx, dy = decompose(a)
-        rebuilt = AssocElt(5, {"": a0}) + dx * x + dy * y
-        assert rebuilt == a

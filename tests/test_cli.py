@@ -13,6 +13,8 @@ from kvtower.tangential import TAutElt
 
 
 GOLDEN = Path(__file__).parent / "golden"
+# The canonical degree-10 solution that the benchmark also reads.
+SOL10 = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
 
 
 def run(capsys, *argv):
@@ -56,6 +58,10 @@ GOLDEN_CASES = [
     ("bch_d7.txt", _golden_stdout("bch", "--degree", "7"), 0),
     ("bch_d10.txt", _golden_stdout("bch", "--degree", "10"), 0),
     ("verify_d8_fail.txt", _golden_verify_d8_fail, 1),
+    # A SolKV solution is not in the left symmetry group: the KV check runs
+    # the BCH Duflo target and fails.
+    ("verify_kv_d10.txt",
+     _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "KV"), 1),
 ]
 
 

@@ -2,8 +2,8 @@ from fractions import Fraction
 
 from conftest import random_lie, rng_for
 from kvtower.assoc import AssocElt
-from kvtower.cyclic import CycElt, duflo_pattern, trace
-from kvtower.lie import lie_to_assoc
+from kvtower.cyclic import CycElt, _duflo_patterns, duflo_pattern, trace
+from kvtower.lie import bch_xy, lie_to_assoc
 
 import pytest
 
@@ -75,6 +75,31 @@ def test_bch_pattern_leading_part_matches_sum():
         bch_pat = duflo_pattern(k, "bch", cap)
         sum_pat = duflo_pattern(k, "sum", cap)
         assert bch_pat.homogeneous_part(k) == sum_pat.homogeneous_part(k)
+
+
+def _reference_duflo_pattern(k, target, cap):
+    # w^k from scratch, as k products starting from the unit.
+    w = lie_to_assoc(bch_xy(cap)) if target == "bch" else AssocElt(cap, {"x": 1, "y": 1})
+    power = AssocElt.one(cap)
+    for _ in range(k):
+        power = power * w
+    return trace(power - AssocElt.word("x" * k, cap) - AssocElt.word("y" * k, cap))
+
+
+@pytest.mark.parametrize("target", ["sum", "bch"])
+def test_running_power_patterns_match_reference(target):
+    for cap in range(2, 8):
+        patterns = list(_duflo_patterns(target, cap, 2, cap))
+        assert [k for k, _ in patterns] == list(range(2, cap + 1))
+        for k, pattern in patterns:
+            expected = _reference_duflo_pattern(k, target, cap)
+            assert pattern == expected
+            assert duflo_pattern(k, target, cap) == expected
+
+
+def test_unknown_pattern_target_rejected():
+    with pytest.raises(ValueError):
+        duflo_pattern(2, "product", 4)
 
 
 def test_arithmetic_and_truncate():

@@ -94,11 +94,19 @@ def test_determinism():
     assert first.kernel_basis == second.kernel_basis
 
 
+def _row(M, i):
+    return [M[i, j] for j in range(M.cols)]
+
+
+def _dense(M):
+    return [_row(M, i) for i in range(M.rows)]
+
+
 def _reference_solve(M, b):
     """Augmented-column Gauss-Jordan, kept as the reference the eliminator
     is checked against: ``(particular or None, kernel basis, rank)``."""
     n = M.cols
-    rows = [M.row(i) + [Fraction(v)] for i, v in enumerate(b)]
+    rows = [_row(M, i) + [Fraction(v)] for i, v in enumerate(b)]
     pivots = []
     for c in range(n):
         r = len(pivots)
@@ -140,8 +148,8 @@ def _shaped_matrix(rng, shape):
     elif shape == "rank-deficient":
         # A product through a smaller inner dimension.
         k = rng.randint(1, min(rows, cols) - 1)
-        A = _random_matrix(rng, rows, k).dense()
-        B = _random_matrix(rng, k, cols).dense()
+        A = _dense(_random_matrix(rng, rows, k))
+        B = _dense(_random_matrix(rng, k, cols))
         return QMatrix.from_rows(
             [[sum(a * b for a, b in zip(row, col)) for col in zip(*B)] for row in A]
         )

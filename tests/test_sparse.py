@@ -2,12 +2,12 @@
 
 from fractions import Fraction
 
-from conftest import random_fraction, random_lie, random_tder, rng_for
+from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
 from kvtower.assoc import AssocElt
 from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch
 from kvtower.lie import LieElt, basis_expansion, lie_bracket, lie_to_assoc
-from kvtower.tangential import TDer, cyc_tder_act, divergence
+from kvtower.tangential import TDer, cyc_tder_act, divergence, jacobian, taut_apply, tder_apply
 from kvtower.words import all_words, lyndon_words, necklaces
 
 import pytest
@@ -90,6 +90,8 @@ def test_shared_sparse_base(cls, words_of, sample, expected_repr):
 
 
 def _assert_clean(elt):
+    # Documents and reports print coefficients with str(Fraction), so the
+    # integer kernels must still store reduced, nonzero Fractions.
     assert all(type(c) is Fraction and c != 0 for c in elt.coeffs.values()), elt
 
 
@@ -106,11 +108,18 @@ def test_accumulated_results_hold_no_zero_coefficient():
     mix = LieElt(cap, {p: basis_expansion(q)[shared], q: -basis_expansion(p)[shared]})
     assert shared not in lie_to_assoc(mix).coeffs
     xy = LieElt(cap, {"xy": 1})
+    # The same cancellations over large denominators, through the
+    # integer kernels: (s*y, s*x) kills x + y and the trace of xy.
+    s = Fraction(-7, 2_147_483_647)
+    swap = TDer(s * y, s * x)
     cases = [
         a * b,
         lie_to_assoc(mix),
+        lie_to_assoc(s * mix),
         divergence(TDer(xy, xy)),  # tr(xy) - tr(yx)
         cyc_tder_act(TDer(y, x), trace(AssocElt(cap, {"x": 1, "y": 1}))),
+        tder_apply(swap, Fraction(1, 3) * (x + y) + xy),
+        cyc_tder_act(swap, CycElt(cap, {"xy": Fraction(5, 1_048_573)})),
     ]
     rng = rng_for("sparse-no-zero")
     for _ in range(10):
@@ -122,5 +131,9 @@ def test_accumulated_results_hold_no_zero_coefficient():
         d = random_tder(rng, cap, terms=3)
         cases += [ua * va, lie_bracket(u, v) + lie_bracket(v, u), lie_bracket(u, v)]
         cases += [trace(ua * va), divergence(d), cyc_tder_act(d, trace(ua * va))]
+        F = random_taut(rng, cap, terms=3)
+        cases += [tder_apply(d, u), taut_apply(F, v), jacobian(F)]
+    assert cases[5] == tder_apply(swap, xy)
+    assert cases[6].is_zero()
     for elt in cases:
         _assert_clean(elt)

@@ -8,11 +8,13 @@ coefficient one — which makes conversion from associative elements a
 simple elimination.
 
 Elements keep their Lyndon-word coordinates in the shared sparse form of
-:mod:`kvtower.sparse`.  The bracket is computed through the associative
-algebra once per pair of basis words and cached as structure constants;
-everything downstream is sparse linear algebra over those tables,
-including the Baker-Campbell-Hausdorff product, which the Varadarajan
-recursion builds from brackets alone.
+:mod:`kvtower.sparse`.  The bracket of two basis elements is rewritten in
+the Lyndon basis with the Jacobi identity, on integers and without
+expanding into words, and cached as structure constants; everything
+downstream is sparse linear algebra over those tables, including the
+Baker-Campbell-Hausdorff product, which the Varadarajan recursion builds
+from brackets alone.  The expansions into words serve only
+:func:`lie_to_assoc` and :func:`lie_from_assoc`.
 
 The structure constants and the basis expansions are integers, so
 :func:`lie_bracket` and :func:`lie_to_assoc` multiply them with the
@@ -25,13 +27,14 @@ from fractions import Fraction
 from math import comb, factorial
 
 from .assoc import AssocElt
-from .errors import InconsistentSystem, NotPrimitive
+from .errors import NotPrimitive
 from .sparse import SparseElt, _int_form, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
 # and structure constants of brackets of basis elements.  Both are exact,
-# homogeneous and cap-independent, so the caches are global.
+# homogeneous and cap-independent, so the caches are global;
+# clear_caches() empties them and the bch_xy cache in place.
 _EXPANSION = {}
 _BRACKET = {}
 
@@ -85,22 +88,50 @@ def _lyndon_coords(poly):
 
 
 def bracket_table(w1, w2):
-    """Structure constants of ``[B(w1), B(w2)]`` in the Lyndon basis."""
+    """Structure constants of ``[B(w1), B(w2)]`` in the Lyndon basis, as a
+    map Lyndon word -> integer, by Lyndon rewriting.
+
+    For Lyndon words ``u < v`` the word ``uv`` is Lyndon, and its standard
+    factorization is ``(u, v)`` when ``u`` is a letter or ``u``'s right
+    standard factor ``u2`` is not smaller than ``v``; then the bracket is
+    ``B(uv)``.  Otherwise ``B(u) = [B(u1), B(u2)]`` and the Jacobi identity
+    ``[B(u), B(v)] = [B(u1), [B(u2), B(v)]] - [B(u2), [B(u1), B(v)]]``
+    leaves brackets of shorter left factors (Reutenauer, *Free Lie
+    Algebras*, 1993, section 5.1).  The words are listed in lexicographic
+    order, and results are cached for both orders of the pair as they are
+    asked for.
+    """
     key = (w1, w2)
     cached = _BRACKET.get(key)
     if cached is not None:
         return cached
     if w1 == w2:
         result = {}
-    elif (w2, w1) in _BRACKET:
-        result = {w: -c for w, c in _BRACKET[(w2, w1)].items()}
+    elif w1 > w2:
+        result = {w: -c for w, c in bracket_table(w2, w1).items()}
+    elif len(w1) == 1:
+        result = {w1 + w2: 1}
     else:
-        comm = _commutator(basis_expansion(w1), basis_expansion(w2))
-        result, residual = _lyndon_coords(comm)
-        if residual:
-            raise InconsistentSystem("bracket of basis elements left a residual")
+        u1, u2 = standard_factorization(w1)
+        if u2 >= w2:
+            result = {w1 + w2: 1}
+        else:
+            out = {}
+            for inner, outer, sign in ((u2, u1, 1), (u1, u2, -1)):
+                for w, c in bracket_table(inner, w2).items():
+                    for ww, cc in bracket_table(outer, w).items():
+                        out[ww] = out.get(ww, 0) + sign * c * cc
+            result = {w: out[w] for w in sorted(out) if out[w]}
     _BRACKET[key] = result
     return result
+
+
+def clear_caches():
+    """Empty the global caches of basis expansions, structure constants
+    and ``bch_xy`` series in place; the next use refills them."""
+    _EXPANSION.clear()
+    _BRACKET.clear()
+    _BCH_XY.clear()
 
 
 class LieElt(SparseElt):

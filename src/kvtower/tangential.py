@@ -17,7 +17,11 @@ One matcher does both, solving ``[gen, a] = r`` degree by degree with one
 triangular sweep over the Lyndon basis: ``taut_exp`` matches conjugation
 by the unknown exponents to the derivation's exponential series, and
 ``taut_log`` matches the exponential series of the unknown derivation to
-the automorphism's conjugation action.
+the automorphism's conjugation action.  Either series is
+``sum_m A^m(gen)/m!`` for a map ``A`` that is the sum of one map per
+degree of the unknown pair, so the matcher builds each degree's map once,
+when that degree is solved, and keeps the homogeneous parts of the powers
+``A^m(gen)`` in a table that grows by one degree per step.
 
 A derivation acts on cyclic words letter by letter through its generator
 images, expanded into words once over one shared denominator, so
@@ -379,22 +383,67 @@ def _solve_generator_bracket(letter, k, rhs):
     return LieElt._new(rhs.cap, a)
 
 
-def _match_generator_actions(targets, cap, images):
+def _match_generator_actions(targets, cap, maps):
     """The normalized pair ``(p1, p2)`` at ``cap`` whose generator images
-    ``images(p1, p2)`` equal ``targets``, given one degree above the cap
-    so that the top degree of the pair is pinned.  A degree-``k`` term of
-    a slot first shows in degree ``k + 1`` of its image, as ``[gen, p_k]``,
-    so one generator-bracket sweep per slot and degree reads it off."""
+    ``A^0(g) + A(g) + A^2(g)/2! + ...`` equal ``targets``, given one degree
+    above the cap so that the top degree of the pair is pinned.
+
+    The linear map ``A`` is the sum over ``j`` of the part ``A_j`` built
+    from the degree-``j`` pieces ``a1, a2`` of the pair, which raises
+    degree by ``j``; ``maps(a1, a2)`` returns it as a dict generator ->
+    map, since the map that acts on the images of ``x`` need not be the
+    one that acts on those of ``y``.  For each generator ``g`` the table
+    ``P[m][d]``, the degree-``d`` part of ``A^m(g)``, is the sum over ``j``
+    of ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces below
+    degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} - sum_{m
+    >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]`` must be, so
+    one generator-bracket sweep per slot reads ``p_k`` off it, and then
+    ``maps`` is called once for degree ``k``.  Every table entry is
+    computed once, and no map is built for the top degree, which no entry
+    up to ``cap + 1`` needs.
+    """
     work = cap + 1
-    pair = {"x": LieElt.zero(work), "y": LieElt.zero(work)}
+    found = {g: {} for g in targets}
+    # powers[g][m] maps a degree d to P[m][d]; zero entries are left out.
+    powers = {g: [{1: LieElt.basis(g, work)}] + [{} for _ in range(cap)] for g in targets}
+    steps = {}
     for k in range(1, cap + 1):
-        cur = images(pair["x"].truncate(k + 1), pair["y"].truncate(k + 1))
+        d = k + 1
+        piece = {}
         for g, target in targets.items():
-            defect = (target.truncate(k + 1) - cur[g]).homogeneous_part(k + 1)
+            table = powers[g]
+            defect = target.homogeneous_part(d)
+            for m in range(2, d):
+                entry = LieElt.zero(work)
+                for j, step in steps.items():
+                    source = table[m - 1].get(d - j)
+                    if source is not None:
+                        entry = entry + step[g](source)
+                if not entry.is_zero():
+                    table[m][d] = entry
+                    defect = defect - Fraction(1, math.factorial(m)) * entry
+            piece[g] = LieElt.zero(work)
             if not defect.is_zero():
-                step = _solve_generator_bracket(g, k, defect)
-                pair[g] = pair[g] + step.with_cap(work)
-    return pair["x"].truncate(cap), pair["y"].truncate(cap)
+                piece[g] = _solve_generator_bracket(g, k, defect)
+                found[g].update(piece[g].coeffs)
+                # The sweep leaves no residual, so [g, p_k] is the defect.
+                table[1][d] = defect
+        # The top degree's maps would only feed entries above the cap + 1.
+        if k < cap and not (piece["x"].is_zero() and piece["y"].is_zero()):
+            steps[k] = maps(piece["x"], piece["y"])
+    return LieElt._new(cap, found["x"]), LieElt._new(cap, found["y"])
+
+
+def _der_maps(a1, a2):
+    """The derivation ``(a1, a2)``, one engine for both generators."""
+    apply = _DerEngine(TDer(a1, a2)).apply
+    return {"x": apply, "y": apply}
+
+
+def _conj_maps(a1, a2):
+    """Conjugation by the exponent pieces: ``t -> [t, a1]`` for ``x`` and
+    ``t -> [t, a2]`` for ``y``."""
+    return {"x": lambda t: lie_bracket(t, a1), "y": lambda t: lie_bracket(t, a2)}
 
 
 def taut_exp(u):
@@ -403,7 +452,7 @@ def taut_exp(u):
     exponential series of ``u``."""
     work = u.cap + 1
     targets = _exp_images(u.u1.with_cap(work), u.u2.with_cap(work))
-    return TAutElt(*_match_generator_actions(targets, u.cap, _conjugation_images))
+    return TAutElt(*_match_generator_actions(targets, u.cap, _conj_maps))
 
 
 def taut_log(F):
@@ -411,7 +460,7 @@ def taut_log(F):
     exponential series acts on the generators as ``F`` does."""
     work = F.cap + 1
     targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
-    return TDer(*_match_generator_actions(targets, F.cap, _exp_images))
+    return TDer(*_match_generator_actions(targets, F.cap, _der_maps))
 
 
 def jacobian(F):

@@ -1,15 +1,23 @@
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import random_lie, rng_for
+from kvtower import lie
 from kvtower.assoc import AssocElt
 from kvtower.errors import CapMismatch, NotPrimitive
 from kvtower.lie import (
     LieElt,
+    _commutator,
+    _lyndon_coords,
     basis_expansion,
+    bch_xy,
+    bracket_table,
+    clear_caches,
     lie_bracket,
     lie_from_assoc,
     lie_to_assoc,
 )
+from kvtower.words import lyndon_words, standard_factorization
 
 import pytest
 
@@ -107,3 +115,53 @@ def test_expansion_leading_term_is_the_word():
             exp = basis_expansion(w)
             assert exp[w] == 1
             assert min(exp) == w
+
+
+# -- structure constants -------------------------------------------------------
+
+
+def _reference_bracket_table(w1, w2):
+    # The construction that Lyndon rewriting replaced: the commutator of
+    # the two associative expansions, eliminated back to the Lyndon basis.
+    coords, residual = _lyndon_coords(_commutator(basis_expansion(w1), basis_expansion(w2)))
+    assert residual == {}
+    return coords
+
+
+def test_bracket_table_matches_the_associative_construction():
+    # From empty caches, so no entry left by another test stands in for a
+    # rewritten one.  Both the values and the lexicographic order of the
+    # words must agree.
+    clear_caches()
+    words = [w for d in range(1, 12) for w in lyndon_words(d)]
+    pairs = [(u, v) for u in words for v in words if len(u) + len(v) <= 12]
+    tables = {pair: bracket_table(*pair) for pair in pairs}
+    jacobi = 0
+    for (u, v), table in tables.items():
+        if u == v:
+            assert table == {}
+            continue
+        assert list(table.items()) == list(_reference_bracket_table(u, v).items())
+        if u < v and len(u) > 1 and standard_factorization(u)[1] < v:
+            jacobi += 1
+    assert len(pairs) == 3411
+    assert sum(u == v for u, v in pairs) == 23
+    # Pairs u < v that take the Jacobi branch; every other one is B(uv).
+    assert jacobi == 949
+
+
+def test_clear_caches_empties_the_caches_in_place():
+    cached = (lie._EXPANSION, lie._BRACKET, lie._BCH_XY)
+    bch_xy(4)
+    basis_expansion("xxy")
+    clear_caches()
+    assert (lie._EXPANSION, lie._BRACKET, lie._BCH_XY) == ({}, {}, {})
+    assert all(a is b for a, b in zip(cached, (lie._EXPANSION, lie._BRACKET, lie._BCH_XY)))
+
+
+def test_cold_bch_xy_matches_the_golden_series():
+    clear_caches()
+    series = bch_xy(10)
+    golden = Path(__file__).parent / "golden" / "bch_d10.txt"
+    lines = [f"{w} {c}" for w, c in series.sorted_terms()]
+    assert lines == golden.read_text().splitlines()

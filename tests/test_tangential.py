@@ -14,6 +14,8 @@ from kvtower.sparse import _exp_series
 from kvtower.tangential import (
     TAutElt,
     TDer,
+    _conjugation_images,
+    _exp_images,
     _solve_generator_bracket,
     cyc_taut_act,
     cyc_tder_act,
@@ -528,6 +530,89 @@ def test_log_matches_reference_on_the_degree_8_solution():
     for n in range(1, 9):
         Fn = F.truncate(n)
         assert taut_log(Fn) == _reference_log(Fn)
+
+
+def _reference_match(targets, cap, images):
+    # The matcher before its table of powers: the images of the whole pair
+    # so far are rebuilt at every degree.
+    work = cap + 1
+    pair = {"x": LieElt.zero(work), "y": LieElt.zero(work)}
+    for k in range(1, cap + 1):
+        cur = images(pair["x"].truncate(k + 1), pair["y"].truncate(k + 1))
+        for g, target in targets.items():
+            defect = (target.truncate(k + 1) - cur[g]).homogeneous_part(k + 1)
+            if not defect.is_zero():
+                step = _solve_generator_bracket(g, k, defect)
+                pair[g] = pair[g] + step.with_cap(work)
+    return pair["x"].truncate(cap), pair["y"].truncate(cap)
+
+
+def _rebuilding_exp(u):
+    work = u.cap + 1
+    targets = _exp_images(u.u1.with_cap(work), u.u2.with_cap(work))
+    return TAutElt(*_reference_match(targets, u.cap, _conjugation_images))
+
+
+def _rebuilding_log(F):
+    work = F.cap + 1
+    targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
+    return TDer(*_reference_match(targets, F.cap, _exp_images))
+
+
+def _graded_pair(rng, cap, crossed):
+    # One random basis term in every degree of each slot, so that the
+    # table of powers has entries for every m and degree; crossed pairs
+    # also carry the degree-1 cross terms.
+    def graded():
+        return sum(
+            (random_lie(rng, d, terms=1, min_degree=d).with_cap(cap) for d in range(2, cap + 1)),
+            LieElt.zero(cap),
+        )
+
+    p1, p2 = graded(), graded()
+    if crossed:
+        c1, c2 = _cross_terms(rng, cap)
+        p1, p2 = p1 + c1, p2 + c2
+    return p1, p2
+
+
+def test_exp_matches_the_rebuilding_matcher():
+    rng = rng_for("taut-exp-rebuilding")
+    crossed = 0
+    for cap in range(1, 9):
+        for i in range(3):
+            u = TDer(*_graded_pair(rng, cap, crossed=i != 1))
+            crossed += u.u1.coeff("y") != 0 and u.u2.coeff("x") != 0
+            assert taut_exp(u) == _rebuilding_exp(u)
+    assert crossed >= 14
+
+
+def test_log_matches_the_rebuilding_matcher():
+    rng = rng_for("taut-log-rebuilding")
+    crossed = 0
+    for cap in range(1, 9):
+        for i in range(3):
+            F = TAutElt(*_graded_pair(rng, cap, crossed=i != 1))
+            crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
+            assert taut_log(F) == _rebuilding_log(F)
+    assert crossed >= 14
+
+
+def _sol10():
+    path = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
+    return parse_document(path.read_text()).to_taut()
+
+
+def test_log_matches_the_rebuilding_matcher_on_the_degree_10_solution():
+    F = _sol10()
+    assert F.cap == 10
+    for n in (9, 10):
+        assert taut_log(F.truncate(n)) == _rebuilding_log(F.truncate(n))
+
+
+def test_exp_inverts_log_on_the_degree_10_solution():
+    F = _sol10()
+    assert taut_exp(taut_log(F)) == F
 
 
 # -- jacobian -----------------------------------------------------------------

@@ -27,8 +27,8 @@ class AssocElt(SparseElt):
         return cls(cap, {"": 1})
 
     @classmethod
-    def word(cls, w, cap, coeff=1):
-        return cls(cap, {w: coeff})
+    def word(cls, w, cap):
+        return cls(cap, {w: 1})
 
     def constant_term(self):
         return self.coeffs.get("", Fraction(0))
@@ -41,22 +41,17 @@ class AssocElt(SparseElt):
         cap = self.cap
         da, na = _int_form(self.coeffs)
         db, nb = _int_form(other.coeffs)
+        # The terms of other that fit after a term of self, by the room left.
+        fits = {}
         out = {}
-        # Group by degree so over-cap pairs are skipped wholesale.
-        left = {}
-        for w, c in na.items():
-            left.setdefault(len(w), []).append((w, c))
-        right = {}
-        for w, c in nb.items():
-            right.setdefault(len(w), []).append((w, c))
-        for la, terms_a in left.items():
-            for lb, terms_b in right.items():
-                if la + lb > cap:
-                    continue
-                for wa, ca in terms_a:
-                    for wb, cb in terms_b:
-                        w = wa + wb
-                        out[w] = out.get(w, 0) + ca * cb
+        for wa, ca in na.items():
+            room = cap - len(wa)
+            right = fits.get(room)
+            if right is None:
+                right = fits[room] = [(wb, cb) for wb, cb in nb.items() if len(wb) <= room]
+            for wb, cb in right:
+                w = wa + wb
+                out[w] = out.get(w, 0) + ca * cb
         return AssocElt._from_ints(cap, out, da * db)
 
     @staticmethod

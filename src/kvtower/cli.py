@@ -219,10 +219,7 @@ def run_command(argv):
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except DocumentError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except PreconditionFailed as exc:
+    except (DocumentError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except InconsistentSystem as exc:

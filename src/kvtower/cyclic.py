@@ -6,13 +6,15 @@ least rotation — as a key in the shared sparse form of
 canonical form and accumulates coefficients, as integer numerators over
 the element's common denominator.  The public constructor rejects keys
 that are not canonical.  The Duflo patterns ``tr(w^k - x^k - y^k)`` of
-all degrees come from one running power of ``w``.
+all degrees come from one running power of ``w``, a side of the KV
+equations: ``x + y`` or ``bch(x, y)``, by the one map of side names
+(:func:`_side`) that the checkers use too.
 """
 
 from fractions import Fraction
 
 from .assoc import AssocElt
-from .lie import bch_xy, lie_to_assoc
+from .lie import LieElt, bch_xy, lie_to_assoc
 from .sparse import SparseElt, _int_form
 from .words import min_rotation
 
@@ -54,15 +56,17 @@ def trace(a):
     return CycElt._from_ints(a.cap, _rotated_sums(nums), den)
 
 
+def _side(kind, cap):
+    """``x + y`` (``"sum"``) or ``bch(x, y)`` (``"bch"``) at ``cap``."""
+    if kind not in ("sum", "bch"):
+        raise ValueError(f"unknown target {kind!r}")
+    return bch_xy(cap) if kind == "bch" else LieElt(cap, {"x": 1, "y": 1})
+
+
 def _duflo_patterns(target, cap, low, high):
     """Yield ``(k, tr(w^k - x^k - y^k))`` for ``low <= k <= high``, taking
-    ``w^k`` from one running product."""
-    if target == "sum":
-        w = AssocElt(cap, {"x": 1, "y": 1})
-    elif target == "bch":
-        w = lie_to_assoc(bch_xy(cap))
-    else:
-        raise ValueError(f"unknown target {target!r}")
+    ``w^k`` from one running product, with ``w`` the side ``target``."""
+    w = lie_to_assoc(_side(target, cap))
     power = AssocElt.one(cap)
     for k in range(1, high + 1):
         power = power * w

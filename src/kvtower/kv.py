@@ -16,7 +16,7 @@ extension outputs are reproducible bit for bit.
 
 from fractions import Fraction
 
-from .cyclic import _duflo_patterns, duflo_pattern
+from .cyclic import _duflo_patterns, _side, duflo_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, bch_xy, bracket_table
 from .linalg import QMatrix, kernel_basis, rank, solve_linear
@@ -116,15 +116,10 @@ def solve_duflo(c, n, target):
     return series, remaining
 
 
-def _side(kind, n):
-    """``x + y`` (``"sum"``) or ``bch(x, y)`` (``"bch"``) at cap ``n``."""
-    return bch_xy(n) if kind == "bch" else LieElt(n, {"x": 1, "y": 1})
-
-
 def _check(variant, F, n, source, target):
     """Check ``F(source) = target`` and the Jacobian against the Duflo
     patterns of ``target``, both up to degree ``n``; the sides are
-    ``"sum"`` or ``"bch"`` as in :func:`_side`."""
+    ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`."""
     if n > F.cap:
         raise PreconditionFailed("degree exceeds the element's cap")
     Ft = F.truncate(n)
@@ -225,19 +220,14 @@ class _GradedSystem:
         return self.tder_from(sol.particular, cap)
 
 
-def _require_solution(F):
-    if not check_sol_kv(F, F.cap).passed:
-        raise PreconditionFailed("input does not solve the system at its cap")
-
-
 def _extend_step(F):
-    """:func:`extend_solkv_step` without its precondition check."""
+    """One step of :func:`extend_solkv`, without its precondition check."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
 
-    # Stage A: degree-n correction.
-    E1 = (taut_apply(Fx, bch_xy(cap)) - _side("sum", cap)).homogeneous_part(cap)
+    # Stage A: degree-n correction; x + y has no part in degree n + 1.
+    E1 = taut_apply(Fx, bch_xy(cap)).homogeneous_part(cap)
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1, cap)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
@@ -256,10 +246,10 @@ def extend_solkv_step(F):
     Stage B solves for the fresh degree-(n+1) exponent terms matching
     the Jacobian one degree up.  Both systems are consistent whenever
     the input really is a degree-n solution; a failed solve indicates an
-    internal bug and raises :class:`InconsistentSystem`.
+    internal bug and raises :class:`InconsistentSystem`.  It is one step
+    of :func:`extend_solkv`, with the same check of its input.
     """
-    _require_solution(F)
-    return _extend_step(F)
+    return extend_solkv(F, F.cap + 1)
 
 
 def _extend_from(F, to_degree):
@@ -277,8 +267,8 @@ def extend_solkv(F, to_degree):
 
     ``F`` is checked once, and only when a step will run.
     """
-    if F.cap < to_degree:
-        _require_solution(F)
+    if F.cap < to_degree and not check_sol_kv(F, F.cap).passed:
+        raise PreconditionFailed("input does not solve the system at its cap")
     return _extend_from(F, to_degree)
 
 
@@ -357,8 +347,8 @@ def gr_leading_rank(F, n):
             raise InconsistentSystem("transported element fails the left system")
         if valuation(G) != n:
             raise InconsistentSystem("transported element has wrong valuation")
-        lead = taut_log(G).homogeneous_part(n)
-        vec = [lead.u1.coeff(w) for w in cols] + [lead.u2.coeff(w) for w in cols]
+        # log G leads with G's own f_n: its first piece solves [g, p] = [g, f_n].
+        vec = [G.f1.coeff(w) for w in cols] + [G.f2.coeff(w) for w in cols]
         vectors.append(vec)
     # The rank is the same for the transpose, so the vectors can be rows.
     return rank(QMatrix.from_rows(vectors))

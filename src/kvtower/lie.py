@@ -145,10 +145,10 @@ class LieElt(SparseElt):
     __add__ = SparseElt.__add__
 
     @classmethod
-    def basis(cls, word, cap, coeff=1):
+    def basis(cls, word, cap):
         if not is_lyndon(word):
             raise ValueError(f"not a Lyndon word: {word!r}")
-        return cls(cap, {word: coeff})
+        return cls(cap, {word: 1})
 
     @classmethod
     def gen_x(cls, cap):

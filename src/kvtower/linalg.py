@@ -28,13 +28,10 @@ class QMatrix:
     ``entries`` maps ``(row, col)`` to a nonzero ``Fraction``.
     """
 
-    def __init__(self, rows, cols, entries=None):
+    def __init__(self, rows, cols):
         self.rows = rows
         self.cols = cols
         self.entries = {}
-        if entries:
-            for (i, j), v in entries.items():
-                self[i, j] = v
 
     @classmethod
     def from_rows(cls, rows):

@@ -18,10 +18,12 @@ triangular sweep over the Lyndon basis: ``taut_exp`` matches conjugation
 by the unknown exponents to the derivation's exponential series, and
 ``taut_log`` matches the exponential series of the unknown derivation to
 the automorphism's conjugation action.  Either series is
-``sum_m A^m(gen)/m!`` for a map ``A`` that is the sum of one map per
-degree of the unknown pair, so the matcher builds each degree's map once,
-when that degree is solved, and keeps the homogeneous parts of the powers
-``A^m(gen)`` in a table that grows by one degree per step.
+``sum_m A^m(gen)/m!``; :func:`_series_images` sums it for a whole pair,
+for the targets and for an automorphism's engine.  For the unknown pair
+``A`` is the sum of one map per degree, so the matcher builds each
+degree's map once, when that degree is solved, and keeps the homogeneous
+parts of the powers ``A^m(gen)`` in a table that grows by one degree per
+step.
 
 A derivation acts on cyclic words letter by letter through its generator
 images, expanded into words once over one shared denominator, so
@@ -278,8 +280,6 @@ class TAutElt:
     def truncate(self, n):
         """Drop exponent terms above degree ``n``; the projection onto the
         degree-``n`` quotient group."""
-        if n > self.cap:
-            raise ValueError("truncate cannot raise the cap")
         return TAutElt(self.f1.truncate(n), self.f2.truncate(n))
 
     def with_cap(self, n):
@@ -299,7 +299,7 @@ class _AutEngine(_Engine):
     """
 
     def __init__(self, F):
-        super().__init__(F.cap, _conjugation_images(F.f1, F.f2))
+        super().__init__(F.cap, _series_images(_conj_maps, F.f1, F.f2))
 
     def _from_factors(self, p, q):
         return lie_bracket(self._image(p), self._image(q))
@@ -317,22 +317,6 @@ class _AutEngine(_Engine):
         if not (w - self.apply(v)).is_zero():
             raise InconsistentSystem("inverse application did not converge")
         return v
-
-
-def _conjugation_images(f1, f2):
-    """The generator images ``e^{-f1} x e^{f1}`` and ``e^{-f2} y e^{f2}``,
-    each the series ``gen + [gen, f] + [[gen, f], f]/2 + ...``."""
-    return {
-        g: _exp_series(LieElt.basis(g, f.cap), lambda term, f=f: lie_bracket(term, f))
-        for g, f in (("x", f1), ("y", f2))
-    }
-
-
-def _exp_images(u1, u2):
-    """The generator images ``g + u(g) + u(u(g))/2 + ...`` of ``exp(u)``
-    for the derivation ``u = (u1, u2)``."""
-    eng = _DerEngine(TDer(u1, u2))
-    return {g: _exp_series(LieElt.basis(g, eng.cap), eng.apply) for g in "xy"}
 
 
 def taut_apply(F, w):
@@ -446,12 +430,18 @@ def _conj_maps(a1, a2):
     return {"x": lambda t: lie_bracket(t, a1), "y": lambda t: lie_bracket(t, a2)}
 
 
+def _series_images(maps, p1, p2):
+    """The generator images ``g + A(g) + A^2(g)/2! + ...`` for the maps
+    ``A`` of ``maps(p1, p2)``: :func:`_der_maps` or :func:`_conj_maps`."""
+    return {g: _exp_series(LieElt.basis(g, p1.cap), step) for g, step in maps(p1, p2).items()}
+
+
 def taut_exp(u):
     """Exponential of a tangential derivation, as an automorphism: the
     exponents whose conjugation action on the generators is the
     exponential series of ``u``."""
     work = u.cap + 1
-    targets = _exp_images(u.u1.with_cap(work), u.u2.with_cap(work))
+    targets = _series_images(_der_maps, u.u1.with_cap(work), u.u2.with_cap(work))
     return TAutElt(*_match_generator_actions(targets, u.cap, _conj_maps))
 
 
@@ -459,7 +449,7 @@ def taut_log(F):
     """Inverse of :func:`taut_exp`: the normalized derivation whose
     exponential series acts on the generators as ``F`` does."""
     work = F.cap + 1
-    targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
+    targets = _series_images(_conj_maps, F.f1.with_cap(work), F.f2.with_cap(work))
     return TDer(*_match_generator_actions(targets, F.cap, _der_maps))
 
 

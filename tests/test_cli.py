@@ -62,6 +62,10 @@ GOLDEN_CASES = [
     # the BCH Duflo target and fails.
     ("verify_kv_d10.txt",
      _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "KV"), 1),
+    # The Duflo series of a solution is the even Bernoulli series
+    # B_2k / (2 * 2k * (2k)!).
+    ("verify_sol_d10.txt",
+     _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "SolKV"), 0),
 ]
 
 

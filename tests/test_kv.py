@@ -1,8 +1,10 @@
 from fractions import Fraction
+from pathlib import Path
 
 from conftest import rng_for
 import kvtower.kv
 from kvtower.cyclic import CycElt
+from kvtower.documents import parse_document
 from kvtower.errors import InconsistentSystem, PreconditionFailed
 from kvtower.kv import (
     DufloSeries,
@@ -21,21 +23,31 @@ from kvtower.kv import (
     torsor_quotient,
 )
 from kvtower.lie import LieElt
+from kvtower.linalg import QMatrix, rank
 from kvtower.tangential import (
     TAutElt,
     TDer,
     taut_compose,
     taut_exp,
     taut_inverse,
+    taut_log,
     tder_bracket,
     valuation,
 )
+from kvtower.words import lyndon_words
 
 import pytest
 
 
+SOL10 = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
+
+
 def identity(cap):
     return TAutElt.identity(cap)
+
+
+def sol10():
+    return parse_document(SOL10.read_text()).to_taut()
 
 
 def krv_element(rng, cap, degrees=(1, 3)):
@@ -188,14 +200,23 @@ def test_extension_coefficients_are_rational():
 
 
 def test_extension_of_truncated_solution():
-    # Truncating a solution and re-extending lands back in the solution
-    # set; the two degree-(n+1) solutions differ by a symmetry.
+    # Truncating a solution and re-extending gives the same solution back,
+    # so the symmetry carrying one to the other is the identity.
     G = extend_solkv(identity(1), 5)
     H = extend_solkv_step(G.truncate(4))
     assert check_sol_kv(H, 5).passed
+    assert H == G
     D = torsor_quotient(G.truncate(5), H, 5)
     assert check_krv(D, 5).passed
-    assert valuation(D) >= 4
+    assert D.is_identity()
+
+
+@pytest.mark.parametrize("k", [3, 7, 9])
+def test_extension_reproduces_the_degree_10_solution_from_its_truncations(k):
+    # Stage A may correct the degree-k exponents of its input; on a
+    # truncation of the stored solution the correction is zero.
+    F10 = sol10()
+    assert extend_solkv(F10.truncate(k), 10) == F10
 
 
 def test_extend_solkv_equals_the_checked_chain():
@@ -417,6 +438,36 @@ def test_gr_leading_rank_degree_three():
 def test_gr_leading_rank_degree_six():
     F = extend_solkv(identity(1), 7)
     assert gr_leading_rank(F, 6) == krv_dim(6)[0] == 0
+
+
+def test_gr_leading_terms_match_the_log_on_the_degree_10_solution(monkeypatch):
+    # gr_leading_rank reads the leading term of each transported G off its
+    # normalized exponents; the leading term of log G is the reference.
+    # Truncation commutes with the transport, so cap n + 1 suffices.
+    ranked = []
+
+    def recording(M):
+        ranked.append(M)
+        return rank(M)
+
+    monkeypatch.setattr(kvtower.kv, "rank", recording)
+    F10 = sol10()
+    for n in range(1, 8):
+        F = F10.truncate(n + 1)
+        Fi = taut_inverse(F)
+        dim, basis = krv_dim(n)
+        cols = lyndon_words(n)
+        vectors = []
+        for u in basis:
+            G = taut_compose(taut_compose(Fi, taut_exp(u.with_cap(F.cap))), F)
+            assert valuation(G) == n
+            lead = taut_log(G).homogeneous_part(n)
+            vectors.append([lead.u1.coeff(w) for w in cols] + [lead.u2.coeff(w) for w in cols])
+        ranked.clear()
+        assert gr_leading_rank(F, n) == dim
+        if vectors:
+            (M,) = ranked
+            assert M.entries == QMatrix.from_rows(vectors).entries
 
 
 def test_gr_requires_headroom():

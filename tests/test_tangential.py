@@ -1,3 +1,4 @@
+import functools
 import math
 from fractions import Fraction
 from pathlib import Path
@@ -14,8 +15,9 @@ from kvtower.sparse import _exp_series
 from kvtower.tangential import (
     TAutElt,
     TDer,
-    _conjugation_images,
-    _exp_images,
+    _conj_maps,
+    _der_maps,
+    _series_images,
     _solve_generator_bracket,
     cyc_taut_act,
     cyc_tder_act,
@@ -545,6 +547,11 @@ def _reference_match(targets, cap, images):
                 step = _solve_generator_bracket(g, k, defect)
                 pair[g] = pair[g] + step.with_cap(work)
     return pair["x"].truncate(cap), pair["y"].truncate(cap)
+
+
+# The generator-image series of the two directions.
+_exp_images = functools.partial(_series_images, _der_maps)
+_conjugation_images = functools.partial(_series_images, _conj_maps)
 
 
 def _rebuilding_exp(u):

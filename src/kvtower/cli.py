@@ -17,14 +17,7 @@ from .documents import (
     parse_document,
 )
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
-from .kv import (
-    _extend_from,
-    check_kv,
-    check_krv,
-    check_sol_kv,
-    gr_leading_rank,
-    krv_dim,
-)
+from .kv import _extend_from, _gr_rank_and_dim, check_kv, check_krv, check_sol_kv, krv_dim
 from .lie import LieElt, bch_xy
 from .tangential import TAutElt
 from .words import lyndon_words
@@ -132,15 +125,13 @@ def _cmd_extend(args):
     if not report.passed:
         sys.stdout.write(emit_report(report))
         return 1
-    if args.to_degree == doc.cap:
-        # No step runs, so the entry check is the final check.
-        final = report
-    else:
+    # With no step the output is the input, whose check has just passed.
+    if args.to_degree > doc.cap:
         F = _extend_from(F, args.to_degree)
-        final = check_sol_kv(F, args.to_degree)
-    if not final.passed:
-        raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")
-    out = SolutionDocument.from_taut(F, "SolKV", final.duflo)
+        report = check_sol_kv(F, args.to_degree)
+        if not report.passed:
+            raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")
+    out = SolutionDocument.from_taut(F, "SolKV", report.duflo)
     _write_output(emit_document(out), args.out)
     return 0
 
@@ -156,8 +147,7 @@ def _cmd_gr_test(args):
     # The transport is checked at the document's own cap, so guard it too.
     _guard_degree(doc.cap, args.allow_large, "document cap")
     F = doc.to_taut()
-    r = gr_leading_rank(F, args.degree)
-    d, _ = krv_dim(args.degree)
+    r, d = _gr_rank_and_dim(F, args.degree)
     print(f"gr_rank {args.degree} = {r}")
     print(f"krv_dim {args.degree} = {d}")
     print("EQUAL" if r == d else "UNEQUAL")

@@ -11,7 +11,6 @@ import re
 from fractions import Fraction
 
 from .errors import DocumentError
-from .kv import DufloSeries
 from .lie import LieElt
 from .tangential import TAutElt
 from .words import is_lyndon
@@ -40,9 +39,6 @@ class SolutionDocument:
 
     def to_taut(self):
         return TAutElt(LieElt(self.cap, self.f1), LieElt(self.cap, self.f2))
-
-    def duflo_series(self):
-        return DufloSeries(self.cap, self.duflo)
 
 
 def _parse_int(value, field):

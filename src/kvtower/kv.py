@@ -93,15 +93,16 @@ class KVReport:
         return f"KVReport({self.variant}, degree={self.degree}, {state})"
 
 
-def solve_duflo(c, n, target):
-    """Match ``c = sum_k r_k tr(w^k - x^k - y^k)`` in degrees <= n.
+def solve_duflo(c, target):
+    """Match ``c = sum_k r_k tr(w^k - x^k - y^k)`` up to ``c``'s cap n.
 
     For the ``sum`` target the system is diagonal by degree; for ``bch``
     it is lower-triangular in ``k`` since ``bch(x,y)^k`` starts with
     ``(x+y)^k``.  Returns ``(series, residual)`` where ``residual`` is
     ``None`` on success and the unmatched remainder otherwise.
     """
-    remaining = c.truncate(n) if c.cap > n else c.with_cap(n)
+    n = c.cap
+    remaining = c
     coeffs = {}
     for k, pattern in _duflo_patterns(target, n, 2, n):
         lead = pattern.homogeneous_part(k)
@@ -124,7 +125,7 @@ def _check(variant, F, n, source, target):
         raise PreconditionFailed("degree exceeds the element's cap")
     Ft = F.truncate(n)
     defect = taut_apply(Ft, _side(source, n)) - _side(target, n)
-    duflo, residual = solve_duflo(jacobian(Ft), n, target)
+    duflo, residual = solve_duflo(jacobian(Ft), target)
     return KVReport(variant, n, defect, duflo, residual)
 
 
@@ -150,7 +151,7 @@ def check_krv_lie(u, n):
         raise PreconditionFailed("degree exceeds the element's cap")
     ut = u.truncate(n)
     defect = tder_apply(ut, _side("sum", n))
-    duflo, residual = solve_duflo(divergence(ut), n, "sum")
+    duflo, residual = solve_duflo(divergence(ut), "sum")
     return KVReport("krv-lie", n, defect, duflo, residual)
 
 
@@ -204,9 +205,9 @@ class _GradedSystem:
         u2 = {w: v for w, v in zip(self.cols2, values[k:]) if v != 0}
         return TDer(LieElt(cap, u1), LieElt(cap, u2))
 
-    def solve(self, defect, cap):
+    def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or
-        cyclic element keyed by row words, read off at ``cap``."""
+        cyclic element keyed by row words, read off at its cap."""
         rhs = [Fraction(0)] * self.matrix.rows
         for w, c in defect.coeffs.items():
             if w not in self.row_index:
@@ -217,7 +218,7 @@ class _GradedSystem:
         sol = solve_linear(self.matrix, rhs)
         if not sol.consistent:
             raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
-        return self.tder_from(sol.particular, cap)
+        return self.tder_from(sol.particular, defect.cap)
 
 
 def _extend_step(F):
@@ -228,12 +229,12 @@ def _extend_step(F):
 
     # Stage A: degree-n correction; x + y has no part in degree n + 1.
     E1 = taut_apply(Fx, bch_xy(cap)).homogeneous_part(cap)
-    a = _GradedSystem(n, with_bracket_rows=True).solve(E1, cap)
+    a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
     # Stage B: new degree-(n+1) terms.
     E2 = jacobian(F1).homogeneous_part(cap)
-    b = _GradedSystem(cap, with_bracket_rows=False).solve(E2, cap)
+    b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)
 
 
@@ -318,8 +319,6 @@ def krv_dim(n):
     degree-n pattern; the multiplier is carried as one extra unknown and
     eliminated from the reported basis.
     """
-    if n < 1:
-        raise ValueError("degree must be >= 1")
     system = _GradedSystem(n, with_bracket_rows=True)
     kernel = kernel_basis(system.matrix)
     basis = [system.tder_from(vec, n) for vec in kernel]
@@ -330,13 +329,19 @@ def gr_leading_rank(F, n):
     """Rank of the leading terms of left symmetries obtained by
     transporting the degree-n graded basis through ``F``; equals the
     graded dimension when the graded correspondence holds."""
+    return _gr_rank_and_dim(F, n)[0]
+
+
+def _gr_rank_and_dim(F, n):
+    """The rank of :func:`gr_leading_rank` and the graded dimension, from
+    one :func:`krv_dim`."""
     if F.cap < n + 1:
         raise PreconditionFailed("the solution must be known beyond degree n")
     if not check_sol_kv(F, F.cap).passed:
         raise PreconditionFailed("F must solve the system at its cap")
     dim, basis = krv_dim(n)
     if dim == 0:
-        return 0
+        return 0, 0
     Fi = taut_inverse(F)
     vectors = []
     cols = list(lyndon_words(n))
@@ -351,4 +356,4 @@ def gr_leading_rank(F, n):
         vec = [G.f1.coeff(w) for w in cols] + [G.f2.coeff(w) for w in cols]
         vectors.append(vec)
     # The rank is the same for the transpose, so the vectors can be rows.
-    return rank(QMatrix.from_rows(vectors))
+    return rank(QMatrix.from_rows(vectors)), dim

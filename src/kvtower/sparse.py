@@ -21,7 +21,8 @@ the cyclic action and the trace) do their inner loops on ``int``s:
 its denominators, over integer numerators, and the sums go back through
 :meth:`SparseElt._from_ints`.  The arithmetic is exact, so the results are
 the same ``Fraction``s that coefficient loops would give.  The module also
-holds :func:`_exp_series`, the one truncated exponential series.
+holds :func:`_exp_series`, the one truncated exponential series; with a
+shift it also sums the Jacobian series ``sum_k w^k(j)/(k+1)!``.
 """
 
 from fractions import Fraction
@@ -160,12 +161,13 @@ def _int_form(coeffs):
     return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
 
 
-def _exp_series(v, step):
+def _exp_series(v, step, shift=0):
     """``v + step(v) + step(step(v))/2! + ...`` for a linear, degree-raising
-    ``step``; the terms vanish after at most ``v.cap`` steps."""
+    ``step``; the terms vanish after at most ``v.cap`` steps.  With ``shift``
+    = s the k-th term is divided by ``(k+s)!/s!`` instead of ``k!``."""
     out = term = v
     for k in range(1, v.cap + 1):
-        term = Fraction(1, k) * step(term)
+        term = Fraction(1, k + shift) * step(term)
         if term.is_zero():
             break
         out = out + term

@@ -8,7 +8,9 @@ fixes the representative modulo the kernel of pairs -> derivations.
 A tangential automorphism is stored by its normalized exponent pair
 ``F = (e^{f1}, e^{f2})``, acting by ``x -> e^{-f1} x e^{f1}`` and
 ``y -> e^{-f2} y e^{f2}``.  Composition, inversion, exponential and
-logarithm are all computed degree by degree in exact arithmetic.
+logarithm are all computed degree by degree in exact arithmetic.  Both
+pair types take equality, hashing, truncation and zero extension from one
+base, ``_Pair``, and keep their own normalization.
 
 The action of an automorphism on the generators only sees exponent terms
 below the cap, so both directions between a derivation and its
@@ -29,8 +31,9 @@ A derivation acts on cyclic words letter by letter through its generator
 images, expanded into words once over one shared denominator, so
 :func:`jacobian` pays for them once for its whole series.  An automorphism
 acts on cyclic words through its log, as the exponential series of that
-action.  The engines and the cyclic action sum integer numerators, as
-:mod:`kvtower.sparse` describes.
+action, and :func:`jacobian` sums its series ``sum_k w^k(j(w))/(k+1)!``
+through the same helper, shifted by one.  The engines and the cyclic
+action sum integer numerators, as :mod:`kvtower.sparse` describes.
 """
 
 import math
@@ -44,15 +47,31 @@ from .sparse import _exp_series, _int_form, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 
-def _normalize_pair(u1, u2):
-    c1 = dict(u1.coeffs)
-    c1.pop("x", None)
-    c2 = dict(u2.coeffs)
-    c2.pop("y", None)
-    return LieElt._new(u1.cap, c1), LieElt._new(u2.cap, c2)
+class _Pair:
+    """Equality, hashing and cap changes of a pair of Lie elements, read
+    through ``_parts()``; a pair with changed parts is rebuilt through the
+    subclass constructor, which normalizes it again."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.cap == other.cap
+            and self._parts() == other._parts()
+        )
+
+    def __hash__(self):
+        return hash((self.cap, *self._parts()))
+
+    def truncate(self, n):
+        return type(self)(*(p.truncate(n) for p in self._parts()))
+
+    def with_cap(self, n):
+        return type(self)(*(p.with_cap(n) for p in self._parts()))
 
 
-class TDer:
+class TDer(_Pair):
     """Tangential derivation, normalized pair of Lie elements."""
 
     __slots__ = ("cap", "u1", "u2")
@@ -60,7 +79,11 @@ class TDer:
     def __init__(self, u1, u2):
         _require_same_cap(u1, u2)
         self.cap = u1.cap
-        self.u1, self.u2 = _normalize_pair(u1, u2)
+        self.u1 = LieElt._new(self.cap, {w: c for w, c in u1.coeffs.items() if w != "x"})
+        self.u2 = LieElt._new(self.cap, {w: c for w, c in u2.coeffs.items() if w != "y"})
+
+    def _parts(self):
+        return self.u1, self.u2
 
     @classmethod
     def zero(cls, cap):
@@ -68,17 +91,6 @@ class TDer:
 
     def is_zero(self):
         return self.u1.is_zero() and self.u2.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TDer)
-            and self.cap == other.cap
-            and self.u1 == other.u1
-            and self.u2 == other.u2
-        )
-
-    def __hash__(self):
-        return hash((self.cap, self.u1, self.u2))
 
     def __add__(self, other):
         return TDer(self.u1 + other.u1, self.u2 + other.u2)
@@ -92,18 +104,8 @@ class TDer:
     def __rmul__(self, scalar):
         return TDer(scalar * self.u1, scalar * self.u2)
 
-    def truncate(self, n):
-        return TDer(self.u1.truncate(n), self.u2.truncate(n))
-
-    def with_cap(self, n):
-        return TDer(self.u1.with_cap(n), self.u2.with_cap(n))
-
     def homogeneous_part(self, d):
         return TDer(self.u1.homogeneous_part(d), self.u2.homogeneous_part(d))
-
-    def min_degree(self):
-        degs = [d for d in (self.u1.min_degree(), self.u2.min_degree()) if d]
-        return min(degs) if degs else None
 
     def __repr__(self):
         return f"TDer({self.u1!r}, {self.u2!r})"
@@ -242,8 +244,10 @@ def cyc_taut_act(F, c):
     return _exp_series(c, _cyc_action(taut_log(F)))
 
 
-class TAutElt:
-    """Tangential automorphism as a normalized exponent pair."""
+class TAutElt(_Pair):
+    """Tangential automorphism as a normalized exponent pair.  Truncation
+    drops exponent terms above degree ``n``; it is the projection onto the
+    degree-``n`` quotient group."""
 
     __slots__ = ("cap", "f1", "f2")
 
@@ -259,31 +263,15 @@ class TAutElt:
         self.f1 = f1
         self.f2 = f2
 
+    def _parts(self):
+        return self.f1, self.f2
+
     @classmethod
     def identity(cls, cap):
         return cls(LieElt.zero(cap), LieElt.zero(cap))
 
     def is_identity(self):
         return self.f1.is_zero() and self.f2.is_zero()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, TAutElt)
-            and self.cap == other.cap
-            and self.f1 == other.f1
-            and self.f2 == other.f2
-        )
-
-    def __hash__(self):
-        return hash((self.cap, self.f1, self.f2))
-
-    def truncate(self, n):
-        """Drop exponent terms above degree ``n``; the projection onto the
-        degree-``n`` quotient group."""
-        return TAutElt(self.f1.truncate(n), self.f2.truncate(n))
-
-    def with_cap(self, n):
-        return TAutElt(self.f1.with_cap(n), self.f2.with_cap(n))
 
     def __repr__(self):
         return f"TAutElt(e^({self.f1!r}), e^({self.f2!r}))"
@@ -309,14 +297,12 @@ class _AutEngine(_Engine):
         identity raises degree, so fixed-point iteration settles in at
         most ``cap`` rounds."""
         v = w
-        for _ in range(self.cap + 1):
+        for _ in range(self.cap + 2):
             defect = w - self.apply(v)
             if defect.is_zero():
                 return v
             v = v + defect
-        if not (w - self.apply(v)).is_zero():
-            raise InconsistentSystem("inverse application did not converge")
-        return v
+        raise InconsistentSystem("inverse application did not converge")
 
 
 def taut_apply(F, w):
@@ -458,17 +444,7 @@ def jacobian(F):
     ``J(e^w) = sum_k w^k (j(w)) / (k+1)!`` with ``w = log F`` acting on
     cyclic words."""
     w = taut_log(F)
-    act = _cyc_action(w)
-    out = CycElt.zero(F.cap)
-    term = divergence(w)
-    k = 0
-    while not term.is_zero():
-        out = out + Fraction(1, math.factorial(k + 1)) * term
-        term = act(term)
-        k += 1
-        if k > F.cap:
-            break
-    return out
+    return _exp_series(divergence(w), _cyc_action(w), shift=1)
 
 
 def group_commutator(F, G):

@@ -66,6 +66,15 @@ GOLDEN_CASES = [
     # B_2k / (2 * 2k * (2k)!).
     ("verify_sol_d10.txt",
      _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "SolKV"), 0),
+    # A SolKV solution is not in the graded symmetry group either; the KRV
+    # check runs the x + y Duflo target on both sides.
+    ("verify_krv_d10.txt",
+     _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "KRV"), 1),
+    # gr-test prints the transported rank and the graded dimension; it is
+    # the one CLI path through taut_exp, taut_inverse and taut_compose.
+    ("gr_d7.txt",
+     _golden_stdout("gr-test", "--in", str(GOLDEN / "extend_d8.json"), "--degree", "7"), 0),
+    ("gr_d9.txt", _golden_stdout("gr-test", "--in", str(SOL10), "--degree", "9"), 0),
 ]
 
 
@@ -245,6 +254,26 @@ def test_gr_test_command(tmp_path, capsys):
     code, out, err = run(capsys, "gr-test", "--in", str(sol), "--degree", "2")
     assert code == 0
     assert "EQUAL" in out
+
+
+def test_gr_test_computes_the_graded_dimension_once(tmp_path, capsys, monkeypatch):
+    seed = tmp_path / "seed.json"
+    sol = tmp_path / "sol4.json"
+    run(capsys, "seed", "--out", str(seed))
+    run(capsys, "extend", "--in", str(seed), "--to-degree", "4", "--out", str(sol))
+    calls = []
+    real = kvtower.kv.krv_dim
+
+    def counting(n):
+        calls.append(n)
+        return real(n)
+
+    monkeypatch.setattr(kvtower.kv, "krv_dim", counting)
+    monkeypatch.setattr("kvtower.cli.krv_dim", counting)
+    code, out, _ = run(capsys, "gr-test", "--in", str(sol), "--degree", "3")
+    assert code == 0
+    assert out.splitlines() == ["gr_rank 3 = 1", "krv_dim 3 = 1", "EQUAL"]
+    assert calls == [3]
 
 
 def test_emit_report_formats():

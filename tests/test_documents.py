@@ -172,7 +172,7 @@ def test_duflo_series_preserved():
             }
         )
     )
-    assert doc.duflo_series().coeff(2) == Fraction(1, 48)
+    assert doc.duflo[2] == Fraction(1, 48)
 
 
 def _mutants(data, rng, count):

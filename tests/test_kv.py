@@ -69,19 +69,19 @@ def krv_element(rng, cap, degrees=(1, 3)):
 
 
 def test_solve_duflo_simple():
-    series, residual = solve_duflo(CycElt(4, {"xy": 2}), 4, "sum")
+    series, residual = solve_duflo(CycElt(4, {"xy": 2}), "sum")
     assert residual is None
     assert series.coeffs == {2: 1}
 
 
 def test_solve_duflo_zero():
-    series, residual = solve_duflo(CycElt.zero(4), 4, "sum")
+    series, residual = solve_duflo(CycElt.zero(4), "sum")
     assert residual is None
     assert series.is_zero()
 
 
 def test_solve_duflo_inconsistent():
-    series, residual = solve_duflo(CycElt(4, {"xxy": 1}), 4, "sum")
+    series, residual = solve_duflo(CycElt(4, {"xxy": 1}), "sum")
     assert residual is not None
     assert not residual.is_zero()
 
@@ -360,6 +360,11 @@ def test_krv_dim_degree_one():
     assert b.u2.coeffs == {"x": 1}
 
 
+def test_krv_dim_rejects_degree_zero():
+    with pytest.raises(ValueError, match="degree must be >= 1"):
+        krv_dim(0)
+
+
 def test_krv_dim_degree_two():
     assert krv_dim(2)[0] == 0
 
@@ -382,7 +387,7 @@ def test_graded_system_rejects_a_defect_word_without_a_row():
     # Rows are the degree-4 Lyndon words and the degree-3 necklaces.
     system = _GradedSystem(3, with_bracket_rows=True)
     with pytest.raises(InconsistentSystem, match="xxxxy"):
-        system.solve(LieElt(5, {"xxxxy": 1}), 4)
+        system.solve(LieElt(5, {"xxxxy": 1}))
 
 
 def test_krv_basis_elements_satisfy_equations():

@@ -1,5 +1,6 @@
 """The sparse element base shared by AssocElt, LieElt and CycElt."""
 
+import math
 from fractions import Fraction
 
 from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
@@ -7,6 +8,7 @@ from kvtower.assoc import AssocElt
 from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch
 from kvtower.lie import LieElt, basis_expansion, lie_bracket, lie_to_assoc
+from kvtower.sparse import _exp_series
 from kvtower.tangential import TDer, cyc_tder_act, divergence, jacobian, taut_apply, tder_apply
 from kvtower.words import all_words, lyndon_words, necklaces
 
@@ -137,3 +139,15 @@ def test_accumulated_results_hold_no_zero_coefficient():
     assert cases[6].is_zero()
     for elt in cases:
         _assert_clean(elt)
+
+
+def test_exp_series_divides_each_term_by_its_shifted_factorial():
+    # With shift s the k-th term is divided by (k+s)!/s!: shift 0 is the
+    # exponential series, shift 1 the Jacobian series' 1/(k+1)!.
+    cap = 6
+    x = AssocElt.word("x", cap)
+    for shift in (0, 1):
+        series = _exp_series(AssocElt.one(cap), lambda t: t * x, shift=shift)
+        assert series.coeffs == {
+            "x" * k: Fraction(1, math.factorial(k + shift)) for k in range(cap + 1)
+        }

@@ -15,6 +15,7 @@ from kvtower.sparse import _exp_series
 from kvtower.tangential import (
     TAutElt,
     TDer,
+    _AutEngine,
     _conj_maps,
     _der_maps,
     _series_images,
@@ -406,6 +407,22 @@ def test_inverse_roundtrip():
         assert taut_compose(F, Fi) == eye
         assert taut_compose(Fi, F) == eye
         assert taut_inverse(Fi) == F
+
+
+def test_inverse_apply_raises_when_the_iteration_does_not_settle():
+    cap = 3
+    eng = _AutEngine(TAutElt.identity(cap))
+    calls = []
+
+    def doubling(v):
+        calls.append(v)
+        return 2 * v
+
+    eng.apply = doubling
+    with pytest.raises(InconsistentSystem, match="inverse application did not converge"):
+        eng.inverse_apply(LieElt.gen_x(cap))
+    # Every round applies the map once; the last round is the re-check.
+    assert len(calls) == cap + 2
 
 
 def test_exp_of_single_slot():

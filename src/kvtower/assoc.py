@@ -10,7 +10,7 @@ product and the exponential and logarithm series.
 
 from fractions import Fraction
 
-from .sparse import SparseElt, _exp_series, _int_form, _require_same_cap
+from .sparse import SparseElt, _exp_series, _require_same_cap
 
 
 class AssocElt(SparseElt):
@@ -31,7 +31,7 @@ class AssocElt(SparseElt):
         return cls(cap, {w: 1})
 
     def constant_term(self):
-        return self.coeffs.get("", Fraction(0))
+        return self.coeff("")
 
     def __mul__(self, other):
         """Concatenation product, truncated at the cap."""
@@ -39,20 +39,18 @@ class AssocElt(SparseElt):
             return self.__rmul__(other)
         _require_same_cap(self, other)
         cap = self.cap
-        da, na = _int_form(self.coeffs)
-        db, nb = _int_form(other.coeffs)
         # The terms of other that fit after a term of self, by the room left.
         fits = {}
         out = {}
-        for wa, ca in na.items():
+        for wa, ca in self.nums.items():
             room = cap - len(wa)
             right = fits.get(room)
             if right is None:
-                right = fits[room] = [(wb, cb) for wb, cb in nb.items() if len(wb) <= room]
+                right = fits[room] = [(wb, cb) for wb, cb in other.nums.items() if len(wb) <= room]
             for wb, cb in right:
                 w = wa + wb
                 out[w] = out.get(w, 0) + ca * cb
-        return AssocElt._from_ints(cap, out, da * db)
+        return AssocElt._from_ints(cap, out, self.den * other.den)
 
     @staticmethod
     def _show(w):

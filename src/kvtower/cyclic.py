@@ -3,19 +3,17 @@
 A cyclic word is stored by its canonical necklace — the lexicographically
 least rotation — as a key in the shared sparse form of
 :mod:`kvtower.sparse`, so the trace map just rotates every word to
-canonical form and accumulates coefficients, as integer numerators over
-the element's common denominator.  The public constructor rejects keys
-that are not canonical.  The Duflo patterns ``tr(w^k - x^k - y^k)`` of
-all degrees come from one running power of ``w``, a side of the KV
-equations: ``x + y`` or ``bch(x, y)``, by the one map of side names
-(:func:`_side`) that the checkers use too.
+canonical form and accumulates the element's stored integer numerators
+over its denominator.  The public constructor rejects keys that are not
+canonical.  The Duflo patterns ``tr(w^k - x^k - y^k)`` of all degrees
+come from one running power of ``w``, a side of the KV equations: ``x +
+y`` or ``bch(x, y)``, by the one map of side names (:func:`_side`) that
+the checkers use too.
 """
-
-from fractions import Fraction
 
 from .assoc import AssocElt
 from .lie import LieElt, bch_xy, lie_to_assoc
-from .sparse import SparseElt, _int_form
+from .sparse import SparseElt
 from .words import min_rotation
 
 
@@ -32,7 +30,7 @@ class CycElt(SparseElt):
         super().__init__(cap, coeffs)
 
     def coeff(self, word):
-        return self.coeffs.get(min_rotation(word), Fraction(0))
+        return super().coeff(min_rotation(word))
 
     @staticmethod
     def _show(w):
@@ -52,8 +50,7 @@ def _rotated_sums(sums):
 
 def trace(a):
     """Project an associative element onto cyclic words."""
-    den, nums = _int_form(a.coeffs)
-    return CycElt._from_ints(a.cap, _rotated_sums(nums), den)
+    return CycElt._from_ints(a.cap, _rotated_sums(a.nums), a.den)
 
 
 def _side(kind, cap):

@@ -35,7 +35,7 @@ class SolutionDocument:
     @classmethod
     def from_taut(cls, F, variant, duflo=None):
         coeffs = dict(duflo.coeffs) if duflo is not None else {}
-        return cls(F.cap, dict(F.f1.coeffs), dict(F.f2.coeffs), coeffs, variant)
+        return cls(F.cap, F.f1.coeffs, F.f2.coeffs, coeffs, variant)
 
     def to_taut(self):
         return TAutElt(LieElt(self.cap, self.f1), LieElt(self.cap, self.f2))

@@ -17,10 +17,10 @@ from brackets alone.  The expansions into words serve only
 :func:`lie_to_assoc` and :func:`lie_from_assoc`.
 
 The structure constants and the basis expansions are integers, so
-:func:`lie_bracket` and :func:`lie_to_assoc` multiply them with the
-integer numerators of each operand over its common denominator, and
-divide once at the end: by ``du * dv`` for a bracket of operands with
-common denominators ``du`` and ``dv``.
+:func:`lie_bracket` and :func:`lie_to_assoc` multiply them with the stored
+integer numerators of each operand, and the result's denominator is the
+operand's, or ``du * dv`` for a bracket of operands with denominators
+``du`` and ``dv``.
 """
 
 from fractions import Fraction
@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import NotPrimitive
-from .sparse import SparseElt, _int_form, _require_same_cap
+from .sparse import SparseElt, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
@@ -135,8 +135,8 @@ def clear_caches():
 
 
 class LieElt(SparseElt):
-    """Element of the free Lie algebra truncated at degree ``cap``,
-    stored as a sparse map Lyndon word -> rational coefficient."""
+    """Element of the free Lie algebra truncated at degree ``cap``, in the
+    shared sparse form keyed by Lyndon words."""
 
     __slots__ = ()
 
@@ -158,40 +158,34 @@ class LieElt(SparseElt):
     def gen_y(cls, cap):
         return cls(cap, {"y": 1})
 
-    def coeff(self, word):
-        return self.coeffs.get(word, Fraction(0))
-
 
 def lie_bracket(u, v):
     """Lie bracket ``[u, v]`` truncated at the common cap."""
     _require_same_cap(u, v)
     cap = u.cap
-    du, nu = _int_form(u.coeffs)
-    dv, nv = _int_form(v.coeffs)
     # The terms of v that fit beside a term of u, by the room left.
     fits = {}
     out = {}
-    for w1, c1 in nu.items():
+    for w1, c1 in u.nums.items():
         room = cap - len(w1)
         right = fits.get(room)
         if right is None:
-            right = fits[room] = [(w2, c2) for w2, c2 in nv.items() if len(w2) <= room]
+            right = fits[room] = [(w2, c2) for w2, c2 in v.nums.items() if len(w2) <= room]
         for w2, c2 in right:
             c = c1 * c2
             for w, k in bracket_table(w1, w2).items():
                 out[w] = out.get(w, 0) + c * k
-    return LieElt._from_ints(cap, out, du * dv)
+    return LieElt._from_ints(cap, out, u.den * v.den)
 
 
 def lie_to_assoc(u):
     """View a Lie element inside the associative algebra by expanding all
     brackets as commutators."""
-    den, nums = _int_form(u.coeffs)
     out = {}
-    for w, c in nums.items():
+    for w, c in u.nums.items():
         for ww, k in basis_expansion(w).items():
             out[ww] = out.get(ww, 0) + c * k
-    return AssocElt._from_ints(u.cap, out, den)
+    return AssocElt._from_ints(u.cap, out, u.den)
 
 
 def lie_from_assoc(a):
@@ -205,10 +199,11 @@ def lie_from_assoc(a):
         raise NotPrimitive(
             "nonzero constant term", AssocElt(a.cap, {"": a.constant_term()})
         )
-    out, bad = _lyndon_coords(a.coeffs)
+    out, bad = _lyndon_coords(a.nums)
     if bad:
-        raise NotPrimitive(f"not primitive; residual {bad}", AssocElt(a.cap, bad))
-    return LieElt._new(a.cap, out)
+        residual = AssocElt._from_ints(a.cap, bad, a.den)
+        raise NotPrimitive(f"not primitive; residual {residual.coeffs}", residual)
+    return LieElt._from_ints(a.cap, out, a.den)
 
 
 def _bernoulli_weights(n):

@@ -2,31 +2,31 @@
 
 An element of the truncated free associative algebra, of the free Lie
 algebra in the Lyndon basis, or of the space of cyclic words is a degree
-cap plus a sparse map from words (strings over ``xy``) to nonzero
-``Fraction`` coefficients.  Terms above the cap are dropped, which is the
-arithmetic of the quotient at that cap.
+cap plus a sparse map from words (strings over ``xy``) to nonzero rational
+coefficients.  Terms above the cap are dropped, which is the arithmetic of
+the quotient at that cap.
 
-This module alone keeps the rule that every stored coefficient is a
-reduced, nonzero ``Fraction``.  The public constructor normalises its
-input: it drops over-cap words, converts every coefficient with
-``Fraction()`` and removes zeros.  Results computed from valid elements go
-through a trusted constructor instead: :meth:`SparseElt._new` adopts a
-clean map as it is, and :meth:`SparseElt._from_ints` adopts accumulated
-integer sums over one common denominator, after dropping those that
-cancelled.
+This module alone keeps the one stored form: integer numerators ``nums``
+(word -> nonzero ``int``) over one positive denominator ``den``, reduced,
+so that ``gcd(den, *nums) == 1``.  The form is unique, so equality and
+hashing compare it directly.  The public constructor normalises its
+input: it drops over-cap words and zeros and writes the rest over the lcm
+of their reduced denominators, which is already reduced.  Results computed
+from valid elements go through the trusted :meth:`SparseElt._from_ints`,
+which drops the sums that cancelled and divides out the common factor.
 
-The products (brackets, expansions, the associative product, the engines,
-the cyclic action and the trace) do their inner loops on ``int``s:
-:func:`_int_form` writes an operand as one common denominator, the lcm of
-its denominators, over integer numerators, and the sums go back through
-:meth:`SparseElt._from_ints`.  The arithmetic is exact, so the results are
-the same ``Fraction``s that coefficient loops would give.  The module also
-holds :func:`_exp_series`, the one truncated exponential series; with a
-shift it also sums the Jacobian series ``sum_k w^k(j)/(k+1)!``.
+The sums, the scalar product and the products (brackets, expansions, the
+associative product, the engines, the cyclic action and the trace) all
+work on the numerators and multiply the denominators.  The arithmetic is
+exact, so :attr:`SparseElt.coeffs` and :meth:`SparseElt.coeff` give the
+same reduced ``Fraction``s that coefficient loops would give; documents
+and reports read those.  The module also holds :func:`_exp_series`, the
+one truncated exponential series; with a shift it also sums the Jacobian
+series ``sum_k w^k(j)/(k+1)!``.
 """
 
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 
 from .errors import CapMismatch
 
@@ -42,100 +42,109 @@ def _check_cap(cap):
 
 
 class SparseElt:
-    """Sparse map word -> nonzero ``Fraction``, truncated at degree ``cap``."""
+    """Sparse map word -> nonzero ``int`` numerator over one reduced
+    denominator, truncated at degree ``cap``."""
 
-    __slots__ = ("cap", "coeffs")
+    __slots__ = ("cap", "den", "nums")
 
     def __init__(self, cap, coeffs=None):
         _check_cap(cap)
         self.cap = cap
-        store = {}
+        terms = {}
         if coeffs:
             for w, c in coeffs.items():
                 if len(w) > cap:
                     continue
                 c = Fraction(c)
                 if c != 0:
-                    store[w] = c
-        self.coeffs = store
-
-    @classmethod
-    def _new(cls, cap, coeffs):
-        """Trusted constructor: ``coeffs`` must already hold only nonzero
-        ``Fraction``s on valid words of degree at most ``cap``.  The map is
-        adopted, not copied."""
-        elt = object.__new__(cls)
-        elt.cap = cap
-        elt.coeffs = coeffs
-        return elt
+                    terms[w] = c
+        self.den = den = lcm(*(c.denominator for c in terms.values()))
+        self.nums = {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
 
     @classmethod
     def _from_ints(cls, cap, sums, den):
-        """Trusted constructor for integer sums over the common positive
-        denominator ``den``: the entries that cancelled are dropped, and
-        each other one is stored as the reduced ``Fraction(n, den)``."""
-        return cls._new(cap, {w: Fraction(n, den) for w, n in sums.items() if n})
+        """Trusted constructor for integer sums over the positive denominator
+        ``den``, on valid words of degree at most ``cap``: the sums that
+        cancelled are dropped and the rest are reduced with ``den``."""
+        nums = {w: n for w, n in sums.items() if n}
+        g = gcd(den, *nums.values())
+        if g != 1:
+            den //= g
+            nums = {w: n // g for w, n in nums.items()}
+        elt = object.__new__(cls)
+        elt.cap = cap
+        elt.den = den
+        elt.nums = nums
+        return elt
+
+    @property
+    def coeffs(self):
+        """A new map word -> reduced nonzero ``Fraction``."""
+        return {w: Fraction(n, self.den) for w, n in self.nums.items()}
+
+    def coeff(self, word):
+        return Fraction(self.nums.get(word, 0), self.den)
 
     @classmethod
     def zero(cls, cap):
         return cls(cap)
 
     def is_zero(self):
-        return not self.coeffs
+        return not self.nums
 
     def min_degree(self):
         """Lowest degree with a nonzero term; None for the zero element."""
-        if not self.coeffs:
+        if not self.nums:
             return None
-        return min(len(w) for w in self.coeffs)
+        return min(len(w) for w in self.nums)
 
     def homogeneous_part(self, d):
-        return self._new(self.cap, {w: c for w, c in self.coeffs.items() if len(w) == d})
+        part = {w: n for w, n in self.nums.items() if len(w) == d}
+        return self._from_ints(self.cap, part, self.den)
 
     def truncate(self, n):
         if n > self.cap:
             raise ValueError("cannot extend the cap by truncation")
         _check_cap(n)
-        return self._new(n, {w: c for w, c in self.coeffs.items() if len(w) <= n})
+        low = {w: k for w, k in self.nums.items() if len(w) <= n}
+        return self._from_ints(n, low, self.den)
 
     def with_cap(self, n):
         """Reinterpret at cap ``n`` >= current cap (zero extension)."""
         if n < self.cap:
             raise ValueError("use truncate to lower the cap")
-        return self._new(n, dict(self.coeffs))
+        return self._from_ints(n, self.nums, self.den)
 
     def __eq__(self, other):
         return (
             isinstance(other, type(self))
             and self.cap == other.cap
-            and self.coeffs == other.coeffs
+            and self.den == other.den
+            and self.nums == other.nums
         )
 
     def __hash__(self):
-        return hash((self.cap, tuple(sorted(self.coeffs.items()))))
+        return hash((self.cap, self.den, tuple(sorted(self.nums.items()))))
 
     def __add__(self, other):
         _require_same_cap(self, other)
-        out = dict(self.coeffs)
-        for w, c in other.coeffs.items():
-            s = out.get(w, 0) + c
-            if s == 0:
-                out.pop(w, None)
-            else:
-                out[w] = s
-        return self._new(self.cap, out)
+        den = lcm(self.den, other.den)
+        sa, sb = den // self.den, den // other.den
+        out = {w: n * sa for w, n in self.nums.items()}
+        for w, n in other.nums.items():
+            out[w] = out.get(w, 0) + n * sb
+        return self._from_ints(self.cap, out, den)
 
     def __sub__(self, other):
         return self + (-other)
 
     def __neg__(self):
-        return self._new(self.cap, {w: -c for w, c in self.coeffs.items()})
+        return self._from_ints(self.cap, {w: -n for w, n in self.nums.items()}, self.den)
 
     def __rmul__(self, scalar):
-        scalar = Fraction(scalar)
-        if scalar == 0:
-            return self.zero(self.cap)
-        return self._new(self.cap, {w: scalar * c for w, c in self.coeffs.items()})
+        s = Fraction(scalar)
+        out = {w: s.numerator * n for w, n in self.nums.items()}
+        return self._from_ints(self.cap, out, s.denominator * self.den)
 
     def sorted_terms(self):
         """Terms ordered by (degree, word) — the canonical order."""
@@ -146,19 +155,9 @@ class SparseElt:
         return w
 
     def __repr__(self):
-        if not self.coeffs:
+        if not self.nums:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
-
-
-def _int_form(coeffs):
-    """``(D, {w: n})`` with ``D`` the lcm of the denominators of the
-    ``Fraction``s in ``coeffs`` and ``n = c * D``, an ``int``, for each
-    ``w: c``."""
-    den = lcm(*{c.denominator for c in coeffs.values()})
-    if den == 1:
-        return 1, {w: c.numerator for w, c in coeffs.items()}
-    return den, {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
 
 
 def _exp_series(v, step, shift=0):

@@ -28,12 +28,13 @@ parts of the powers ``A^m(gen)`` in a table that grows by one degree per
 step.
 
 A derivation acts on cyclic words letter by letter through its generator
-images, expanded into words once over one shared denominator, so
+images, expanded into words once and scaled to one shared denominator, so
 :func:`jacobian` pays for them once for its whole series.  An automorphism
 acts on cyclic words through its log, as the exponential series of that
 action, and :func:`jacobian` sums its series ``sum_k w^k(j(w))/(k+1)!``
 through the same helper, shifted by one.  The engines and the cyclic
-action sum integer numerators, as :mod:`kvtower.sparse` describes.
+action sum the stored integer numerators of their inputs and images, as
+:mod:`kvtower.sparse` describes.
 """
 
 import math
@@ -43,7 +44,7 @@ from .assoc import AssocElt
 from .cyclic import CycElt, _rotated_sums, trace
 from .errors import InconsistentSystem
 from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
-from .sparse import _exp_series, _int_form, _require_same_cap
+from .sparse import _exp_series, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 
@@ -79,8 +80,10 @@ class TDer(_Pair):
     def __init__(self, u1, u2):
         _require_same_cap(u1, u2)
         self.cap = u1.cap
-        self.u1 = LieElt._new(self.cap, {w: c for w, c in u1.coeffs.items() if w != "x"})
-        self.u2 = LieElt._new(self.cap, {w: c for w, c in u2.coeffs.items() if w != "y"})
+        n1 = {w: n for w, n in u1.nums.items() if w != "x"}
+        n2 = {w: n for w, n in u2.nums.items() if w != "y"}
+        self.u1 = LieElt._from_ints(self.cap, n1, u1.den)
+        self.u2 = LieElt._from_ints(self.cap, n2, u2.den)
 
     def _parts(self):
         return self.u1, self.u2
@@ -114,13 +117,11 @@ class TDer(_Pair):
 class _Engine:
     """A linear map on Lie elements, given by the generator images in
     ``_images``; the image of a longer Lyndon word is built by
-    ``_from_factors`` from those of its standard factors, and memoized,
-    and so is its integer form, in ``_forms``."""
+    ``_from_factors`` from those of its standard factors, and memoized."""
 
     def __init__(self, cap, images):
         self.cap = cap
         self._images = images
-        self._forms = {}
 
     def _image(self, word):
         img = self._images.get(word)
@@ -128,24 +129,17 @@ class _Engine:
             img = self._images[word] = self._from_factors(*standard_factorization(word))
         return img
 
-    def _form(self, word):
-        form = self._forms.get(word)
-        if form is None:
-            form = self._forms[word] = _int_form(self._image(word).coeffs)
-        return form
-
     def apply(self, w):
         """Sum the images on integers: each image's numerators are scaled
         to the lcm of the image denominators, over which they add."""
-        den, nums = _int_form(w.coeffs)
-        terms = [(c, self._form(word)) for word, c in nums.items()]
-        common = math.lcm(*(d for _, (d, _) in terms))
+        terms = [(c, self._image(word)) for word, c in w.nums.items()]
+        common = math.lcm(*(img.den for _, img in terms))
         out = {}
-        for c, (d, img) in terms:
-            c *= common // d
-            for ww, k in img.items():
+        for c, img in terms:
+            c *= common // img.den
+            for ww, k in img.nums.items():
                 out[ww] = out.get(ww, 0) + c * k
-        return LieElt._from_ints(self.cap, out, den * common)
+        return LieElt._from_ints(self.cap, out, w.den * common)
 
 
 class _DerEngine(_Engine):
@@ -188,9 +182,11 @@ def divergence(u):
     word surgery is needed before tracing.  The two parts share no word,
     so nothing cancels between them.
     """
-    keep = {w: c for w, c in lie_to_assoc(u.u1).coeffs.items() if w.endswith("x")}
-    keep.update((w, c) for w, c in lie_to_assoc(u.u2).coeffs.items() if w.endswith("y"))
-    return trace(AssocElt._new(u.cap, keep))
+    a1, a2 = lie_to_assoc(u.u1), lie_to_assoc(u.u2)
+    den = math.lcm(a1.den, a2.den)
+    keep = {w: n * (den // a1.den) for w, n in a1.nums.items() if w.endswith("x")}
+    keep.update((w, n * (den // a2.den)) for w, n in a2.nums.items() if w.endswith("y"))
+    return trace(AssocElt._from_ints(u.cap, keep, den))
 
 
 def _cyc_action(u):
@@ -198,7 +194,7 @@ def _cyc_action(u):
     :class:`CycElt` at ``u``'s cap: act letter by letter on any
     representative, then re-trace.
 
-    The two generator images are expanded into words once, written over
+    The two generator images are expanded into words once, scaled to
     one shared denominator and sorted by length, so each letter stops at
     the first image word that does not fit under the cap.  A trace does
     not change under rotation, so each word is rotated to put the
@@ -207,17 +203,16 @@ def _cyc_action(u):
     the end, as :func:`~kvtower.cyclic.trace` does.
     """
     cap = u.cap
-    forms = {g: _int_form(lie_to_assoc(img).coeffs) for g, img in _DerEngine(u)._images.items()}
-    common = math.lcm(*(d for d, _ in forms.values()))
+    expanded = {g: lie_to_assoc(img) for g, img in _DerEngine(u)._images.items()}
+    common = math.lcm(*(a.den for a in expanded.values()))
     images = {
-        g: sorted(((w, k * (common // d)) for w, k in nums.items()), key=lambda wk: len(wk[0]))
-        for g, (d, nums) in forms.items()
+        g: sorted(((w, k * (common // a.den)) for w, k in a.nums.items()), key=lambda t: len(t[0]))
+        for g, a in expanded.items()
     }
 
     def act(c):
-        den, nums = _int_form(c.coeffs)
         out = {}
-        for word, coeff in nums.items():
+        for word, coeff in c.nums.items():
             room = cap + 1 - len(word)
             for i, letter in enumerate(word):
                 rest = word[i + 1 :] + word[:i]
@@ -226,7 +221,7 @@ def _cyc_action(u):
                         break
                     key = w + rest
                     out[key] = out.get(key, 0) + coeff * k
-        return CycElt._from_ints(cap, _rotated_sums(out), den * common)
+        return CycElt._from_ints(cap, _rotated_sums(out), c.den * common)
 
     return act
 
@@ -336,7 +331,7 @@ def _solve_generator_bracket(letter, k, rhs):
     :func:`~kvtower.lie._lyndon_coords`.  ``xx`` and ``yy`` are not
     Lyndon, so the generator itself never enters ``a``.
     """
-    residual = dict(rhs.coeffs)
+    residual = dict(rhs.nums)
     a = {}
     for z in lyndon_words(k + 1):
         c = residual.get(z, 0)
@@ -350,7 +345,7 @@ def _solve_generator_bracket(letter, k, rhs):
             residual[ww] = residual.get(ww, 0) - c * cc
     if any(residual.values()):
         raise InconsistentSystem("generator-bracket system leaves a residual")
-    return LieElt._new(rhs.cap, a)
+    return LieElt._from_ints(rhs.cap, a, rhs.den)
 
 
 def _match_generator_actions(targets, cap, maps):
@@ -401,7 +396,7 @@ def _match_generator_actions(targets, cap, maps):
         # The top degree's maps would only feed entries above the cap + 1.
         if k < cap and not (piece["x"].is_zero() and piece["y"].is_zero()):
             steps[k] = maps(piece["x"], piece["y"])
-    return LieElt._new(cap, found["x"]), LieElt._new(cap, found["y"])
+    return LieElt(cap, found["x"]), LieElt(cap, found["y"])
 
 
 def _der_maps(a1, a2):

@@ -9,13 +9,13 @@ degree-one cross terms, include sums built to cancel to zero, and have
 products that spill over the cap.
 """
 
+import math
 from fractions import Fraction
 
 from conftest import rng_for
 from kvtower.assoc import AssocElt
 from kvtower.cyclic import CycElt, trace
 from kvtower.lie import LieElt, basis_expansion, bracket_table, lie_bracket, lie_to_assoc
-from kvtower.sparse import _int_form
 from kvtower.tangential import TAutElt, TDer, _AutEngine, _cyc_action, _DerEngine
 from kvtower.words import all_words, lyndon_words, min_rotation, necklaces
 
@@ -126,18 +126,21 @@ def _mixed_tder(rng, cap, integral, crossed, top=None):
 
 
 def _assert_clean(elt):
+    assert elt.den > 0 and math.gcd(elt.den, *elt.nums.values()) == 1, elt
+    assert all(type(n) is int and n != 0 for n in elt.nums.values()), elt
     assert all(type(c) is Fraction and c != 0 for c in elt.coeffs.values()), elt
 
 
 def _den(elt):
-    return _int_form(elt.coeffs)[0]
+    return elt.den
 
 
 def test_int_form_takes_the_lcm_and_from_ints_reduces_and_drops_zeros():
-    den, nums = _int_form({"x": Fraction(1, 4), "y": Fraction(-5, 6), "xy": Fraction(3)})
-    assert (den, nums) == (12, {"x": 3, "y": -10, "xy": 36})
-    assert _int_form({"x": Fraction(-7), "y": Fraction(2)}) == (1, {"x": -7, "y": 2})
-    assert _int_form({}) == (1, {})
+    elt = LieElt(3, {"x": Fraction(1, 4), "y": Fraction(-5, 6), "xy": Fraction(3)})
+    assert (elt.den, elt.nums) == (12, {"x": 3, "y": -10, "xy": 36})
+    elt = LieElt(3, {"x": Fraction(-7), "y": Fraction(2)})
+    assert (elt.den, elt.nums) == (1, {"x": -7, "y": 2})
+    assert (LieElt(3, {}).den, LieElt(3, {}).nums) == (1, {})
     elt = LieElt._from_ints(3, {"x": 6, "y": 0, "xy": -4}, 4)
     assert elt.coeffs == {"x": Fraction(3, 2), "xy": Fraction(-1)}
     _assert_clean(elt)

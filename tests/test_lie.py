@@ -67,6 +67,7 @@ def test_from_assoc_rejects_symmetric_part():
     with pytest.raises(NotPrimitive) as info:
         lie_from_assoc(AssocElt(2, {"xy": 1, "yx": 1}))
     assert info.value.residual.coeffs == {"yx": 2}
+    assert str(info.value) == "not primitive; residual {'yx': Fraction(2, 1)}"
 
 
 def test_roundtrip_random():

@@ -64,10 +64,10 @@ def test_shared_sparse_base(cls, words_of, sample, expected_repr):
 
         # with_cap hands out its own dict.
         wide = a.with_cap(cap + 1)
-        assert wide.coeffs is not a.coeffs
-        before = dict(a.coeffs)
-        wide.coeffs.clear()
-        assert a.coeffs == before
+        assert wide.nums is not a.nums
+        before = dict(a.nums)
+        wide.nums.clear()
+        assert a.nums == before
 
     # Mixed caps are rejected.
     with pytest.raises(CapMismatch):
@@ -92,9 +92,45 @@ def test_shared_sparse_base(cls, words_of, sample, expected_repr):
 
 
 def _assert_clean(elt):
-    # Documents and reports print coefficients with str(Fraction), so the
-    # integer kernels must still store reduced, nonzero Fractions.
+    # One stored form: nonzero int numerators over one positive, reduced
+    # denominator.  Documents and reports print coefficients with
+    # str(Fraction), so coeffs must read them back as reduced, nonzero
+    # Fractions.
+    assert elt.den > 0 and math.gcd(elt.den, *elt.nums.values()) == 1, elt
+    assert all(type(n) is int and n != 0 for n in elt.nums.values()), elt
     assert all(type(c) is Fraction and c != 0 for c in elt.coeffs.values()), elt
+
+
+def test_the_stored_form_is_unique():
+    # The same numerators over different denominators differ.
+    assert LieElt(3, {"x": 1}) != LieElt(3, {"x": Fraction(1, 2)})
+    # Equal values reached by different routes store the same form.
+    scaled = Fraction(1, 2) * LieElt(3, {"x": 2, "xy": 4})
+    direct = LieElt(3, {"x": 1, "xy": 2})
+    assert scaled == direct and hash(scaled) == hash(direct)
+    assert (scaled.den, scaled.nums) == (1, {"x": 1, "xy": 2})
+    # Truncation drops the 1/3 term, so the denominator shrinks to 2.
+    low = LieElt(3, {"x": Fraction(1, 2), "xy": Fraction(1, 3)}).truncate(1)
+    assert low.den == 2 and low == LieElt(1, {"x": Fraction(1, 2)})
+    assert hash(low) == hash(LieElt(1, {"x": Fraction(1, 2)}))
+    for elt in (scaled, low, LieElt(3, {"x": Fraction(3, 4), "y": Fraction(-5, 6)})):
+        _assert_clean(elt)
+
+
+def test_coeffs_reads_a_new_map():
+    # Over a denominator of one and of two.
+    for terms, den, nums in (
+        ({"x": 2, "xy": -3}, 1, {"x": 2, "xy": -3}),
+        ({"x": Fraction(1, 2), "xy": 3}, 2, {"x": 1, "xy": 6}),
+    ):
+        elt = LieElt(3, terms)
+        first = elt.coeffs
+        assert first == terms and elt.coeffs is not first
+        assert all(type(c) is Fraction for c in first.values())
+        first["x"] = Fraction(5)
+        first.clear()
+        assert elt.coeffs == terms
+        assert (elt.den, elt.nums) == (den, nums)
 
 
 def test_accumulated_results_hold_no_zero_coefficient():

@@ -19,7 +19,7 @@ from fractions import Fraction
 from .cyclic import _duflo_patterns, _side, duflo_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, bch_xy, bracket_table
-from .linalg import QMatrix, kernel_basis, rank, solve_linear
+from .linalg import QMatrix, _particular, kernel_basis, rank
 from .tangential import (
     TAutElt,
     TDer,
@@ -215,10 +215,10 @@ class _GradedSystem:
                     f"degree-{self.n} graded system has no row for defect word {w}"
                 )
             rhs[self.row_index[w]] = -c
-        sol = solve_linear(self.matrix, rhs)
-        if not sol.consistent:
+        particular = _particular(self.matrix, rhs)
+        if particular is None:
             raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
-        return self.tder_from(sol.particular, defect.cap)
+        return self.tder_from(particular, defect.cap)
 
 
 def _extend_step(F):

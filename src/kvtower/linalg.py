@@ -1,25 +1,24 @@
 """Exact linear algebra over the rationals.
 
-Everything here works with ``fractions.Fraction`` entries, so no rounding
-ever occurs.  There is one elimination, :func:`_reduce`: a sparse
-Gauss-Jordan on rows stored as dicts col -> nonzero ``Fraction``, with an
-optional right-hand side carried along under a column key of its own.
-Columns are taken in ascending order, and the pivot of a column is the
-shortest row not yet reduced that holds it (the first such row in row
-order on ties), which keeps fill-in low on the very sparse graded
-systems.  The column is then eliminated from every other row, reduced
-ones included, and entries that cancel are deleted.
+Matrices hold ``fractions.Fraction`` entries, so no rounding ever occurs.
+The one elimination, :func:`_eliminate`, works forward on primitive
+integer rows: dicts col -> nonzero ``int`` with the denominators cleared
+and the content divided out, and a right-hand side, if any, under a
+column key of its own.  Columns go in ascending order; a column's pivot
+is the shortest unreduced row holding it (the first in row order on
+ties), which keeps fill-in low on the very sparse graded systems.  Each
+other holder becomes ``a*row - f*pivot``, made primitive again; reduced
+rows are never touched, and answers come by back-substitution.
 
-The pivot rule changes only the work, never the answer: the reduced row
-echelon form of a matrix is unique, and so are its pivot columns, the
-null-space basis read off it (one vector per free column, with a one
-there) and the particular solution with its free variables set to zero.
-``solve_linear``, ``kernel_basis`` and ``rank`` all read their answers
-off the reduced rows, so every output is deterministic: identical inputs
-yield identical results on any platform.
+They equal those of the unique reduced row echelon form: back-elimination
+changes only reduced rows, and each update here is a nonzero multiple of
+the Gauss-Jordan one, so unreduced rows keep the same supports.  The
+pivot rule reads nothing else, so the pivots agree, and back-substitution
+finds the one vector with the given free entries that the rows annihilate.
 """
 
 from fractions import Fraction
+from math import gcd, lcm
 
 
 class QMatrix:
@@ -36,11 +35,9 @@ class QMatrix:
     @classmethod
     def from_rows(cls, rows):
         """Build a matrix from a dense list of row lists."""
-        nrows = len(rows)
-        ncols = len(rows[0]) if rows else 0
-        m = cls(nrows, ncols)
+        m = cls(len(rows), len(rows[0]) if rows else 0)
         for i, row in enumerate(rows):
-            if len(row) != ncols:
+            if len(row) != m.cols:
                 raise ValueError("ragged rows")
             for j, v in enumerate(row):
                 m[i, j] = v
@@ -69,13 +66,9 @@ class QMatrix:
 
 
 class LinearSolution:
-    """Outcome of an exact linear solve.
-
-    ``particular`` is a solution vector with all free variables set to
-    zero, or ``None`` when the system is inconsistent.  ``kernel_basis``
-    is a basis of the null space in reduced echelon form with respect to
-    ascending column order.
-    """
+    """Outcome of an exact linear solve: ``particular`` has every free
+    variable at zero, or is ``None`` when the system is inconsistent, and
+    ``kernel_basis`` is the null-space basis in reduced echelon form."""
 
     def __init__(self, particular, kernel_basis):
         self.particular = particular
@@ -86,16 +79,19 @@ class LinearSolution:
         return self.particular is not None
 
 
-def _reduce(M, b=None):
-    """Reduced row echelon form of ``M`` as ``(rows, pivots)``.
+def _make_primitive(row):
+    """Divide an integer row by the gcd of its entries, in place."""
+    g = gcd(*row.values())
+    if g > 1:
+        for k in row:
+            row[k] //= g
 
-    ``rows`` are sparse rows (dicts col -> nonzero ``Fraction``): first the
-    reduced rows, one per pivot column, then the rows left without a
-    pivot; ``pivots`` lists the pivot columns in ascending order.  When
-    ``b`` is given it is stored under key ``M.cols``, a column that never
-    holds a pivot, so the pivot rows hold the particular solution and
-    ``M x = b`` is consistent exactly when every row left over is empty.
-    """
+
+def _eliminate(M, b=None):
+    """``(echelon, pivots, consistent)``: one primitive row per pivot, in
+    the ascending order of ``pivots``, each zero left of its pivot.  ``b``
+    sits under key ``M.cols``, which never holds a pivot, and ``M x = b``
+    is consistent when every row left without a pivot is empty."""
     rows = [{} for _ in range(M.rows)]
     for (i, j), v in M.entries.items():
         rows[i][j] = v
@@ -105,69 +101,73 @@ def _reduce(M, b=None):
         for row, v in zip(rows, b):
             if v != 0:
                 row[M.cols] = Fraction(v)
-    reduced, pivots = [], []
+    for row in rows:
+        den = lcm(*(v.denominator for v in row.values()))
+        for k, v in row.items():
+            row[k] = v.numerator * (den // v.denominator)
+        _make_primitive(row)
+    echelon, pivots = [], []
     for c in range(M.cols):
-        if not rows:
-            break
         holders = [row for row in rows if c in row]
         if not holders:
             continue
         p = min(holders, key=len)
         rows = [row for row in rows if row is not p]
-        inv = Fraction(1) / p[c]
-        if inv != 1:
-            for k in p:
-                p[k] *= inv
-        for row in holders + [row for row in reduced if c in row]:
+        for row in holders:
             if row is p:
                 continue
-            f = row[c]
+            g = gcd(p[c], row[c])
+            a, f = p[c] // g, row[c] // g
+            if a != 1:
+                for k in row:
+                    row[k] *= a
             for k, v in p.items():
                 v = row.get(k, 0) - f * v
                 if v:
                     row[k] = v
                 else:
                     del row[k]
-        reduced.append(p)
+            _make_primitive(row)
+        echelon.append(p)
         pivots.append(c)
-    return reduced + rows, pivots
+    return echelon, pivots, not any(rows)
 
 
-def _kernel(ncols, rows, pivots):
-    """Null-space basis in reduced echelon form: one vector per free
-    column, in ascending order, with a one in that column."""
+def _substitute(ncols, echelon, pivots, col, value):
+    """The null vector of the echelon rows with ``value`` at ``col`` and
+    zero at the other free columns, cut before column ``ncols`` (``b``'s)."""
+    x = [Fraction(0)] * (ncols + 1)
+    x[col] = Fraction(value)
+    for row, c in zip(reversed(echelon), reversed(pivots)):
+        x[c] = -sum((v * x[k] for k, v in row.items() if x[k]), Fraction(0)) / row[c]
+    return x[:ncols]
+
+
+def _kernel(ncols, echelon, pivots):
+    """The null-space basis: one vector per free column, with a one there."""
     pivot_set = set(pivots)
-    basis = []
-    for fc in range(ncols):
-        if fc in pivot_set:
-            continue
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for row, pc in zip(rows, pivots):
-            vec[pc] = -row.get(fc, Fraction(0))
-        basis.append(vec)
-    return basis
+    return [_substitute(ncols, echelon, pivots, fc, 1)
+            for fc in range(ncols) if fc not in pivot_set]
+
+
+def _particular(M, b):
+    """``M x = b`` solved with free variables at zero: the null vector of
+    ``[M | b]`` with -1 last, or ``None`` if there is none; no kernel."""
+    echelon, pivots, consistent = _eliminate(M, b)
+    return _substitute(M.cols, echelon, pivots, M.cols, -1) if consistent else None
 
 
 def solve_linear(M, b):
-    """Solve ``M x = b`` exactly.
-
-    Returns a :class:`LinearSolution` whose particular solution has free
-    variables zeroed; ``particular`` is ``None`` when no solution exists.
-    """
-    rows, pivots = _reduce(M, b)
-    particular = None
-    if not any(rows[len(pivots):]):
-        particular = [Fraction(0)] * M.cols
-        for row, pc in zip(rows, pivots):
-            particular[pc] = row.get(M.cols, Fraction(0))
-    return LinearSolution(particular, _kernel(M.cols, rows, pivots))
+    """Solve ``M x = b`` exactly, as a :class:`LinearSolution`."""
+    echelon, pivots, consistent = _eliminate(M, b)
+    particular = _substitute(M.cols, echelon, pivots, M.cols, -1) if consistent else None
+    return LinearSolution(particular, _kernel(M.cols, echelon, pivots))
 
 
 def kernel_basis(M):
     """Exact basis of the null space of ``M``; deterministic ordering."""
-    return _kernel(M.cols, *_reduce(M))
+    return _kernel(M.cols, *_eliminate(M)[:2])
 
 
 def rank(M):
-    return len(_reduce(M)[1])
+    return len(_eliminate(M)[1])

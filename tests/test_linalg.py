@@ -1,8 +1,16 @@
 from fractions import Fraction
+from math import gcd
 
 from conftest import rng_for
 from kvtower.kv import _GradedSystem
-from kvtower.linalg import QMatrix, kernel_basis, rank, solve_linear
+from kvtower.linalg import (
+    QMatrix,
+    _eliminate,
+    _particular,
+    kernel_basis,
+    rank,
+    solve_linear,
+)
 
 import pytest
 
@@ -167,7 +175,7 @@ def test_presolved_matches_solve_linear():
             for b in (M.mul_vector(x), bad):
                 particular, kernel, r = _reference_solve(M, b)
                 sol = solve_linear(M, b)
-                assert sol.particular == particular
+                assert sol.particular == _particular(M, b) == particular
                 assert sol.kernel_basis == kernel_basis(M) == kernel
                 assert rank(M) == r
                 assert particular is not None or b is bad
@@ -233,7 +241,7 @@ def test_sparse_eliminator_matches_reference_on_larger_sparse_matrices():
         for b in (M.mul_vector(x), bad):
             particular, kernel, r = _reference_solve(M, b)
             sol = solve_linear(M, b)
-            assert sol.particular == particular
+            assert sol.particular == _particular(M, b) == particular
             assert sol.kernel_basis == kernel_basis(M) == kernel
             assert rank(M) == r
             assert particular is not None or b is bad
@@ -257,6 +265,45 @@ def test_sparse_eliminator_matches_reference_on_graded_systems(
         b = M.mul_vector(x)
         particular, kernel, r = _reference_solve(M, b)
         sol = solve_linear(M, b)
-        assert sol.particular == particular is not None
+        assert sol.particular == _particular(M, b) == particular is not None
         assert sol.kernel_basis == kernel_basis(M) == kernel
         assert rank(M) == r
+
+
+def _assert_echelon(M, b):
+    """Every row the elimination returns is a primitive integer row that
+    starts at its own pivot."""
+    echelon, pivots, _ = _eliminate(M, b)
+    assert len(echelon) == len(pivots) == rank(M)
+    for row, c in zip(echelon, pivots):
+        assert all(type(v) is int and v != 0 for v in row.values())
+        assert gcd(*row.values()) == 1
+        assert min(row) == c
+    return len(echelon)
+
+
+def test_eliminated_rows_are_primitive_integer_rows():
+    # Without the content division the answers stay the same, but the
+    # integers grow exponentially; only the rows themselves show it.
+    rng = rng_for("linalg-primitive")
+    rows = 0
+    for _ in range(20):
+        M = _sparse_matrix(rng)
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(M.cols)]
+        rows += _assert_echelon(M, M.mul_vector(x))
+    for with_bracket_rows, n in ((True, 8), (False, 9)):
+        M = _GradedSystem(n, with_bracket_rows).matrix
+        x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(M.cols)]
+        rows += _assert_echelon(M, M.mul_vector(x))
+    assert rows > 400
+
+
+def test_pivot_rule_takes_the_shortest_holder_and_the_first_on_ties():
+    # Column 0: rows 1 and 2 tie as the shortest holders, behind the
+    # longer row 0, so row 1 is the pivot.  Column 1: row 0 (now
+    # [0, 2, 2, -1]) is again longer than row 2 (now [0, 2, 0, -3]).
+    M = QMatrix.from_rows([[1, 1, 1, 0], [2, 0, 0, 1], [3, 1, 0, 0]])
+    echelon, pivots, consistent = _eliminate(M)
+    assert pivots == [0, 1, 2]
+    assert echelon == [{0: 2, 3: 1}, {1: 2, 3: -3}, {2: 1, 3: 1}]
+    assert consistent

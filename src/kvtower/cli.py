@@ -208,7 +208,14 @@ def run_command(argv):
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        # The interpreter flushes stdout again at exit; that write goes nowhere.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 2
     except (DocumentError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -163,14 +163,16 @@ def _slot_columns(letter, k):
 
 class _GradedSystem:
     """The degree-n linear system shared by the extension step and the
-    graded-dimension solver.
+    graded-dimension solver, and itself the matrix :mod:`kvtower.linalg`
+    reads: ``rows``, ``cols`` and ``entries``, (row, col) -> nonzero ``int``.
 
     Columns: the normalized coordinates of the first slot, then of the
     second slot (:func:`_slot_columns`), then, for n >= 2, the Duflo
     multiplier.  Rows: optionally the generator-bracket equation
     ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the divergence
     equation over the degree-n necklaces.  The two kinds of row key differ
-    in length, so one word -> row index serves both.
+    in length, so one word -> row index serves both.  Entries are structure
+    constants and ``nums`` (denominator 1) of divergences and the Duflo pattern.
     """
 
     def __init__(self, n, with_bracket_rows):
@@ -179,23 +181,21 @@ class _GradedSystem:
         self.cols1 = _slot_columns("x", n)
         self.cols2 = _slot_columns("y", n)
         lw = lyndon_words(cap) if with_bracket_rows else ()
-        self.row_index = {w: i for i, w in enumerate(lw + necklaces(n))}
-        ncols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
-        M = QMatrix(len(self.row_index), ncols)
+        self.row_index = index = {w: i for i, w in enumerate(lw + necklaces(n))}
+        self.rows = len(index)
+        self.cols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
+        self.entries = entries = {}
         zero = LieElt.zero(cap)
         columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
         for j, (letter, w) in enumerate(columns):
-            if with_bracket_rows:
-                for ww, c in bracket_table(letter, w).items():
-                    M[self.row_index[ww], j] = c
-            u = LieElt(cap, {w: 1})
+            brackets = bracket_table(letter, w) if with_bracket_rows else {}
+            u = LieElt._from_ints(cap, {w: 1}, 1)
             div = divergence(TDer(u, zero) if letter == "x" else TDer(zero, u))
-            for ww, c in div.coeffs.items():
-                M[self.row_index[ww], j] = c
+            for ww, c in (*brackets.items(), *div.nums.items()):
+                entries[index[ww], j] = c
         if n >= 2:
-            for ww, c in duflo_pattern(n, "sum", cap).coeffs.items():
-                M[self.row_index[ww], ncols - 1] = -c
-        self.matrix = M
+            for ww, c in duflo_pattern(n, "sum", cap).nums.items():
+                entries[index[ww], self.cols - 1] = -c
 
     def tder_from(self, values, cap):
         """Read a homogeneous derivation off a solution/kernel vector,
@@ -208,14 +208,14 @@ class _GradedSystem:
     def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or
         cyclic element keyed by row words, read off at its cap."""
-        rhs = [Fraction(0)] * self.matrix.rows
-        for w, c in defect.coeffs.items():
+        rhs = [0] * self.rows
+        for w, c in defect.nums.items():
             if w not in self.row_index:
                 raise InconsistentSystem(
                     f"degree-{self.n} graded system has no row for defect word {w}"
                 )
-            rhs[self.row_index[w]] = -c
-        particular = _particular(self.matrix, rhs)
+            rhs[self.row_index[w]] = Fraction(-c, defect.den)
+        particular = _particular(self, rhs)
         if particular is None:
             raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
         return self.tder_from(particular, defect.cap)
@@ -320,7 +320,7 @@ def krv_dim(n):
     eliminated from the reported basis.
     """
     system = _GradedSystem(n, with_bracket_rows=True)
-    kernel = kernel_basis(system.matrix)
+    kernel = kernel_basis(system)
     basis = [system.tder_from(vec, n) for vec in kernel]
     return len(basis), basis
 

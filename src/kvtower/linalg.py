@@ -1,14 +1,14 @@
 """Exact linear algebra over the rationals.
 
-Matrices hold ``fractions.Fraction`` entries, so no rounding ever occurs.
-The one elimination, :func:`_eliminate`, works forward on primitive
-integer rows: dicts col -> nonzero ``int`` with the denominators cleared
-and the content divided out, and a right-hand side, if any, under a
-column key of its own.  Columns go in ascending order; a column's pivot
-is the shortest unreduced row holding it (the first in row order on
-ties), which keeps fill-in low on the very sparse graded systems.  Each
-other holder becomes ``a*row - f*pivot``, made primitive again; reduced
-rows are never touched, and answers come by back-substitution.
+Functions read only ``M.rows``, ``M.cols`` and ``M.entries``, a dict
+(row, col) -> nonzero ``int`` or ``Fraction``; :class:`QMatrix` has those,
+and so has ``kv._GradedSystem``, with ``int`` entries.  :func:`_eliminate`,
+the one elimination, works forward on primitive integer rows (denominators
+cleared, content divided out), with a right-hand side, if any, under a
+column key of its own.  Columns go in ascending order; a column's pivot is
+the shortest unreduced row holding it (the first on ties), which keeps
+fill-in low.  Each other holder becomes ``a*row - f*pivot``, made primitive
+again; reduced rows are never touched, and answers come by back-substitution.
 
 They equal those of the unique reduced row echelon form: back-elimination
 changes only reduced rows, and each update here is a nonzero multiple of

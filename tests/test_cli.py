@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -301,6 +304,40 @@ def test_unwritable_out_exit_code(command, tmp_path, capsys):
     assert code == 2
     assert "cannot write" in err
     assert not target.exists()
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--in", str(SOL10), "--degree", "4", "--variant", "SolKV"],
+        ["dims", "--max-degree", "6"],
+        ["bch", "--degree", "5"],
+    ],
+    ids=["verify", "dims", "bch"],
+)
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+def test_closed_stdout_exit_code(argv, unbuffered):
+    # The reading end of stdout is closed before the process starts, so
+    # every write to it fails; this is an I/O error, not a failed check.
+    # Buffered, the output also stays behind for the flush at exit.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "kvtower.cli", *argv],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            env=env,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: ") and proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
 
 
 def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):

@@ -3,7 +3,7 @@ from pathlib import Path
 
 from conftest import rng_for
 import kvtower.kv
-from kvtower.cyclic import CycElt
+from kvtower.cyclic import CycElt, duflo_pattern
 from kvtower.documents import parse_document
 from kvtower.errors import InconsistentSystem, PreconditionFailed
 from kvtower.kv import (
@@ -22,11 +22,12 @@ from kvtower.kv import (
     solve_duflo,
     torsor_quotient,
 )
-from kvtower.lie import LieElt
+from kvtower.lie import LieElt, bracket_table
 from kvtower.linalg import QMatrix, rank
 from kvtower.tangential import (
     TAutElt,
     TDer,
+    divergence,
     taut_compose,
     taut_exp,
     taut_inverse,
@@ -34,7 +35,7 @@ from kvtower.tangential import (
     tder_bracket,
     valuation,
 )
-from kvtower.words import lyndon_words
+from kvtower.words import lyndon_words, necklaces
 
 import pytest
 
@@ -388,6 +389,40 @@ def test_graded_system_rejects_a_defect_word_without_a_row():
     system = _GradedSystem(3, with_bracket_rows=True)
     with pytest.raises(InconsistentSystem, match="xxxxy"):
         system.solve(LieElt(5, {"xxxxy": 1}))
+
+
+def _fraction_graded_matrix(n, with_bracket_rows):
+    """The graded system as it was built before it held its own integer
+    entries: each column's divergence read through ``.coeffs`` into a
+    ``QMatrix``, with the same rows and columns."""
+    cap = n + 1
+    lw = lyndon_words(cap) if with_bracket_rows else ()
+    row = {w: i for i, w in enumerate(lw + necklaces(n))}
+    columns = [(g, w) for g in "xy" for w in lyndon_words(n) if w != g]
+    M = QMatrix(len(row), len(columns) + (1 if n >= 2 else 0))
+    zero = LieElt.zero(cap)
+    for j, (letter, w) in enumerate(columns):
+        if with_bracket_rows:
+            for ww, c in bracket_table(letter, w).items():
+                M[row[ww], j] = c
+        u = LieElt(cap, {w: 1})
+        div = divergence(TDer(u, zero) if letter == "x" else TDer(zero, u))
+        for ww, c in div.coeffs.items():
+            M[row[ww], j] = c
+    if n >= 2:
+        for ww, c in duflo_pattern(n, "sum", cap).coeffs.items():
+            M[row[ww], M.cols - 1] = -c
+    return M
+
+
+def test_graded_system_holds_the_integer_entries_of_the_fraction_build():
+    for n in range(1, 11):
+        for with_bracket_rows in (True, False):
+            S = _GradedSystem(n, with_bracket_rows)
+            M = _fraction_graded_matrix(n, with_bracket_rows)
+            assert (S.rows, S.cols) == (M.rows, M.cols)
+            assert all(type(v) is int for v in S.entries.values())
+            assert S.entries == M.entries
 
 
 def test_krv_basis_elements_satisfy_equations():

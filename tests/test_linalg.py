@@ -252,22 +252,35 @@ def test_sparse_eliminator_matches_reference_on_larger_sparse_matrices():
     assert deficient > 0 and longer_first > 0
 
 
+def _qmatrix(S):
+    """A ``QMatrix`` copy of a graded system's integer entries, for
+    ``mul_vector`` and the dense reference."""
+    M = QMatrix(S.rows, S.cols)
+    for key, v in S.entries.items():
+        M[key] = v
+    return M
+
+
 @pytest.mark.parametrize(
     "with_bracket_rows, degrees", [(True, range(1, 9)), (False, range(2, 9))]
 )
 def test_sparse_eliminator_matches_reference_on_graded_systems(
     with_bracket_rows, degrees
 ):
+    # The system itself is the matrix; its copy eliminates to the same rows,
+    # so every answer on the two is the same.
     rng = rng_for(f"linalg-graded-{with_bracket_rows}")
     for n in degrees:
-        M = _GradedSystem(n, with_bracket_rows).matrix
+        S = _GradedSystem(n, with_bracket_rows)
+        M = _qmatrix(S)
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(M.cols)]
         b = M.mul_vector(x)
         particular, kernel, r = _reference_solve(M, b)
-        sol = solve_linear(M, b)
-        assert sol.particular == _particular(M, b) == particular is not None
-        assert sol.kernel_basis == kernel_basis(M) == kernel
-        assert rank(M) == r
+        sol = solve_linear(S, b)
+        assert sol.particular == _particular(S, b) == particular is not None
+        assert sol.kernel_basis == kernel_basis(S) == kernel
+        assert rank(S) == r
+        assert _eliminate(S, b) == _eliminate(M, b)
 
 
 def _assert_echelon(M, b):
@@ -292,9 +305,12 @@ def test_eliminated_rows_are_primitive_integer_rows():
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 2)) for _ in range(M.cols)]
         rows += _assert_echelon(M, M.mul_vector(x))
     for with_bracket_rows, n in ((True, 8), (False, 9)):
-        M = _GradedSystem(n, with_bracket_rows).matrix
+        S = _GradedSystem(n, with_bracket_rows)
+        M = _qmatrix(S)
         x = [Fraction(rng.randint(-3, 3), rng.randint(1, 3)) for _ in range(M.cols)]
-        rows += _assert_echelon(M, M.mul_vector(x))
+        b = M.mul_vector(x)
+        rows += _assert_echelon(S, b)
+        assert _eliminate(S, b) == _eliminate(M, b)
     assert rows > 400
 
 

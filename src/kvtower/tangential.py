@@ -7,10 +7,11 @@ fixes the representative modulo the kernel of pairs -> derivations.
 
 A tangential automorphism is stored by its normalized exponent pair
 ``F = (e^{f1}, e^{f2})``, acting by ``x -> e^{-f1} x e^{f1}`` and
-``y -> e^{-f2} y e^{f2}``.  Composition, inversion, exponential and
-logarithm are all computed degree by degree in exact arithmetic.  Both
-pair types take equality, hashing, truncation and zero extension from one
-base, ``_Pair``, and keep their own normalization.
+``y -> e^{-f2} y e^{f2}``.  Composition, exponential and logarithm are
+computed degree by degree in exact arithmetic, and the inverse is the
+exponential of the negated log.  Both pair types take equality, hashing,
+truncation and zero extension from one base, ``_Pair``, and keep their
+own normalization.
 
 The action of an automorphism on the generators only sees exponent terms
 below the cap, so both directions between a derivation and its
@@ -40,8 +41,7 @@ action sum the stored integer numerators of their inputs and images, as
 import math
 from fractions import Fraction
 
-from .assoc import AssocElt
-from .cyclic import CycElt, _rotated_sums, trace
+from .cyclic import CycElt, _rotated_sums
 from .errors import InconsistentSystem
 from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
 from .sparse import _exp_series, _require_same_cap
@@ -186,7 +186,7 @@ def divergence(u):
     den = math.lcm(a1.den, a2.den)
     keep = {w: n * (den // a1.den) for w, n in a1.nums.items() if w.endswith("x")}
     keep.update((w, n * (den // a2.den)) for w, n in a2.nums.items() if w.endswith("y"))
-    return trace(AssocElt._from_ints(u.cap, keep, den))
+    return CycElt._from_ints(u.cap, _rotated_sums(keep), den)
 
 
 def _cyc_action(u):
@@ -273,7 +273,8 @@ class TAutElt(_Pair):
 
 
 class _AutEngine(_Engine):
-    """Applies one tangential automorphism.
+    """Applies one tangential automorphism, for :func:`taut_apply` and
+    :func:`taut_compose`.
 
     Images of the generators are the conjugation series
     ``x + [x, f1] + [[x, f1], f1]/2 + ...``; images of longer Lyndon
@@ -286,18 +287,6 @@ class _AutEngine(_Engine):
 
     def _from_factors(self, p, q):
         return lie_bracket(self._image(p), self._image(q))
-
-    def inverse_apply(self, w):
-        """Solve ``F(v) = w`` for ``v``; the deviation of F from the
-        identity raises degree, so fixed-point iteration settles in at
-        most ``cap`` rounds."""
-        v = w
-        for _ in range(self.cap + 2):
-            defect = w - self.apply(v)
-            if defect.is_zero():
-                return v
-            v = v + defect
-        raise InconsistentSystem("inverse application did not converge")
 
 
 def taut_apply(F, w):
@@ -315,9 +304,9 @@ def taut_compose(F, G):
 
 
 def taut_inverse(F):
-    """Group inverse; its exponents are ``-F^{-1}(f_i)``."""
-    eng = _AutEngine(F)
-    return TAutElt(-eng.inverse_apply(F.f1), -eng.inverse_apply(F.f2))
+    """Group inverse: ``exp(-w)`` inverts ``exp(w)`` in the degree-``cap``
+    quotient group, so it is the exponential of the negated log."""
+    return taut_exp(-taut_log(F))
 
 
 def _solve_generator_bracket(letter, k, rhs):

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import kvtower.cli
 import kvtower.kv
 import kvtower.tangential
 from kvtower.cli import emit_report, run_command
@@ -348,6 +349,27 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
     assert code == 3
     assert "internal inconsistency" in err
+
+
+@pytest.mark.parametrize(
+    "exc_type, argv",
+    [
+        (KeyError, ["verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV"]),
+        (ValueError, ["dims", "--max-degree", "3"]),
+    ],
+    ids=["verify", "dims"],
+)
+def test_unexpected_exception_exit_code(exc_type, argv, capsys, monkeypatch):
+    # A bug is an internal error shown with its traceback, not a failed check.
+    def fail(*args):
+        raise exc_type("injected fault")
+
+    monkeypatch.setitem(kvtower.cli._CHECKERS, "SolKV", fail)
+    monkeypatch.setattr("kvtower.cli.krv_dim", fail)
+    code, _, err = run(capsys, *argv)
+    assert code == 3
+    assert "Traceback" in err
+    assert f"{exc_type.__name__}: " in err
 
 
 def test_verify_normalises_at_the_checked_degree(tmp_path, capsys, monkeypatch):

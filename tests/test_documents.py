@@ -175,6 +175,33 @@ def test_duflo_series_preserved():
     assert doc.duflo[2] == Fraction(1, 48)
 
 
+def _duflo_entry(k):
+    return {"k": k, "num": "1", "den": "48"}
+
+
+@pytest.mark.parametrize(
+    "duflo, message, field",
+    [
+        ({"k": 2}, "duflo: expected a list", "duflo"),
+        ([{"k": 2, "num": "1"}], "duflo[0]: expected k/num/den keys", "duflo[0]"),
+        ([{"word": "x", "num": "1", "den": "1"}], "duflo[0]: expected k/num/den keys", "duflo[0]"),
+        ([_duflo_entry(True)], "duflo[0]: k must be an integer in 2..cap", "duflo[0]"),
+        ([_duflo_entry("2")], "duflo[0]: k must be an integer in 2..cap", "duflo[0]"),
+        ([_duflo_entry(1)], "duflo[0]: k must be an integer in 2..cap", "duflo[0]"),
+        ([_duflo_entry(5)], "duflo[0]: k must be an integer in 2..cap", "duflo[0]"),
+        ([_duflo_entry(2), _duflo_entry(2)], "duflo[1]: duplicate index 2", "duflo[1]"),
+    ],
+    ids=["not-a-list", "missing-key", "wrong-keys", "k-bool", "k-string", "k-one",
+         "k-above-cap", "duplicate-k"],
+)
+def test_parse_rejects_bad_duflo_entries(duflo, message, field):
+    data = dict(json.loads(IDENTITY_TEXT), cap=4, duflo=duflo)
+    with pytest.raises(DocumentError) as info:
+        parse_document(json.dumps(data))
+    assert str(info.value) == message
+    assert info.value.field == field
+
+
 def _mutants(data, rng, count):
     """Seeded byte flips, deletions and truncations of ``data``."""
     for i in range(count):

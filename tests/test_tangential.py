@@ -39,6 +39,9 @@ from kvtower.words import lyndon_words, necklaces
 import pytest
 
 
+SOL10 = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
+
+
 def xy_pair(cap):
     return LieElt.gen_x(cap), LieElt.gen_y(cap)
 
@@ -409,20 +412,44 @@ def test_inverse_roundtrip():
         assert taut_inverse(Fi) == F
 
 
-def test_inverse_apply_raises_when_the_iteration_does_not_settle():
-    cap = 3
-    eng = _AutEngine(TAutElt.identity(cap))
-    calls = []
+def _reference_inverse(F):
+    # The fixed-point solve the group inverse used before it became
+    # exp(-log F): the exponents of F^{-1} are -F^{-1}(f_i), and F^{-1}(w)
+    # is the fixed point of v -> v + (w - F(v)).  F minus the identity
+    # raises degree, so the iteration settles within cap rounds.
+    apply = _AutEngine(F).apply
 
-    def doubling(v):
-        calls.append(v)
-        return 2 * v
+    def inverse_apply(w):
+        v = w
+        for _ in range(F.cap + 2):
+            defect = w - apply(v)
+            if defect.is_zero():
+                return v
+            v = v + defect
+        raise AssertionError("the fixed-point iteration did not settle")
 
-    eng.apply = doubling
-    with pytest.raises(InconsistentSystem, match="inverse application did not converge"):
-        eng.inverse_apply(LieElt.gen_x(cap))
-    # Every round applies the map once; the last round is the re-check.
-    assert len(calls) == cap + 2
+    return TAutElt(-inverse_apply(F.f1), -inverse_apply(F.f2))
+
+
+def test_inverse_matches_reference():
+    rng = rng_for("taut-inverse-reference")
+    crossed = 0
+    for cap in range(1, 9):
+        for i in range(4):
+            F = random_taut(rng, cap, terms=3)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                F = TAutElt(F.f1 + c1, F.f2 + c2)
+            crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
+            assert taut_inverse(F) == _reference_inverse(F)
+    assert crossed >= 16
+
+
+def test_inverse_matches_reference_on_the_degree_10_solution():
+    F = parse_document(SOL10.read_text()).to_taut()
+    for n in range(2, 11):
+        Fn = F.truncate(n)
+        assert taut_inverse(Fn) == _reference_inverse(Fn)
 
 
 def test_exp_of_single_slot():

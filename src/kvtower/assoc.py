@@ -10,7 +10,7 @@ product and the exponential and logarithm series.
 
 from fractions import Fraction
 
-from .sparse import SparseElt, _exp_series, _require_same_cap
+from .sparse import SparseElt, _exp_series, _products
 
 
 class AssocElt(SparseElt):
@@ -37,20 +37,11 @@ class AssocElt(SparseElt):
         """Concatenation product, truncated at the cap."""
         if isinstance(other, (int, Fraction)):
             return self.__rmul__(other)
-        _require_same_cap(self, other)
-        cap = self.cap
-        # The terms of other that fit after a term of self, by the room left.
-        fits = {}
         out = {}
-        for wa, ca in self.nums.items():
-            room = cap - len(wa)
-            right = fits.get(room)
-            if right is None:
-                right = fits[room] = [(wb, cb) for wb, cb in other.nums.items() if len(wb) <= room]
-            for wb, cb in right:
-                w = wa + wb
-                out[w] = out.get(w, 0) + ca * cb
-        return AssocElt._from_ints(cap, out, self.den * other.den)
+        for wa, wb, c in _products(self, other):
+            w = wa + wb
+            out[w] = out.get(w, 0) + c
+        return AssocElt._from_ints(self.cap, out, self.den * other.den)
 
     @staticmethod
     def _show(w):

@@ -35,7 +35,7 @@ def emit_report(report):
     if report.duflo_residual is not None:
         for word, c in report.duflo_residual.sorted_terms():
             lines.append(f"residual {word} {c}")
-    elif report.duflo is not None:
+    else:
         for k, c in report.duflo.sorted_terms():
             lines.append(f"r_{k} {c}")
     lines.append("PASS" if report.passed else "FAIL")

@@ -33,9 +33,8 @@ class SolutionDocument:
         self.variant = variant
 
     @classmethod
-    def from_taut(cls, F, variant, duflo=None):
-        coeffs = dict(duflo.coeffs) if duflo is not None else {}
-        return cls(F.cap, F.f1.coeffs, F.f2.coeffs, coeffs, variant)
+    def from_taut(cls, F, variant, duflo):
+        return cls(F.cap, F.f1.coeffs, F.f2.coeffs, dict(duflo.coeffs), variant)
 
     def to_taut(self):
         return TAutElt(LieElt(self.cap, self.f1), LieElt(self.cap, self.f2))

@@ -28,7 +28,7 @@ from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import NotPrimitive
-from .sparse import SparseElt, _require_same_cap
+from .sparse import SparseElt, _products, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
@@ -161,21 +161,11 @@ class LieElt(SparseElt):
 
 def lie_bracket(u, v):
     """Lie bracket ``[u, v]`` truncated at the common cap."""
-    _require_same_cap(u, v)
-    cap = u.cap
-    # The terms of v that fit beside a term of u, by the room left.
-    fits = {}
     out = {}
-    for w1, c1 in u.nums.items():
-        room = cap - len(w1)
-        right = fits.get(room)
-        if right is None:
-            right = fits[room] = [(w2, c2) for w2, c2 in v.nums.items() if len(w2) <= room]
-        for w2, c2 in right:
-            c = c1 * c2
-            for w, k in bracket_table(w1, w2).items():
-                out[w] = out.get(w, 0) + c * k
-    return LieElt._from_ints(cap, out, u.den * v.den)
+    for w1, w2, c in _products(u, v):
+        for w, k in bracket_table(w1, w2).items():
+            out[w] = out.get(w, 0) + c * k
+    return LieElt._from_ints(u.cap, out, u.den * v.den)
 
 
 def lie_to_assoc(u):

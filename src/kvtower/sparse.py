@@ -22,7 +22,9 @@ exact, so :attr:`SparseElt.coeffs` and :meth:`SparseElt.coeff` give the
 same reduced ``Fraction``s that coefficient loops would give; documents
 and reports read those.  The module also holds :func:`_exp_series`, the
 one truncated exponential series; with a shift it also sums the Jacobian
-series ``sum_k w^k(j)/(k+1)!``.
+series ``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over
+the pairs of terms whose product stays under the cap, which the bracket
+and the associative product share.
 """
 
 from fractions import Fraction
@@ -158,6 +160,22 @@ class SparseElt:
         if not self.nums:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
+
+
+def _products(a, b):
+    """The products ``(wa, wb, na * nb)`` of a term ``na * wa`` of ``a`` and
+    a term ``nb * wb`` of ``b`` whose degrees sum to at most the common cap;
+    the numerators' sums are over ``a.den * b.den``."""
+    _require_same_cap(a, b)
+    # The terms of b that fit beside a term of a, by the room left.
+    fits = {}
+    for wa, na in a.nums.items():
+        room = a.cap - len(wa)
+        right = fits.get(room)
+        if right is None:
+            right = fits[room] = [(wb, nb) for wb, nb in b.nums.items() if len(wb) <= room]
+        for wb, nb in right:
+            yield wa, wb, na * nb
 
 
 def _exp_series(v, step, shift=0):

@@ -3,85 +3,85 @@
 Words are plain Python strings with ``x < y`` in the lexicographic order,
 so built-in string comparison is the right order everywhere.  Lyndon words
 index the basis of the graded free Lie algebra; rotation-minimal words
-(necklaces) index cyclic words.
+(necklaces) index cyclic words.  Both lists come from one cached pass of
+Duval's algorithm, and the Lyndon test is Duval's one-pass scan, linear in
+the length of the word.
 """
 
 from functools import lru_cache
 
-ALPHABET = "xy"
-
-
-def all_words(n):
-    """All words of length ``n`` in lexicographic order."""
-    if n == 0:
-        return [""]
-    out = [""]
-    for _ in range(n):
-        out = [w + c for w in out for c in ALPHABET]
-    return out
-
-
-def rotations(word):
-    return [word[i:] + word[:i] for i in range(len(word))]
-
 
 def min_rotation(word):
     """Lexicographically least rotation; the canonical necklace form."""
-    if len(word) < 2:
+    n = len(word)
+    if n < 2:
         return word
-    return min(rotations(word))
+    ww = word + word
+    return min(ww[i:i + n] for i in range(n))
 
 
 def is_lyndon(word):
-    """True iff ``word`` is strictly smaller than all its proper rotations."""
-    if not word:
-        return False
-    return all(word < word[i:] + word[:i] for i in range(1, len(word)))
+    """True iff ``word`` is strictly smaller than all its proper rotations.
+
+    Duval's scan: ``word[:j]`` is a prefix of a power of a Lyndon word of
+    length ``j - k``, and the whole word is Lyndon when that power is the
+    word itself."""
+    k, j = 0, 1
+    while j < len(word) and word[k] <= word[j]:
+        k = k + 1 if word[k] == word[j] else 0
+        j += 1
+    return j == len(word) and k == 0
 
 
 @lru_cache(maxsize=None)
+def _duval(n):
+    """The Lyndon words of length ``n`` and the necklaces of length ``n``,
+    both in lexicographic order, from one pass of Duval's algorithm.
+
+    The pass visits every Lyndon word of length at most ``n`` in
+    lexicographic order; the periodic extensions to length ``n`` of those
+    whose length divides ``n`` are the necklaces, in order
+    (Fredricksen–Kessler–Maiorana)."""
+    lyndon, necks = [], []
+    w = "x"
+    while w:
+        m = len(w)
+        w = (w * (n // m + 1))[:n]
+        if n % m == 0:
+            necks.append(w)
+            if m == n:
+                lyndon.append(w)
+        # The next Lyndon word: drop the trailing y's, then the last x
+        # becomes y.
+        w = w.rstrip("y")
+        w = w and w[:-1] + "y"
+    return tuple(lyndon), tuple(necks)
+
+
 def lyndon_words(n):
     """All Lyndon words of degree ``n`` in lexicographic order.
 
-    Uses Duval's generation algorithm; the list length equals the
-    dimension of the degree-``n`` part of the free Lie algebra on two
-    generators.
+    The list length equals the dimension of the degree-``n`` part of the
+    free Lie algebra on two generators.
     """
     if n < 1:
         raise ValueError("degree must be >= 1")
-    out = []
-    w = [0]
-    k = len(ALPHABET)
-    while w:
-        if len(w) == n:
-            out.append("".join(ALPHABET[c] for c in w))
-        # Duval step: extend periodically to length n, then increment.
-        m = len(w)
-        w = [w[i % m] for i in range(n)]
-        while w and w[-1] == k - 1:
-            w.pop()
-        if w:
-            w[-1] += 1
-    # Duval emits Lyndon words of every length <= n in lexicographic
-    # order; only the full-degree ones are kept.
-    return tuple(out)
+    return _duval(n)[0]
 
 
-@lru_cache(maxsize=None)
 def necklaces(n):
     """All rotation-minimal words of degree ``n``, lexicographically."""
-    if n == 0:
-        return ("",)
-    return tuple(w for w in all_words(n) if w == min_rotation(w))
+    return _duval(n)[1]
 
 
 @lru_cache(maxsize=None)
 def standard_factorization(word):
     """Split a Lyndon word as ``(u, v)`` with ``v`` the longest proper
-    Lyndon suffix; the bracketing ``[B(u), B(v)]`` is the basis element."""
+    Lyndon suffix; the bracketing ``[B(u), B(v)]`` is the basis element.
+
+    That suffix is the least proper suffix, which also holds for a word
+    that is not Lyndon."""
     if len(word) < 2:
         raise ValueError("degree-1 words do not factor")
-    for i in range(1, len(word)):
-        if is_lyndon(word[i:]):
-            return word[:i], word[i:]
-    raise ValueError(f"not a Lyndon word: {word!r}")
+    v = min(word[i:] for i in range(1, len(word)))
+    return word[:-len(v)], v

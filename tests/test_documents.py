@@ -1,4 +1,5 @@
 import json
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -45,6 +46,27 @@ def test_parse_rejects_non_lyndon_word():
         parse_document(text)
     assert "Lyndon" in str(info.value)
     assert info.value.field == "f1[0]"
+
+
+def test_parse_checks_a_long_word_in_linear_time():
+    # x^199999 y is Lyndon.  A Lyndon test that compares the word with
+    # each of its rotations takes quadratic time, over 10 s on this word;
+    # Duval's scan reads it once.
+    word = "x" * 199999 + "y"
+    text = json.dumps(
+        {
+            "format_version": "1",
+            "cap": 200001,
+            "f1": [{"word": word, "num": "1", "den": "1"}],
+            "f2": [],
+            "duflo": [],
+            "variant": "SolKV",
+        }
+    )
+    start = time.process_time()
+    doc = parse_document(text)
+    assert time.process_time() - start < 2
+    assert doc.f1 == {word: 1}
 
 
 def test_parse_rejects_zero_denominator():
@@ -153,7 +175,7 @@ def test_identity_document_roundtrip():
 
 def test_emitted_words_are_canonically_ordered():
     F = extend_solkv(TAutElt.identity(1), 5)
-    doc = SolutionDocument.from_taut(F, "SolKV")
+    doc = SolutionDocument.from_taut(F, "SolKV", check_sol_kv(F, 5).duflo)
     payload = json.loads(emit_document(doc))
     words = [entry["word"] for entry in payload["f1"]]
     assert words == sorted(words, key=lambda w: (len(w), w))

@@ -2,6 +2,7 @@
 
 import math
 from fractions import Fraction
+from itertools import product
 
 from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
 from kvtower.assoc import AssocElt
@@ -10,9 +11,15 @@ from kvtower.errors import CapMismatch
 from kvtower.lie import LieElt, basis_expansion, lie_bracket, lie_to_assoc
 from kvtower.sparse import _exp_series
 from kvtower.tangential import TDer, cyc_tder_act, divergence, jacobian, taut_apply, tder_apply
-from kvtower.words import all_words, lyndon_words, necklaces
+from kvtower.words import lyndon_words, necklaces
 
 import pytest
+
+
+def all_words(n):
+    """All words of length ``n`` in lexicographic order."""
+    return ["".join(letters) for letters in product("xy", repeat=n)]
+
 
 # Element type, its valid words of one degree, a fixed sample and its repr.
 CASES = [

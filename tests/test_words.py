@@ -1,24 +1,56 @@
+"""The word layer against the reference implementations it replaced.
+
+``_reference_*`` are the earlier rotation- and suffix-list forms of each
+function, kept here as oracles: they are quadratic or exponential, which
+is why :mod:`kvtower.words` no longer uses them.
+"""
+
+from itertools import product
+
 from kvtower.words import (
-    all_words,
     is_lyndon,
     lyndon_words,
     min_rotation,
     necklaces,
-    rotations,
     standard_factorization,
 )
 
 import pytest
 
 
+def _words(n):
+    """All words of length ``n`` in lexicographic order."""
+    return ["".join(letters) for letters in product("xy", repeat=n)]
+
+
+def _rotations(word):
+    return [word[i:] + word[:i] for i in range(len(word))]
+
+
+def _reference_is_lyndon(word):
+    """Strictly smaller than every proper rotation."""
+    return bool(word) and all(word < r for r in _rotations(word)[1:])
+
+
+def _reference_min_rotation(word):
+    return min(_rotations(word)) if len(word) >= 2 else word
+
+
+def _reference_factorization(word):
+    """Split before the longest proper Lyndon suffix."""
+    for i in range(1, len(word)):
+        if _reference_is_lyndon(word[i:]):
+            return word[:i], word[i:]
+
+
+def _reference_necklaces(n):
+    """The rotation-minimal words among all 2^n words."""
+    return tuple(w for w in _words(n) if w == _reference_min_rotation(w))
+
+
 def brute_force_lyndon(n):
     """Independent oracle: minimal-rotation aperiodic words by exhaustion."""
-    out = []
-    for w in all_words(n):
-        rots = rotations(w)
-        if all(w < r for r in rots[1:]):
-            out.append(w)
-    return out
+    return [w for w in _words(n) if _reference_is_lyndon(w)]
 
 
 def mobius(n):
@@ -80,7 +112,7 @@ def test_zero_degree_rejected():
 
 
 def test_against_brute_force_and_witt():
-    for n in range(1, 13):
+    for n in range(1, 15):
         words = list(lyndon_words(n))
         assert words == brute_force_lyndon(n)
         assert len(words) == witt_count(n)
@@ -96,8 +128,10 @@ def test_min_rotation():
 
 
 def test_necklace_enumeration():
-    for n in range(1, 11):
+    assert necklaces(0) == ("",)
+    for n in range(1, 15):
         neck = necklaces(n)
+        assert neck == _reference_necklaces(n)
         assert len(neck) == necklace_count(n)
         assert all(w == min_rotation(w) for w in neck)
         assert list(neck) == sorted(neck)
@@ -108,9 +142,22 @@ def test_standard_factorization():
     assert standard_factorization("xxy") == ("x", "xy")
     assert standard_factorization("xyy") == ("xy", "y")
     assert standard_factorization("xxyxy") == ("xxy", "xy")
+    for w in ("", "x", "y"):
+        with pytest.raises(ValueError):
+            standard_factorization(w)
     for n in range(2, 9):
         for w in lyndon_words(n):
             u, v = standard_factorization(w)
             assert u + v == w
             assert is_lyndon(u) and is_lyndon(v)
             assert u < v
+
+
+def test_word_functions_match_references_on_every_short_word():
+    for n in range(13):
+        for w in _words(n):
+            assert is_lyndon(w) == _reference_is_lyndon(w), w
+            assert min_rotation(w) == _reference_min_rotation(w), w
+            if n >= 2:
+                assert standard_factorization(w) == _reference_factorization(w), w
+

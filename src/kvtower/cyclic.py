@@ -4,17 +4,21 @@ A cyclic word is stored by its canonical necklace — the lexicographically
 least rotation — as a key in the shared sparse form of
 :mod:`kvtower.sparse`, so the trace map just rotates every word to
 canonical form and accumulates the element's stored integer numerators
-over its denominator.  The public constructor rejects keys that are not
-canonical.  The Duflo patterns ``tr(w^k - x^k - y^k)`` of all degrees
-come from one running power of ``w``, a side of the KV equations: ``x +
-y`` or ``bch(x, y)``, by the one map of side names (:func:`_side`) that
-the checkers use too.
+over its denominator; the rotations go through the cached necklace map of
+:mod:`kvtower.words`.  The public constructor rejects keys that are not
+canonical.  The Duflo patterns are ``tr(w^k - x^k - y^k)`` for a side
+``w`` of the KV equations, by the one map of side names (:func:`_side`)
+that the checkers use too.  For ``w = x + y`` each pattern is read off
+the necklaces of degree ``k``: ``(x + y)^k`` is the sum of all words of
+length ``k``, so a necklace's coefficient is its number of distinct
+rotations, its period.  For ``w = bch(x, y)`` the patterns of all degrees
+come from one running power of ``w``.
 """
 
 from .assoc import AssocElt
 from .lie import LieElt, bch_xy, lie_to_assoc
 from .sparse import SparseElt
-from .words import min_rotation
+from .words import _necklace, min_rotation, necklaces
 
 
 class CycElt(SparseElt):
@@ -43,7 +47,7 @@ def _rotated_sums(sums):
     out = {}
     for w, n in sums.items():
         if n:
-            k = min_rotation(w)
+            k = _necklace(w)
             out[k] = out.get(k, 0) + n
     return out
 
@@ -60,9 +64,27 @@ def _side(kind, cap):
     return bch_xy(cap) if kind == "bch" else LieElt(cap, {"x": 1, "y": 1})
 
 
+def _sum_pattern(k, cap):
+    """``tr((x + y)^k - x^k - y^k)``.  Each necklace of degree ``k``
+    counts its distinct rotations: its period, the offset of its second
+    occurrence in ``w + w``.  ``x^k`` and ``y^k``, the necklaces of period
+    one, are left out."""
+    nums = {}
+    for w in necklaces(k):
+        period = (w + w).find(w, 1)
+        if period > 1:
+            nums[w] = period
+    return CycElt._from_ints(cap, nums, 1)
+
+
 def _duflo_patterns(target, cap, low, high):
-    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``low <= k <= high``, taking
-    ``w^k`` from one running product, with ``w`` the side ``target``."""
+    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``low <= k <= high``, with
+    ``w`` the side ``target``: closed forms for ``x + y``, and one running
+    product for ``bch(x, y)``."""
+    if target == "sum":
+        for k in range(low, high + 1):
+            yield k, _sum_pattern(k, cap)
+        return
     w = lie_to_assoc(_side(target, cap))
     power = AssocElt.one(cap)
     for k in range(1, high + 1):

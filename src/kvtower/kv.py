@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from .cyclic import _duflo_patterns, _side, duflo_pattern
 from .errors import InconsistentSystem, PreconditionFailed
-from .lie import LieElt, bch_xy, bracket_table
+from .lie import LieElt, _divergence_row, bch_xy, bracket_table
 from .linalg import QMatrix, _particular, kernel_basis, rank
 from .tangential import (
     TAutElt,
@@ -171,8 +171,11 @@ class _GradedSystem:
     multiplier.  Rows: optionally the generator-bracket equation
     ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the divergence
     equation over the degree-n necklaces.  The two kinds of row key differ
-    in length, so one word -> row index serves both.  Entries are structure
-    constants and ``nums`` (denominator 1) of divergences and the Duflo pattern.
+    in length, so one word -> row index serves both.  Each column's entries
+    are read off the global tables of :mod:`kvtower.lie`: the structure
+    constants of its bracket with the slot's letter and the divergence row
+    of its basis element, so no element is built per column; the Duflo
+    column is the ``nums`` (denominator 1) of the closed-form pattern.
     """
 
     def __init__(self, n, with_bracket_rows):
@@ -185,13 +188,10 @@ class _GradedSystem:
         self.rows = len(index)
         self.cols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
         self.entries = entries = {}
-        zero = LieElt.zero(cap)
         columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
         for j, (letter, w) in enumerate(columns):
             brackets = bracket_table(letter, w) if with_bracket_rows else {}
-            u = LieElt._from_ints(cap, {w: 1}, 1)
-            div = divergence(TDer(u, zero) if letter == "x" else TDer(zero, u))
-            for ww, c in (*brackets.items(), *div.nums.items()):
+            for ww, c in (*brackets.items(), *_divergence_row(letter, w).items()):
                 entries[index[ww], j] = c
         if n >= 2:
             for ww, c in duflo_pattern(n, "sum", cap).nums.items():

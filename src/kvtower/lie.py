@@ -29,14 +29,17 @@ from math import comb, factorial
 from .assoc import AssocElt
 from .errors import NotPrimitive
 from .sparse import SparseElt, _products, _require_same_cap
-from .words import is_lyndon, lyndon_words, standard_factorization
+from .words import _necklace, is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
-# and structure constants of brackets of basis elements.  Both are exact,
-# homogeneous and cap-independent, so the caches are global;
-# clear_caches() empties them and the bch_xy cache in place.
+# structure constants of brackets of basis elements, and the divergence
+# rows (letter, word) -> {necklace: int} of basis elements in one slot.
+# All are exact, homogeneous and cap-independent, so the caches are
+# global and filled on demand; clear_caches() empties them, the bch_xy
+# cache and the necklace cache in place.
 _EXPANSION = {}
 _BRACKET = {}
+_DIVERGENCE = {}
 
 
 def _commutator(a, b):
@@ -63,6 +66,23 @@ def basis_expansion(word):
         u, v = standard_factorization(word)
         result = _commutator(basis_expansion(u), basis_expansion(v))
     _EXPANSION[word] = result
+    return result
+
+
+def _divergence_row(letter, word):
+    """Divergence of the basis element ``B(word)`` in the slot of
+    ``letter``, as a map necklace -> nonzero integer: the trace of the
+    words of its expansion that end in ``letter``."""
+    key = (letter, word)
+    cached = _DIVERGENCE.get(key)
+    if cached is not None:
+        return cached
+    sums = {}
+    for w, c in basis_expansion(word).items():
+        if w[-1] == letter:
+            k = _necklace(w)
+            sums[k] = sums.get(k, 0) + c
+    result = _DIVERGENCE[key] = {k: c for k, c in sums.items() if c}
     return result
 
 
@@ -127,11 +147,14 @@ def bracket_table(w1, w2):
 
 
 def clear_caches():
-    """Empty the global caches of basis expansions, structure constants
-    and ``bch_xy`` series in place; the next use refills them."""
+    """Empty the global caches of basis expansions, structure constants,
+    divergence rows, ``bch_xy`` series and necklaces in place; the next
+    use refills them."""
     _EXPANSION.clear()
     _BRACKET.clear()
+    _DIVERGENCE.clear()
     _BCH_XY.clear()
+    _necklace.cache_clear()
 
 
 class LieElt(SparseElt):

@@ -43,7 +43,7 @@ from fractions import Fraction
 
 from .cyclic import CycElt, _rotated_sums
 from .errors import InconsistentSystem
-from .lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
+from .lie import LieElt, _divergence_row, bch, bracket_table, lie_bracket, lie_to_assoc
 from .sparse import _exp_series, _require_same_cap
 from .words import is_lyndon, lyndon_words, standard_factorization
 
@@ -178,15 +178,20 @@ def divergence(u):
     """The divergence cocycle: ``tr(d_x(u1) x + d_y(u2) y)`` on the
     normalized representative.
 
-    ``d_x(u1) x`` is just the part of ``u1`` whose words end in x, so no
-    word surgery is needed before tracing.  The two parts share no word,
-    so nothing cancels between them.
+    ``d_x(u1) x`` is just the part of ``u1`` whose words end in x, so the
+    divergence is linear in the basis elements of each slot, and each
+    basis element's trace is a cached row of :mod:`kvtower.lie`.  The rows
+    are summed over the lcm of the two slots' denominators.
     """
-    a1, a2 = lie_to_assoc(u.u1), lie_to_assoc(u.u2)
-    den = math.lcm(a1.den, a2.den)
-    keep = {w: n * (den // a1.den) for w, n in a1.nums.items() if w.endswith("x")}
-    keep.update((w, n * (den // a2.den)) for w, n in a2.nums.items() if w.endswith("y"))
-    return CycElt._from_ints(u.cap, _rotated_sums(keep), den)
+    den = math.lcm(u.u1.den, u.u2.den)
+    out = {}
+    for letter, part in (("x", u.u1), ("y", u.u2)):
+        scale = den // part.den
+        for w, n in part.nums.items():
+            n *= scale
+            for k, c in _divergence_row(letter, w).items():
+                out[k] = out.get(k, 0) + n * c
+    return CycElt._from_ints(u.cap, out, den)
 
 
 def _cyc_action(u):

@@ -20,6 +20,12 @@ def min_rotation(word):
     return min(ww[i:i + n] for i in range(n))
 
 
+# The same map, cached, for the trace and the divergence rows, which rotate
+# the same short words over and over.  Words that come from outside, such
+# as a document's, go through the uncached min_rotation.
+_necklace = lru_cache(maxsize=None)(min_rotation)
+
+
 def is_lyndon(word):
     """True iff ``word`` is strictly smaller than all its proper rotations.
 

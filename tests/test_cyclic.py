@@ -97,6 +97,16 @@ def test_running_power_patterns_match_reference(target):
             assert duflo_pattern(k, target, cap) == expected
 
 
+def test_sum_patterns_match_reference_at_higher_caps():
+    for cap in range(8, 13):
+        for k, pattern in _duflo_patterns("sum", cap, 2, cap):
+            assert pattern == _reference_duflo_pattern(k, "sum", cap)
+    # A necklace's coefficient is its number of distinct rotations.
+    assert duflo_pattern(4, "sum", 8).coeff("xyxy") == 2
+    assert duflo_pattern(6, "sum", 8).coeff("xxyxxy") == 3
+    assert duflo_pattern(6, "sum", 8).coeff("xyxyxy") == 2
+
+
 def test_unknown_pattern_target_rejected():
     with pytest.raises(ValueError):
         duflo_pattern(2, "product", 4)

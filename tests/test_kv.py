@@ -22,7 +22,8 @@ from kvtower.kv import (
     solve_duflo,
     torsor_quotient,
 )
-from kvtower.lie import LieElt, bracket_table
+from kvtower import lie
+from kvtower.lie import LieElt, bracket_table, clear_caches
 from kvtower.linalg import QMatrix, rank
 from kvtower.tangential import (
     TAutElt,
@@ -423,6 +424,17 @@ def test_graded_system_holds_the_integer_entries_of_the_fraction_build():
             assert (S.rows, S.cols) == (M.rows, M.cols)
             assert all(type(v) is int for v in S.entries.values())
             assert S.entries == M.entries
+
+
+def test_cold_graded_system_equals_a_warm_one():
+    # The divergence rows and the necklaces are cached across builds; a
+    # build from empty caches must give the same system as one from full.
+    clear_caches()
+    cold = _GradedSystem(9, with_bracket_rows=True)
+    warm = _GradedSystem(9, with_bracket_rows=True)
+    assert lie._DIVERGENCE
+    assert (cold.rows, cold.cols, cold.row_index) == (warm.rows, warm.cols, warm.row_index)
+    assert cold.entries == warm.entries
 
 
 def test_krv_basis_elements_satisfy_equations():

@@ -2,12 +2,13 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_lie, rng_for
-from kvtower import lie
+from kvtower import lie, words
 from kvtower.assoc import AssocElt
 from kvtower.errors import CapMismatch, NotPrimitive
 from kvtower.lie import (
     LieElt,
     _commutator,
+    _divergence_row,
     _lyndon_coords,
     basis_expansion,
     bch_xy,
@@ -152,12 +153,16 @@ def test_bracket_table_matches_the_associative_construction():
 
 
 def test_clear_caches_empties_the_caches_in_place():
-    cached = (lie._EXPANSION, lie._BRACKET, lie._BCH_XY)
+    cached = (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)
+    necklace = words._necklace
     bch_xy(4)
     basis_expansion("xxy")
+    _divergence_row("y", "xxy")
+    assert lie._DIVERGENCE and necklace.cache_info().currsize
     clear_caches()
-    assert (lie._EXPANSION, lie._BRACKET, lie._BCH_XY) == ({}, {}, {})
-    assert all(a is b for a, b in zip(cached, (lie._EXPANSION, lie._BRACKET, lie._BCH_XY)))
+    assert (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY) == ({}, {}, {}, {})
+    assert all(a is b for a, b in zip(cached, (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)))
+    assert words._necklace is necklace and necklace.cache_info().currsize == 0
 
 
 def test_cold_bch_xy_matches_the_golden_series():

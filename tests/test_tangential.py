@@ -160,6 +160,33 @@ def test_divergence_cocycle():
         assert lhs == rhs
 
 
+def _reference_divergence(u):
+    # Both slots expanded into words, the words that end in the slot's
+    # letter kept, then traced.
+    kept = {}
+    for letter, part in (("x", u.u1), ("y", u.u2)):
+        for w, c in lie_to_assoc(part).coeffs.items():
+            if w.endswith(letter):
+                kept[w] = c
+    return trace(AssocElt(u.cap, kept))
+
+
+def test_divergence_matches_reference():
+    rng = rng_for("div-reference")
+    crossed = fractional = 0
+    for cap in range(2, 10):
+        for i in range(4):
+            u = random_tder(rng, cap, terms=4)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                u = TDer(u.u1 + c1, u.u2 + c2)
+            crossed += u.u1.coeff("y") != 0 and u.u2.coeff("x") != 0
+            got = divergence(u)
+            assert got == _reference_divergence(u)
+            fractional += got.den > 1
+    assert crossed >= 12 and fractional >= 8
+
+
 # -- actions on cyclic words --------------------------------------------------
 
 

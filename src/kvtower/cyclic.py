@@ -2,23 +2,24 @@
 
 A cyclic word is stored by its canonical necklace — the lexicographically
 least rotation — as a key in the shared sparse form of
-:mod:`kvtower.sparse`, so the trace map just rotates every word to
-canonical form and accumulates the element's stored integer numerators
-over its denominator; the rotations go through the cached necklace map of
-:mod:`kvtower.words`.  The public constructor rejects keys that are not
+:mod:`kvtower.sparse`, so the trace map is the necklace sum of
+:mod:`kvtower.words` over the element's stored integer numerators, kept
+over its denominator.  The public constructor rejects keys that are not
 canonical.  The Duflo patterns are ``tr(w^k - x^k - y^k)`` for a side
 ``w`` of the KV equations, by the one map of side names (:func:`_side`)
 that the checkers use too.  For ``w = x + y`` each pattern is read off
 the necklaces of degree ``k``: ``(x + y)^k`` is the sum of all words of
 length ``k``, so a necklace's coefficient is its number of distinct
 rotations, its period.  For ``w = bch(x, y)`` the patterns of all degrees
-come from one running power of ``w``.
+come from one running power of ``w``, which starts at ``w`` itself.
+Either way the degree-``k`` part of ``w^k`` is ``(x + y)^k``, so each
+pattern's least word is ``x^(k-1) y``, with coefficient ``k``.
 """
 
 from .assoc import AssocElt
 from .lie import LieElt, bch_xy, lie_to_assoc
 from .sparse import SparseElt
-from .words import _necklace, min_rotation, necklaces
+from .words import _necklace_sums, min_rotation, necklaces
 
 
 class CycElt(SparseElt):
@@ -41,20 +42,9 @@ class CycElt(SparseElt):
         return f"({w})"
 
 
-def _rotated_sums(sums):
-    """Integer sums over words, summed again by canonical necklace; the
-    sums that are zero are skipped."""
-    out = {}
-    for w, n in sums.items():
-        if n:
-            k = _necklace(w)
-            out[k] = out.get(k, 0) + n
-    return out
-
-
 def trace(a):
     """Project an associative element onto cyclic words."""
-    return CycElt._from_ints(a.cap, _rotated_sums(a.nums), a.den)
+    return CycElt._from_ints(a.cap, _necklace_sums(a.nums.items()), a.den)
 
 
 def _side(kind, cap):
@@ -77,22 +67,18 @@ def _sum_pattern(k, cap):
     return CycElt._from_ints(cap, nums, 1)
 
 
-def _duflo_patterns(target, cap, low, high):
-    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``low <= k <= high``, with
-    ``w`` the side ``target``: closed forms for ``x + y``, and one running
+def _duflo_patterns(target, cap):
+    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``2 <= k <= cap``, with ``w``
+    the side ``target``: closed forms for ``x + y``, and one running
     product for ``bch(x, y)``."""
     if target == "sum":
-        for k in range(low, high + 1):
+        for k in range(2, cap + 1):
             yield k, _sum_pattern(k, cap)
         return
-    w = lie_to_assoc(_side(target, cap))
-    power = AssocElt.one(cap)
-    for k in range(1, high + 1):
+    w = power = lie_to_assoc(_side(target, cap))
+    for k in range(2, cap + 1):
         power = power * w
-        if k >= low:
-            xk = AssocElt.word("x" * k, cap)
-            yk = AssocElt.word("y" * k, cap)
-            yield k, trace(power - xk - yk)
+        yield k, trace(power - AssocElt(cap, {"x" * k: 1, "y" * k: 1}))
 
 
 def duflo_pattern(k, target, cap):
@@ -104,5 +90,4 @@ def duflo_pattern(k, target, cap):
     """
     if not 2 <= k <= cap:
         raise ValueError(f"k must satisfy 2 <= k <= cap, got {k}")
-    ((_, pattern),) = _duflo_patterns(target, cap, k, k)
-    return pattern
+    return next(pattern for j, pattern in _duflo_patterns(target, cap) if j == k)

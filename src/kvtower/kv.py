@@ -16,7 +16,7 @@ extension outputs are reproducible bit for bit.
 
 from fractions import Fraction
 
-from .cyclic import _duflo_patterns, _side, duflo_pattern
+from .cyclic import _duflo_patterns, _side, _sum_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, _divergence_row, bch_xy, bracket_table
 from .linalg import QMatrix, _particular, kernel_basis, rank
@@ -98,16 +98,17 @@ def solve_duflo(c, target):
 
     For the ``sum`` target the system is diagonal by degree; for ``bch``
     it is lower-triangular in ``k`` since ``bch(x,y)^k`` starts with
-    ``(x+y)^k``.  Returns ``(series, residual)`` where ``residual`` is
-    ``None`` on success and the unmatched remainder otherwise.
+    ``(x+y)^k``.  Either way the k-th pattern leads with the necklace
+    ``x^(k-1) y`` at coefficient ``k``, so ``r_k`` is the remainder's
+    coefficient there over ``k``.  Returns ``(series, residual)`` where
+    ``residual`` is ``None`` on success and the unmatched remainder
+    otherwise.
     """
     n = c.cap
     remaining = c
     coeffs = {}
-    for k, pattern in _duflo_patterns(target, n, 2, n):
-        lead = pattern.homogeneous_part(k)
-        word, pc = lead.sorted_terms()[0]
-        rk = remaining.coeff(word) / pc
+    for k, pattern in _duflo_patterns(target, n):
+        rk = remaining.coeff("x" * (k - 1) + "y") / k
         if rk != 0:
             coeffs[k] = rk
             remaining = remaining - rk * pattern
@@ -194,7 +195,7 @@ class _GradedSystem:
             for ww, c in (*brackets.items(), *_divergence_row(letter, w).items()):
                 entries[index[ww], j] = c
         if n >= 2:
-            for ww, c in duflo_pattern(n, "sum", cap).nums.items():
+            for ww, c in _sum_pattern(n, cap).nums.items():
                 entries[index[ww], self.cols - 1] = -c
 
     def tder_from(self, values, cap):

@@ -28,8 +28,8 @@ from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import NotPrimitive
-from .sparse import SparseElt, _products, _require_same_cap
-from .words import _necklace, is_lyndon, lyndon_words, standard_factorization
+from .sparse import SparseElt, _combine, _products, _require_same_cap
+from .words import _necklace, _necklace_sums, is_lyndon, lyndon_words, standard_factorization
 
 # Expansion of each Lyndon basis element as an integer word polynomial,
 # structure constants of brackets of basis elements, and the divergence
@@ -77,12 +77,8 @@ def _divergence_row(letter, word):
     cached = _DIVERGENCE.get(key)
     if cached is not None:
         return cached
-    sums = {}
-    for w, c in basis_expansion(word).items():
-        if w[-1] == letter:
-            k = _necklace(w)
-            sums[k] = sums.get(k, 0) + c
-    result = _DIVERGENCE[key] = {k: c for k, c in sums.items() if c}
+    kept = ((w, c) for w, c in basis_expansion(word).items() if w[-1] == letter)
+    result = _DIVERGENCE[key] = _necklace_sums(kept)
     return result
 
 
@@ -194,11 +190,8 @@ def lie_bracket(u, v):
 def lie_to_assoc(u):
     """View a Lie element inside the associative algebra by expanding all
     brackets as commutators."""
-    out = {}
-    for w, c in u.nums.items():
-        for ww, k in basis_expansion(w).items():
-            out[ww] = out.get(ww, 0) + c * k
-    return AssocElt._from_ints(u.cap, out, u.den)
+    terms = [(c, basis_expansion(w), u.den) for w, c in u.nums.items()]
+    return _combine(AssocElt, u.cap, terms)
 
 
 def lie_from_assoc(a):

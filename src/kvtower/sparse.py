@@ -20,11 +20,15 @@ associative product, the engines, the cyclic action and the trace) all
 work on the numerators and multiply the denominators.  The arithmetic is
 exact, so :attr:`SparseElt.coeffs` and :meth:`SparseElt.coeff` give the
 same reduced ``Fraction``s that coefficient loops would give; documents
-and reports read those.  The module also holds :func:`_exp_series`, the
-one truncated exponential series; with a shift it also sums the Jacobian
-series ``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over
-the pairs of terms whose product stays under the cap, which the bracket
-and the associative product share.
+and reports read those.  The module also holds :func:`_combine`, the one
+linear combination ``sum n * row / den`` of integer rows over the lcm of
+their denominators, which the engines, the divergence and
+``lie_to_assoc`` share; :func:`_exp_series`, the one truncated
+exponential series, which with a shift also sums the Jacobian series
+``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over the
+pairs of terms whose product stays under the cap, which the bracket and
+the associative product share.  The sum of two elements, the bracket and
+the associative product keep their own loops, which are their hot paths.
 """
 
 from fractions import Fraction
@@ -160,6 +164,20 @@ class SparseElt:
         if not self.nums:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
+
+
+def _combine(cls, cap, terms):
+    """The element ``sum n * row / den`` of ``cls`` at ``cap``, over a list
+    of triples ``(n, row, den)`` of an integer, an integer row word -> int
+    and a positive denominator: each row is scaled to the lcm of the
+    denominators, over which the rows add."""
+    common = lcm(*(den for _, _, den in terms))
+    out = {}
+    for n, row, den in terms:
+        n *= common // den
+        for w, k in row.items():
+            out[w] = out.get(w, 0) + n * k
+    return cls._from_ints(cap, out, common)
 
 
 def _products(a, b):

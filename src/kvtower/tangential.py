@@ -41,11 +41,11 @@ action sum the stored integer numerators of their inputs and images, as
 import math
 from fractions import Fraction
 
-from .cyclic import CycElt, _rotated_sums
+from .cyclic import CycElt
 from .errors import InconsistentSystem
 from .lie import LieElt, _divergence_row, bch, bracket_table, lie_bracket, lie_to_assoc
-from .sparse import _exp_series, _require_same_cap
-from .words import is_lyndon, lyndon_words, standard_factorization
+from .sparse import _combine, _exp_series, _require_same_cap
+from .words import _necklace_sums, is_lyndon, lyndon_words, standard_factorization
 
 
 class _Pair:
@@ -130,16 +130,11 @@ class _Engine:
         return img
 
     def apply(self, w):
-        """Sum the images on integers: each image's numerators are scaled
-        to the lcm of the image denominators, over which they add."""
-        terms = [(c, self._image(word)) for word, c in w.nums.items()]
-        common = math.lcm(*(img.den for _, img in terms))
-        out = {}
-        for c, img in terms:
-            c *= common // img.den
-            for ww, k in img.nums.items():
-                out[ww] = out.get(ww, 0) + c * k
-        return LieElt._from_ints(self.cap, out, w.den * common)
+        """The image of ``w``: the integer rows of its terms' images,
+        each over ``w.den`` times the image's denominator, summed by
+        :func:`~kvtower.sparse._combine` over the lcm of those."""
+        images = [(c, self._image(word)) for word, c in w.nums.items()]
+        return _combine(LieElt, self.cap, [(c, img.nums, w.den * img.den) for c, img in images])
 
 
 class _DerEngine(_Engine):
@@ -181,17 +176,15 @@ def divergence(u):
     ``d_x(u1) x`` is just the part of ``u1`` whose words end in x, so the
     divergence is linear in the basis elements of each slot, and each
     basis element's trace is a cached row of :mod:`kvtower.lie`.  The rows
-    are summed over the lcm of the two slots' denominators.
+    are summed by :func:`~kvtower.sparse._combine`, over the lcm of the
+    two slots' denominators.
     """
-    den = math.lcm(u.u1.den, u.u2.den)
-    out = {}
-    for letter, part in (("x", u.u1), ("y", u.u2)):
-        scale = den // part.den
-        for w, n in part.nums.items():
-            n *= scale
-            for k, c in _divergence_row(letter, w).items():
-                out[k] = out.get(k, 0) + n * c
-    return CycElt._from_ints(u.cap, out, den)
+    terms = [
+        (n, _divergence_row(letter, w), part.den)
+        for letter, part in (("x", u.u1), ("y", u.u2))
+        for w, n in part.nums.items()
+    ]
+    return _combine(CycElt, u.cap, terms)
 
 
 def _cyc_action(u):
@@ -205,7 +198,8 @@ def _cyc_action(u):
     not change under rotation, so each word is rotated to put the
     acted-on letter first and the image is prepended to the rest.  The
     action sums integer numerators and rotates the sums to necklaces at
-    the end, as :func:`~kvtower.cyclic.trace` does.
+    the end, by the necklace sum of :mod:`kvtower.words` that
+    :func:`~kvtower.cyclic.trace` also uses.
     """
     cap = u.cap
     expanded = {g: lie_to_assoc(img) for g, img in _DerEngine(u)._images.items()}
@@ -226,7 +220,7 @@ def _cyc_action(u):
                         break
                     key = w + rest
                     out[key] = out.get(key, 0) + coeff * k
-        return CycElt._from_ints(cap, _rotated_sums(out), c.den * common)
+        return CycElt._from_ints(cap, _necklace_sums(out.items()), c.den * common)
 
     return act
 

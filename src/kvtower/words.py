@@ -5,7 +5,9 @@ so built-in string comparison is the right order everywhere.  Lyndon words
 index the basis of the graded free Lie algebra; rotation-minimal words
 (necklaces) index cyclic words.  Both lists come from one cached pass of
 Duval's algorithm, and the Lyndon test is Duval's one-pass scan, linear in
-the length of the word.
+the length of the word.  Integer coefficients of words are summed by
+necklace in one place, :func:`_necklace_sums`, for the trace, the cyclic
+action of a derivation and the divergence rows.
 """
 
 from functools import lru_cache
@@ -20,10 +22,21 @@ def min_rotation(word):
     return min(ww[i:i + n] for i in range(n))
 
 
-# The same map, cached, for the trace and the divergence rows, which rotate
-# the same short words over and over.  Words that come from outside, such
-# as a document's, go through the uncached min_rotation.
+# The same map, cached, for the necklace sums of the trace, the cyclic
+# action and the divergence rows, which rotate the same short words over
+# and over.  Words that come from outside, such as a document's, go
+# through the uncached min_rotation.
 _necklace = lru_cache(maxsize=None)(min_rotation)
+
+
+def _necklace_sums(terms):
+    """Integer coefficients ``(word, n)`` summed by necklace, as a map
+    necklace -> nonzero int; the sums that cancel are dropped here."""
+    out = {}
+    for w, n in terms:
+        k = _necklace(w)
+        out[k] = out.get(k, 0) + n
+    return {k: n for k, n in out.items() if n}
 
 
 def is_lyndon(word):

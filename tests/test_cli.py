@@ -188,6 +188,57 @@ def test_unreadable_document_exit_code(content, tmp_path, capsys):
     assert err.startswith("error: ")
 
 
+def _document(**changes):
+    """The identity seed as a JSON-ready dict, with ``changes`` applied."""
+    doc = {"format_version": "1", "cap": 1, "f1": [], "f2": [], "duflo": [],
+           "variant": "SolKV"}
+    doc.update(changes)
+    return doc
+
+
+# The longest decimal string ``int`` converts; 0 where there is no limit.
+_INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
+_VERIFY_DOC = ["verify", "--in", "DOC", "--degree", "1", "--variant", "SolKV"]
+EXIT_2_CASES = [
+    pytest.param(["dims", "--max-degree", "0"], None, "degree must be >= 1",
+                 id="max-degree-0"),
+    pytest.param(_VERIFY_DOC, None, "cannot read", id="missing-file"),
+    pytest.param(["extend", "--in", str(GOLDEN / "extend_d8.json"), "--to-degree", "4"],
+                 None, "below the document cap", id="to-degree-below-cap"),
+    pytest.param(_VERIFY_DOC, [], "top level must be an object", id="top-level-array"),
+    pytest.param(_VERIFY_DOC, _document(format_version="2"), "unsupported format_version",
+                 id="format-version-2"),
+    pytest.param(_VERIFY_DOC, _document(cap=0), "cap must be", id="cap-0"),
+    pytest.param(_VERIFY_DOC, _document(cap=True), "cap must be", id="cap-true"),
+    pytest.param(_VERIFY_DOC, _document(cap="3"), "cap must be", id="cap-string"),
+    pytest.param(_VERIFY_DOC, _document(f1={}), "f1: expected a list", id="f1-not-a-list"),
+    pytest.param(_VERIFY_DOC, _document(f1=[{"word": "xy", "num": "1", "den": "1"}]),
+                 "word degree exceeds cap", id="word-above-cap"),
+    pytest.param(
+        _VERIFY_DOC,
+        _document(f1=[{"word": "y", "num": "1" * (_INT_DIGITS + 1), "den": "1"}]),
+        "f1[0].num: not an integer",
+        id="numerator-above-int-digit-limit",
+        marks=pytest.mark.skipif(_INT_DIGITS == 0, reason="no int digit limit"),
+    ),
+]
+
+
+@pytest.mark.parametrize("argv, document, message", EXIT_2_CASES)
+def test_documented_exit_2_paths(argv, document, message, tmp_path, capsys):
+    # "DOC" stands for a document path; it is left missing when there is
+    # no document to write.
+    path = tmp_path / "doc.json"
+    if document is not None:
+        path.write_text(json.dumps(document))
+    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("num", ["1_000", " 7 ", "+3", "\u0663"])
 def test_non_ascii_decimal_integer_exit_code(num, tmp_path, capsys):
     seed = tmp_path / "seed.json"
@@ -307,14 +358,28 @@ def test_unwritable_out_exit_code(command, tmp_path, capsys):
     assert not target.exists()
 
 
+@pytest.mark.parametrize("command", ["seed", "extend"])
+def test_stdout_output_equals_out_file(command, tmp_path, capsys):
+    seed = tmp_path / "seed.json"
+    run(capsys, "seed", "--out", str(seed))
+    argv = ["seed"] if command == "seed" else ["extend", "--in", str(seed),
+                                                "--to-degree", "4"]
+    path = tmp_path / "out.json"
+    assert run(capsys, *argv, "--out", str(path)) == (0, "", "")
+    code, out, err = run(capsys, *argv)
+    assert (code, err) == (0, "")
+    assert out.encode() == path.read_bytes()
+
+
 @pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--in", str(SOL10), "--degree", "4", "--variant", "SolKV"],
         ["dims", "--max-degree", "6"],
         ["bch", "--degree", "5"],
+        ["seed"],
     ],
-    ids=["verify", "dims", "bch"],
+    ids=["verify", "dims", "bch", "seed"],
 )
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 def test_closed_stdout_exit_code(argv, unbuffered):

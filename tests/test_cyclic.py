@@ -89,7 +89,7 @@ def _reference_duflo_pattern(k, target, cap):
 @pytest.mark.parametrize("target", ["sum", "bch"])
 def test_running_power_patterns_match_reference(target):
     for cap in range(2, 8):
-        patterns = list(_duflo_patterns(target, cap, 2, cap))
+        patterns = list(_duflo_patterns(target, cap))
         assert [k for k, _ in patterns] == list(range(2, cap + 1))
         for k, pattern in patterns:
             expected = _reference_duflo_pattern(k, target, cap)
@@ -99,7 +99,7 @@ def test_running_power_patterns_match_reference(target):
 
 def test_sum_patterns_match_reference_at_higher_caps():
     for cap in range(8, 13):
-        for k, pattern in _duflo_patterns("sum", cap, 2, cap):
+        for k, pattern in _duflo_patterns("sum", cap):
             assert pattern == _reference_duflo_pattern(k, "sum", cap)
     # A necklace's coefficient is its number of distinct rotations.
     assert duflo_pattern(4, "sum", 8).coeff("xyxy") == 2

@@ -573,3 +573,29 @@ def test_extension_duflo_is_even_bernoulli_series():
         4: Fraction(-1, 5760),
         6: Fraction(1, 362880),
     }
+
+
+def test_readme_library_example(capsys):
+    # The README's library example, run as written: it prints the Duflo
+    # series that its comment shows.
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Library example", 1)[1]
+    code = section.split("```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(code, namespace)
+    report = namespace["report"]
+    expected = "(1/48)z^2 + (-1/5760)z^4 + (1/362880)z^6"
+    assert repr(report.duflo) == expected
+    assert f"# {expected}" in code
+    assert capsys.readouterr().out == expected + "\n"
+    assert repr(report) == "KVReport(SolKV, degree=6, PASS)"
+
+
+def test_checkers_refuse_a_degree_above_the_cap():
+    F = extend_solkv(identity(1), 3)
+    with pytest.raises(PreconditionFailed):
+        check_sol_kv(F, F.cap + 1)
+    _, (u,) = krv_dim(3)
+    assert check_krv_lie(u, u.cap).passed
+    with pytest.raises(PreconditionFailed):
+        check_krv_lie(u, u.cap + 1)

@@ -187,6 +187,34 @@ def test_divergence_matches_reference():
     assert crossed >= 12 and fractional >= 8
 
 
+def test_integer_combinations_are_linear():
+    # divergence, the derivation engine and lie_to_assoc each sum rows over
+    # the lcm of their denominators; coefficients over 1, 3 and the prime
+    # 2^31 - 1 make those lcms differ from term to term.
+    rng = rng_for("combine-linearity")
+    dens = (1, 3, 2**31 - 1)
+
+    def lie(cap):
+        pool = [w for d in range(1, cap + 1) for w in lyndon_words(d)]
+        words = rng.sample(pool, min(4, len(pool)))
+        return LieElt(cap, {w: Fraction(rng.choice((-3, -1, 1, 2, 5)), rng.choice(dens))
+                            for w in words})
+
+    for cap in range(2, 8):
+        u, v, w = (TDer(lie(cap), lie(cap)) for _ in range(3))
+        p, q, r = lie(cap), lie(cap), lie(cap)
+        a = Fraction(rng.choice((-2, 3, 7)), rng.choice(dens[1:]))
+        combo = a * u + v - w
+        assert divergence(combo) == a * divergence(u) + divergence(v) - divergence(w)
+        assert tder_apply(combo, p) == a * tder_apply(u, p) + tder_apply(v, p) - tder_apply(w, p)
+        assert tder_apply(u, a * p + q - r) == (
+            a * tder_apply(u, p) + tder_apply(u, q) - tder_apply(u, r)
+        )
+        assert lie_to_assoc(a * p + q - r) == (
+            a * lie_to_assoc(p) + lie_to_assoc(q) - lie_to_assoc(r)
+        )
+
+
 # -- actions on cyclic words --------------------------------------------------
 
 

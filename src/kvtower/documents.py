@@ -4,6 +4,11 @@ Integers are carried as strings so arbitrary precision survives any
 JSON implementation.  Serialization is canonical — entries ordered by
 degree then word, two-space indentation, trailing newline — so parsing
 a canonical document and re-emitting it is byte-identical.
+
+Parsing checks every field.  The entry lists ``f1``, ``f2`` (``{word,
+num, den}``) and ``duflo`` (``{k, num, den}``) go through one reader.
+Every fault raises :class:`DocumentError` naming the field; a rejected
+integer is shown by its first 40 characters and its length.
 """
 
 import json
@@ -50,7 +55,8 @@ def _parse_int(value, field):
             return int(value)
     except ValueError:  # more digits than ``int`` converts
         pass
-    raise DocumentError(f"{field}: not an integer: {value!r}", field)
+    shown = f"{value[:40]!r} ({len(value)} characters)"
+    raise DocumentError(f"{field}: not an integer: {shown}", field)
 
 
 def _parse_fraction(item, where):
@@ -62,24 +68,23 @@ def _parse_fraction(item, where):
     return Fraction(num, den)
 
 
-def _parse_coeff_list(items, cap, field):
+def _parse_entries(items, field, key, index):
+    """The list ``items`` of ``{key, num, den}`` entries as a map from each
+    entry's ``key`` value to its ``Fraction``; ``index(value, where)``
+    raises :class:`DocumentError` when the value is not a valid index."""
     if not isinstance(items, list):
         raise DocumentError(f"{field}: expected a list", field)
     out = {}
     for i, item in enumerate(items):
         where = f"{field}[{i}]"
-        if not isinstance(item, dict) or set(item) != {"word", "num", "den"}:
-            raise DocumentError(f"{where}: expected word/num/den keys", where)
-        word = item["word"]
-        if not isinstance(word, str) or not word or any(c not in "xy" for c in word):
-            raise DocumentError(f"{where}: invalid word {word!r}", where)
-        if not is_lyndon(word):
-            raise DocumentError(f"{where}: not a Lyndon word: {word!r}", where)
-        if len(word) > cap:
-            raise DocumentError(f"{where}: word degree exceeds cap", where)
-        if word in out:
-            raise DocumentError(f"{where}: duplicate word {word!r}", where)
-        out[word] = _parse_fraction(item, where)
+        if not isinstance(item, dict) or set(item) != {key, "num", "den"}:
+            raise DocumentError(f"{where}: expected {key}/num/den keys", where)
+        value = item[key]
+        index(value, where)
+        if value in out:
+            noun = "index" if key == "k" else key
+            raise DocumentError(f"{where}: duplicate {noun} {value!r}", where)
+        out[value] = _parse_fraction(item, where)
     return out
 
 
@@ -87,7 +92,7 @@ def parse_document(text):
     """Parse and validate a UTF-8 JSON solution document."""
     try:
         data = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # JSONDecodeError, or an int literal over the digit limit
         raise DocumentError(f"malformed JSON: {exc}") from None
     except RecursionError:
         raise DocumentError("malformed JSON: nested too deeply") from None
@@ -106,21 +111,22 @@ def parse_document(text):
     variant = data["variant"]
     if variant not in VARIANTS:
         raise DocumentError(f"variant must be one of {VARIANTS}", "variant")
-    f1 = _parse_coeff_list(data["f1"], cap, "f1")
-    f2 = _parse_coeff_list(data["f2"], cap, "f2")
-    duflo = {}
-    if not isinstance(data["duflo"], list):
-        raise DocumentError("duflo: expected a list", "duflo")
-    for i, item in enumerate(data["duflo"]):
-        where = f"duflo[{i}]"
-        if not isinstance(item, dict) or set(item) != {"k", "num", "den"}:
-            raise DocumentError(f"{where}: expected k/num/den keys", where)
-        k = item["k"]
+
+    def check_word(w, where):
+        if not isinstance(w, str) or not w or any(c not in "xy" for c in w):
+            raise DocumentError(f"{where}: invalid word {w!r}", where)
+        if not is_lyndon(w):
+            raise DocumentError(f"{where}: not a Lyndon word: {w!r}", where)
+        if len(w) > cap:
+            raise DocumentError(f"{where}: word degree exceeds cap", where)
+
+    def check_k(k, where):
         if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k <= cap:
             raise DocumentError(f"{where}: k must be an integer in 2..cap", where)
-        if k in duflo:
-            raise DocumentError(f"{where}: duplicate index {k}", where)
-        duflo[k] = _parse_fraction(item, where)
+
+    f1 = _parse_entries(data["f1"], "f1", "word", check_word)
+    f2 = _parse_entries(data["f2"], "f2", "word", check_word)
+    duflo = _parse_entries(data["duflo"], "duflo", "k", check_k)
     return SolutionDocument(cap, f1, f2, duflo, variant)
 
 

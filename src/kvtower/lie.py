@@ -21,25 +21,49 @@ The structure constants and the basis expansions are integers, so
 integer numerators of each operand, and the result's denominator is the
 operand's, or ``du * dv`` for a bracket of operands with denominators
 ``du`` and ``dv``.
+
+The four global tables — basis expansions, structure constants,
+divergence rows and the ``bch(x, y)`` series — are filled on demand
+through one memo, and :func:`clear_caches` empties them together with
+the three caches of :mod:`kvtower.words`.
 """
 
 from fractions import Fraction
+from functools import wraps
 from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import NotPrimitive
 from .sparse import SparseElt, _combine, _products, _require_same_cap
-from .words import _necklace, _necklace_sums, is_lyndon, lyndon_words, standard_factorization
+from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
+                    standard_factorization)
 
-# Expansion of each Lyndon basis element as an integer word polynomial,
-# structure constants of brackets of basis elements, and the divergence
-# rows (letter, word) -> {necklace: int} of basis elements in one slot.
-# All are exact, homogeneous and cap-independent, so the caches are
-# global and filled on demand; clear_caches() empties them, the bch_xy
-# cache and the necklace cache in place.
+# The four global tables, keyed by argument tuple: the expansion of each
+# Lyndon basis element as an integer word polynomial, the structure
+# constants of brackets of basis elements, the divergence rows
+# {necklace: int} of basis elements in one slot, and the bch(x, y) series
+# per cap.  All are exact and cap-independent or keyed by the cap, so
+# they are global; only _memo fills them and only clear_caches() empties
+# them, so this is the one place to count or bound them.  They are
+# unbounded today.  perfbench/tracer.py reads their sizes by these names.
 _EXPANSION = {}
 _BRACKET = {}
 _DIVERGENCE = {}
+_BCH_XY = {}
+
+
+def _memo(table):
+    """Decorator: store the function's results in ``table``, keyed by the
+    tuple of its positional arguments."""
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(*key):
+            result = table.get(key)
+            if result is None:
+                result = table[key] = fn(*key)
+            return result
+        return memoized
+    return decorate
 
 
 def _commutator(a, b):
@@ -54,32 +78,23 @@ def _commutator(a, b):
     return {w: c for w, c in out.items() if c}
 
 
+@_memo(_EXPANSION)
 def basis_expansion(word):
     """Associative expansion of the standard bracketing of ``word``,
     as a map word -> integer coefficient."""
-    cached = _EXPANSION.get(word)
-    if cached is not None:
-        return cached
     if len(word) == 1:
-        result = {word: 1}
-    else:
-        u, v = standard_factorization(word)
-        result = _commutator(basis_expansion(u), basis_expansion(v))
-    _EXPANSION[word] = result
-    return result
+        return {word: 1}
+    u, v = standard_factorization(word)
+    return _commutator(basis_expansion(u), basis_expansion(v))
 
 
+@_memo(_DIVERGENCE)
 def _divergence_row(letter, word):
     """Divergence of the basis element ``B(word)`` in the slot of
     ``letter``, as a map necklace -> nonzero integer: the trace of the
     words of its expansion that end in ``letter``."""
-    key = (letter, word)
-    cached = _DIVERGENCE.get(key)
-    if cached is not None:
-        return cached
     kept = ((w, c) for w, c in basis_expansion(word).items() if w[-1] == letter)
-    result = _DIVERGENCE[key] = _necklace_sums(kept)
-    return result
+    return _necklace_sums(kept)
 
 
 def _lyndon_coords(poly):
@@ -103,6 +118,7 @@ def _lyndon_coords(poly):
     return coords, {w: c for w, c in residual.items() if c}
 
 
+@_memo(_BRACKET)
 def bracket_table(w1, w2):
     """Structure constants of ``[B(w1), B(w2)]`` in the Lyndon basis, as a
     map Lyndon word -> integer, by Lyndon rewriting.
@@ -117,40 +133,31 @@ def bracket_table(w1, w2):
     order, and results are cached for both orders of the pair as they are
     asked for.
     """
-    key = (w1, w2)
-    cached = _BRACKET.get(key)
-    if cached is not None:
-        return cached
     if w1 == w2:
-        result = {}
-    elif w1 > w2:
-        result = {w: -c for w, c in bracket_table(w2, w1).items()}
-    elif len(w1) == 1:
-        result = {w1 + w2: 1}
-    else:
+        return {}
+    if w1 > w2:
+        return {w: -c for w, c in bracket_table(w2, w1).items()}
+    if len(w1) > 1:
         u1, u2 = standard_factorization(w1)
-        if u2 >= w2:
-            result = {w1 + w2: 1}
-        else:
+        if u2 < w2:
             out = {}
             for inner, outer, sign in ((u2, u1, 1), (u1, u2, -1)):
                 for w, c in bracket_table(inner, w2).items():
                     for ww, cc in bracket_table(outer, w).items():
                         out[ww] = out.get(ww, 0) + sign * c * cc
-            result = {w: out[w] for w in sorted(out) if out[w]}
-    _BRACKET[key] = result
-    return result
+            return {w: out[w] for w in sorted(out) if out[w]}
+    return {w1 + w2: 1}
 
 
 def clear_caches():
-    """Empty the global caches of basis expansions, structure constants,
-    divergence rows, ``bch_xy`` series and necklaces in place; the next
-    use refills them."""
-    _EXPANSION.clear()
-    _BRACKET.clear()
-    _DIVERGENCE.clear()
-    _BCH_XY.clear()
-    _necklace.cache_clear()
+    """Empty all seven caches in place: the basis expansions, structure
+    constants, divergence rows and ``bch_xy`` series here, and the
+    necklaces, the Duval passes and the standard factorizations of
+    :mod:`kvtower.words`; the next use refills them."""
+    for table in (_EXPANSION, _BRACKET, _DIVERGENCE, _BCH_XY):
+        table.clear()
+    for cached in (_necklace, _duval, standard_factorization):
+        cached.cache_clear()
 
 
 class LieElt(SparseElt):
@@ -261,13 +268,7 @@ def bch(u, v):
     return out
 
 
+@_memo(_BCH_XY)
 def bch_xy(cap):
     """The series ``bch(x, y)`` at the given cap (cached)."""
-    cached = _BCH_XY.get(cap)
-    if cached is None:
-        cached = bch(LieElt.gen_x(cap), LieElt.gen_y(cap))
-        _BCH_XY[cap] = cached
-    return cached
-
-
-_BCH_XY = {}
+    return bch(LieElt.gen_x(cap), LieElt.gen_y(cap))

@@ -89,7 +89,10 @@ def lyndon_words(n):
 
 
 def necklaces(n):
-    """All rotation-minimal words of degree ``n``, lexicographically."""
+    """All rotation-minimal words of degree ``n``, lexicographically;
+    degree 0 has the one empty necklace."""
+    if n < 0:
+        raise ValueError("degree must be >= 0")
     return _duval(n)[1]
 
 

@@ -221,22 +221,42 @@ EXIT_2_CASES = [
         id="numerator-above-int-digit-limit",
         marks=pytest.mark.skipif(_INT_DIGITS == 0, reason="no int digit limit"),
     ),
+    # json.loads raises a plain ValueError for an integer literal over the
+    # limit; json.dumps cannot write one, so these documents are text.
+    pytest.param(
+        _VERIFY_DOC,
+        json.dumps(_document(cap=1)).replace('"cap": 1', '"cap": ' + "1" * (_INT_DIGITS + 1)),
+        "malformed JSON",
+        id="cap-literal-above-int-digit-limit",
+        marks=pytest.mark.skipif(_INT_DIGITS == 0, reason="no int digit limit"),
+    ),
+    pytest.param(
+        _VERIFY_DOC,
+        json.dumps(_document(duflo=[{"k": 2, "num": "1", "den": "1"}]))
+        .replace('"k": 2', '"k": ' + "2" * (_INT_DIGITS + 1)),
+        "malformed JSON",
+        id="duflo-k-literal-above-int-digit-limit",
+        marks=pytest.mark.skipif(_INT_DIGITS == 0, reason="no int digit limit"),
+    ),
 ]
 
 
 @pytest.mark.parametrize("argv, document, message", EXIT_2_CASES)
 def test_documented_exit_2_paths(argv, document, message, tmp_path, capsys):
     # "DOC" stands for a document path; it is left missing when there is
-    # no document to write.
+    # no document to write.  A str document is written verbatim.
     path = tmp_path / "doc.json"
     if document is not None:
-        path.write_text(json.dumps(document))
+        path.write_text(document if isinstance(document, str) else json.dumps(document))
     code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
     assert "Traceback" not in err
+    if document is not None:
+        # The line names the fault without echoing a long value back.
+        assert len(err) < 200
 
 
 @pytest.mark.parametrize("num", ["1_000", " 7 ", "+3", "\u0663"])

@@ -152,17 +152,47 @@ def test_bracket_table_matches_the_associative_construction():
     assert jacobi == 949
 
 
+def _tables():
+    return (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)
+
+
+# Each memoized function of lie with one argument tuple, and its table.
+MEMOIZED = [
+    (basis_expansion, ("xxy",), lie._EXPANSION),
+    (bracket_table, ("xy", "x"), lie._BRACKET),
+    (_divergence_row, ("y", "xxy"), lie._DIVERGENCE),
+    (bch_xy, (4,), lie._BCH_XY),
+]
+
+
 def test_clear_caches_empties_the_caches_in_place():
-    cached = (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)
-    necklace = words._necklace
-    bch_xy(4)
-    basis_expansion("xxy")
-    _divergence_row("y", "xxy")
-    assert lie._DIVERGENCE and necklace.cache_info().currsize
+    cached = _tables()
+    word_caches = (words._necklace, words._duval, words.standard_factorization)
+    for fn, args, _ in MEMOIZED:
+        fn(*args)
+    lyndon_words(4)
+    assert all(cached)
+    assert all(c.cache_info().currsize for c in word_caches)
     clear_caches()
-    assert (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY) == ({}, {}, {}, {})
-    assert all(a is b for a, b in zip(cached, (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)))
-    assert words._necklace is necklace and necklace.cache_info().currsize == 0
+    assert _tables() == ({}, {}, {}, {})
+    assert all(a is b for a, b in zip(cached, _tables()))
+    assert word_caches == (words._necklace, words._duval, words.standard_factorization)
+    assert [c.cache_info().currsize for c in word_caches] == [0, 0, 0]
+
+
+@pytest.mark.parametrize("fn, args, table", MEMOIZED, ids=[m[0].__name__ for m in MEMOIZED])
+def test_memoized_functions_return_the_stored_object(fn, args, table):
+    # The memo keeps each function's name and docstring.
+    assert vars(lie)[fn.__name__] is fn and fn.__doc__
+    clear_caches()
+    first = fn(*args)
+    assert table[args] is first
+    assert fn(*args) is first
+    # After clear_caches() the table refills on demand with an equal value.
+    clear_caches()
+    assert args not in table
+    again = fn(*args)
+    assert table[args] is again and again == first
 
 
 def test_cold_bch_xy_matches_the_golden_series():

@@ -137,6 +137,13 @@ def test_necklace_enumeration():
         assert list(neck) == sorted(neck)
 
 
+@pytest.mark.parametrize("n", [-1, -3])
+def test_necklaces_reject_a_negative_degree(n):
+    # Like lyndon_words below degree 1: an error, not a cached ("",).
+    with pytest.raises(ValueError, match="degree must be >= 0"):
+        necklaces(n)
+
+
 def test_standard_factorization():
     assert standard_factorization("xy") == ("x", "y")
     assert standard_factorization("xxy") == ("x", "xy")

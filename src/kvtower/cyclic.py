@@ -11,13 +11,14 @@ that the checkers use too.  For ``w = x + y`` each pattern is read off
 the necklaces of degree ``k``: ``(x + y)^k`` is the sum of all words of
 length ``k``, so a necklace's coefficient is its number of distinct
 rotations, its period.  For ``w = bch(x, y)`` the patterns of all degrees
-come from one running power of ``w``, which starts at ``w`` itself.
+come from one running power of ``w``, which starts at ``w`` itself, and
+are cached per cap in a global table of :mod:`kvtower.lie`.
 Either way the degree-``k`` part of ``w^k`` is ``(x + y)^k``, so each
 pattern's least word is ``x^(k-1) y``, with coefficient ``k``.
 """
 
 from .assoc import AssocElt
-from .lie import LieElt, bch_xy, lie_to_assoc
+from .lie import _BCH_PATTERNS, LieElt, _memo, bch_xy, lie_to_assoc
 from .sparse import SparseElt
 from .words import _necklace_sums, min_rotation, necklaces
 
@@ -67,18 +68,28 @@ def _sum_pattern(k, cap):
     return CycElt._from_ints(cap, nums, 1)
 
 
-def _duflo_patterns(target, cap):
-    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``2 <= k <= cap``, with ``w``
-    the side ``target``: closed forms for ``x + y``, and one running
-    product for ``bch(x, y)``."""
-    if target == "sum":
-        for k in range(2, cap + 1):
-            yield k, _sum_pattern(k, cap)
-        return
-    w = power = lie_to_assoc(_side(target, cap))
+@_memo(_BCH_PATTERNS)
+def _bch_patterns(cap):
+    """The pairs ``(k, tr(w^k - x^k - y^k))`` for ``w = bch(x, y)`` and
+    ``2 <= k <= cap``, from one running product (cached per cap)."""
+    w = power = lie_to_assoc(bch_xy(cap))
+    patterns = []
     for k in range(2, cap + 1):
         power = power * w
-        yield k, trace(power - AssocElt(cap, {"x" * k: 1, "y" * k: 1}))
+        patterns.append((k, trace(power - AssocElt(cap, {"x" * k: 1, "y" * k: 1}))))
+    return tuple(patterns)
+
+
+def _duflo_patterns(target, cap):
+    """Yield ``(k, tr(w^k - x^k - y^k))`` for ``2 <= k <= cap``, with ``w``
+    the side ``target``: closed forms for ``x + y``, and the cached
+    patterns of :func:`_bch_patterns` for ``bch(x, y)``."""
+    if target == "bch":
+        yield from _bch_patterns(cap)
+        return
+    _side(target, cap)  # rejects an unknown target
+    for k in range(2, cap + 1):
+        yield k, _sum_pattern(k, cap)
 
 
 def duflo_pattern(k, target, cap):

@@ -8,7 +8,8 @@ a canonical document and re-emitting it is byte-identical.
 Parsing checks every field.  The entry lists ``f1``, ``f2`` (``{word,
 num, den}``) and ``duflo`` (``{k, num, den}``) go through one reader.
 Every fault raises :class:`DocumentError` naming the field; a rejected
-integer is shown by its first 40 characters and its length.
+integer string or word is shown by its first 40 characters and its
+length.
 """
 
 import json
@@ -55,8 +56,12 @@ def _parse_int(value, field):
             return int(value)
     except ValueError:  # more digits than ``int`` converts
         pass
-    shown = f"{value[:40]!r} ({len(value)} characters)"
-    raise DocumentError(f"{field}: not an integer: {shown}", field)
+    raise DocumentError(f"{field}: not an integer: {_shown(value)}", field)
+
+
+def _shown(text):
+    """A rejected string as its first 40 characters and its length."""
+    return f"{text[:40]!r} ({len(text)} characters)"
 
 
 def _parse_fraction(item, where):
@@ -82,8 +87,8 @@ def _parse_entries(items, field, key, index):
         value = item[key]
         index(value, where)
         if value in out:
-            noun = "index" if key == "k" else key
-            raise DocumentError(f"{where}: duplicate {noun} {value!r}", where)
+            shown = f"index {value}" if key == "k" else f"{key} {_shown(value)}"
+            raise DocumentError(f"{where}: duplicate {shown}", where)
         out[value] = _parse_fraction(item, where)
     return out
 
@@ -113,10 +118,12 @@ def parse_document(text):
         raise DocumentError(f"variant must be one of {VARIANTS}", "variant")
 
     def check_word(w, where):
-        if not isinstance(w, str) or not w or any(c not in "xy" for c in w):
-            raise DocumentError(f"{where}: invalid word {w!r}", where)
+        if not isinstance(w, str):
+            raise DocumentError(f"{where}: word must be a string", where)
+        if not w or any(c not in "xy" for c in w):
+            raise DocumentError(f"{where}: invalid word {_shown(w)}", where)
         if not is_lyndon(w):
-            raise DocumentError(f"{where}: not a Lyndon word: {w!r}", where)
+            raise DocumentError(f"{where}: not a Lyndon word: {_shown(w)}", where)
         if len(w) > cap:
             raise DocumentError(f"{where}: word degree exceeds cap", where)
 

@@ -11,7 +11,9 @@ the degree-by-degree surjectivity as two exact linear solves:
 
 Free variables are set to zero under a fixed column order (first
 exponent block, second exponent block, then the Duflo unknown), so
-extension outputs are reproducible bit for bit.
+extension outputs are reproducible bit for bit.  The steps of one
+extension share one ``bch(x, y)`` series and one log matcher, which keeps
+the pieces of the log that a step leaves unchanged.
 """
 
 from fractions import Fraction
@@ -23,6 +25,10 @@ from .linalg import QMatrix, _particular, kernel_basis, rank
 from .tangential import (
     TAutElt,
     TDer,
+    _der_maps,
+    _GeneratorMatcher,
+    _log_jacobian,
+    _resumed_log,
     divergence,
     jacobian,
     taut_apply,
@@ -222,19 +228,23 @@ class _GradedSystem:
         return self.tder_from(particular, defect.cap)
 
 
-def _extend_step(F):
-    """One step of :func:`extend_solkv`, without its precondition check."""
+def _extend_step(F, side, log):
+    """One step of :func:`extend_solkv`, without its precondition check.
+    ``side`` is ``bch(x, y)`` at cap n + 1, and ``log`` a log matcher
+    (:func:`~kvtower.tangential._resumed_log`) that is empty or last solved
+    the previous step's ``F1``."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
 
     # Stage A: degree-n correction; x + y has no part in degree n + 1.
-    E1 = taut_apply(Fx, bch_xy(cap)).homogeneous_part(cap)
+    E1 = taut_apply(Fx, side).homogeneous_part(cap)
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
-    # Stage B: new degree-(n+1) terms.
-    E2 = jacobian(F1).homogeneous_part(cap)
+    # Stage B: new degree-(n+1) terms.  F1 differs from the previous
+    # step's F1 only from degree n on, so its log is re-solved from there.
+    E2 = _log_jacobian(_resumed_log(log, F1, start=n)).homogeneous_part(cap)
     b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)
 
@@ -257,10 +267,17 @@ def extend_solkv_step(F):
 def _extend_from(F, to_degree):
     """Iterate :func:`_extend_step` up to the requested degree; ``F`` must
     already be known to solve the system at its cap.  Each step's output
-    is again a solution, so no step re-checks its input."""
+    is again a solution, so no step re-checks its input.  The steps share
+    one ``bch(x, y)``, built at the top degree and truncated per step, and
+    one log matcher, which keeps the pieces of the log that a step leaves
+    unchanged."""
+    if F.cap >= to_degree:
+        return F
+    series = bch_xy(to_degree)
+    log = _GeneratorMatcher(to_degree + 1, _der_maps)
     out = F
     while out.cap < to_degree:
-        out = _extend_step(out)
+        out = _extend_step(out, series.truncate(out.cap + 1), log)
     return out
 
 

@@ -22,10 +22,11 @@ integer numerators of each operand, and the result's denominator is the
 operand's, or ``du * dv`` for a bracket of operands with denominators
 ``du`` and ``dv``.
 
-The four global tables — basis expansions, structure constants,
-divergence rows and the ``bch(x, y)`` series — are filled on demand
-through one memo, and :func:`clear_caches` empties them together with
-the three caches of :mod:`kvtower.words`.
+The five global tables — basis expansions, structure constants,
+divergence rows, the ``bch(x, y)`` series and the Duflo patterns of that
+series, which :mod:`kvtower.cyclic` fills — are filled on demand through
+one memo, and :func:`clear_caches` empties them together with the three
+caches of :mod:`kvtower.words`.
 """
 
 from fractions import Fraction
@@ -38,18 +39,21 @@ from .sparse import SparseElt, _combine, _products, _require_same_cap
 from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
                     standard_factorization)
 
-# The four global tables, keyed by argument tuple: the expansion of each
+# The five global tables, keyed by argument tuple: the expansion of each
 # Lyndon basis element as an integer word polynomial, the structure
 # constants of brackets of basis elements, the divergence rows
-# {necklace: int} of basis elements in one slot, and the bch(x, y) series
-# per cap.  All are exact and cap-independent or keyed by the cap, so
-# they are global; only _memo fills them and only clear_caches() empties
-# them, so this is the one place to count or bound them.  They are
-# unbounded today.  perfbench/tracer.py reads their sizes by these names.
+# {necklace: int} of basis elements in one slot, the bch(x, y) series per
+# cap, and the Duflo patterns of that series per cap (filled by
+# kvtower.cyclic).  All are exact and cap-independent or keyed by the cap,
+# so they are global; only _memo fills them and only clear_caches()
+# empties them, so this is the one place to count or bound them.  They
+# are unbounded today.  perfbench/tracer.py reads the sizes of the first
+# three and of _BCH_XY by these names.
 _EXPANSION = {}
 _BRACKET = {}
 _DIVERGENCE = {}
 _BCH_XY = {}
+_BCH_PATTERNS = {}
 
 
 def _memo(table):
@@ -150,11 +154,11 @@ def bracket_table(w1, w2):
 
 
 def clear_caches():
-    """Empty all seven caches in place: the basis expansions, structure
-    constants, divergence rows and ``bch_xy`` series here, and the
-    necklaces, the Duval passes and the standard factorizations of
-    :mod:`kvtower.words`; the next use refills them."""
-    for table in (_EXPANSION, _BRACKET, _DIVERGENCE, _BCH_XY):
+    """Empty all eight caches in place: the basis expansions, structure
+    constants, divergence rows, ``bch_xy`` series and their Duflo
+    patterns here, and the necklaces, the Duval passes and the standard
+    factorizations of :mod:`kvtower.words`; the next use refills them."""
+    for table in (_EXPANSION, _BRACKET, _DIVERGENCE, _BCH_XY, _BCH_PATTERNS):
         table.clear()
     for cached in (_necklace, _duval, standard_factorization):
         cached.cache_clear()

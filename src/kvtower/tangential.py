@@ -24,22 +24,27 @@ the automorphism's conjugation action.  Either series is
 ``sum_m A^m(gen)/m!``; :func:`_series_images` sums it for a whole pair,
 for the targets and for an automorphism's engine.  For the unknown pair
 ``A`` is the sum of one map per degree, so the matcher builds each
-degree's map once, when that degree is solved, and keeps the homogeneous
-parts of the powers ``A^m(gen)`` in a table that grows by one degree per
-step.
+degree's map once and keeps the homogeneous parts of the powers
+``A^m(gen)`` in a table that grows by one degree per step.  Everything it
+keeps is homogeneous, so it works at one fixed cap and can resume: given
+targets that agree below some degree with the last ones, it re-solves
+from that degree only.  ``taut_exp`` and ``taut_log`` each run a fresh
+matcher; the extension steps of :mod:`kvtower.kv` carry one log matcher
+from step to step (:func:`_resumed_log`).
 
-A derivation acts on cyclic words letter by letter through its generator
-images, expanded into words once and scaled to one shared denominator, so
-:func:`jacobian` pays for them once for its whole series.  An automorphism
-acts on cyclic words through its log, as the exponential series of that
-action, and :func:`jacobian` sums its series ``sum_k w^k(j(w))/(k+1)!``
-through the same helper, shifted by one.  The engines and the cyclic
-action sum the stored integer numerators of their inputs and images, as
-:mod:`kvtower.sparse` describes.
+A derivation applies to Lie elements by the Leibniz rule, whose image of
+a Lyndon word is summed in one pass from the structure constants of its
+factors' images with the factors.  It acts on cyclic words letter by
+letter through its generator images, expanded into words once and scaled
+to one shared denominator, so :func:`jacobian` pays for them once for its
+whole series.  An automorphism acts on cyclic words through its log, as
+the exponential series of that action, and :func:`jacobian` sums its
+series ``sum_k w^k(j(w))/(k+1)!`` through the same helper, shifted by
+one.  The engines and the cyclic action sum the stored integer numerators
+of their inputs and images, as :mod:`kvtower.sparse` describes.
 """
 
 import math
-from fractions import Fraction
 
 from .cyclic import CycElt
 from .errors import InconsistentSystem
@@ -147,9 +152,21 @@ class _DerEngine(_Engine):
         })
 
     def _from_factors(self, p, q):
-        bp = LieElt.basis(p, self.cap)
-        bq = LieElt.basis(q, self.cap)
-        return lie_bracket(self._image(p), bq) + lie_bracket(bp, self._image(q))
+        """``[D(p), B(q)] - [D(q), B(p)]`` in one pass: each image term is
+        bracketed with the other factor through :func:`bracket_table`,
+        over the lcm of the two images' denominators."""
+        ip, iq = self._image(p), self._image(q)
+        den = math.lcm(ip.den, iq.den)
+        out = {}
+        for img, other, sign in ((ip, q, 1), (iq, p, -1)):
+            scale = sign * (den // img.den)
+            room = self.cap - len(other)
+            for w, n in img.nums.items():
+                if len(w) <= room:
+                    n *= scale
+                    for ww, c in bracket_table(w, other).items():
+                        out[ww] = out.get(ww, 0) + n * c
+        return LieElt._from_ints(self.cap, out, den)
 
 
 def tder_apply(u, w):
@@ -336,10 +353,11 @@ def _solve_generator_bracket(letter, k, rhs):
     return LieElt._from_ints(rhs.cap, a, rhs.den)
 
 
-def _match_generator_actions(targets, cap, maps):
-    """The normalized pair ``(p1, p2)`` at ``cap`` whose generator images
-    ``A^0(g) + A(g) + A^2(g)/2! + ...`` equal ``targets``, given one degree
-    above the cap so that the top degree of the pair is pinned.
+class _GeneratorMatcher:
+    """Solves for the normalized pair ``(p1, p2)`` whose generator images
+    ``A^0(g) + A(g) + A^2(g)/2! + ...`` equal given targets, degree by
+    degree, and keeps what it solved, so that a later call whose targets
+    agree below some degree resumes there.
 
     The linear map ``A`` is the sum over ``j`` of the part ``A_j`` built
     from the degree-``j`` pieces ``a1, a2`` of the pair, which raises
@@ -350,41 +368,69 @@ def _match_generator_actions(targets, cap, maps):
     of ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces below
     degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} - sum_{m
     >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]`` must be, so
-    one generator-bracket sweep per slot reads ``p_k`` off it, and then
-    ``maps`` is called once for degree ``k``.  Every table entry is
-    computed once, and no map is built for the top degree, which no entry
-    up to ``cap + 1`` needs.
+    one generator-bracket sweep per slot reads ``p_k`` off it.  Each table
+    entry and each defect is one :func:`~kvtower.sparse._combine` of
+    integer rows.  The map of degree ``k`` is built once, when degree
+    ``k + 1`` is solved, so none is built for the top degree.
+
+    Pieces, maps and table entries are homogeneous, so the matcher works at
+    one fixed cap, ``work``, and its numbers are those of any cap above the
+    degrees it solves.  Re-solving from degree ``k`` drops the pieces and
+    maps from degree ``k`` and the table entries above degree ``k``, and
+    keeps the rest.
     """
-    work = cap + 1
-    found = {g: {} for g in targets}
-    # powers[g][m] maps a degree d to P[m][d]; zero entries are left out.
-    powers = {g: [{1: LieElt.basis(g, work)}] + [{} for _ in range(cap)] for g in targets}
-    steps = {}
-    for k in range(1, cap + 1):
-        d = k + 1
-        piece = {}
-        for g, target in targets.items():
-            table = powers[g]
-            defect = target.homogeneous_part(d)
-            for m in range(2, d):
-                entry = LieElt.zero(work)
-                for j, step in steps.items():
-                    source = table[m - 1].get(d - j)
-                    if source is not None:
-                        entry = entry + step[g](source)
-                if not entry.is_zero():
-                    table[m][d] = entry
-                    defect = defect - Fraction(1, math.factorial(m)) * entry
-            piece[g] = LieElt.zero(work)
-            if not defect.is_zero():
-                piece[g] = _solve_generator_bracket(g, k, defect)
-                found[g].update(piece[g].coeffs)
-                # The sweep leaves no residual, so [g, p_k] is the defect.
-                table[1][d] = defect
-        # The top degree's maps would only feed entries above the cap + 1.
-        if k < cap and not (piece["x"].is_zero() and piece["y"].is_zero()):
-            steps[k] = maps(piece["x"], piece["y"])
-    return LieElt(cap, found["x"]), LieElt(cap, found["y"])
+
+    def __init__(self, work, maps):
+        self.work = work
+        self.maps = maps
+        self.pieces = []  # pieces[k - 1] maps each generator to p_k
+        self.steps = {}  # j -> the map A_j, for the nonzero pieces only
+        # powers[d][g] maps m to P[m][d]; zero entries are left out.
+        self.powers = [None, {g: {1: LieElt.basis(g, work)} for g in ("x", "y")}]
+
+    def solve(self, targets, cap, start=1):
+        """The pair at ``cap`` whose images match ``targets``, given up to
+        degree ``cap + 1`` at any cap.  Pieces below ``start``, or below
+        the first degree not yet solved, are kept; the targets must agree
+        with the last call's below degree ``start + 1``."""
+        start = min(start, len(self.pieces) + 1)
+        del self.pieces[start - 1 :]
+        del self.powers[start + 1 :]
+        self.steps = {j: step for j, step in self.steps.items() if j < start}
+        powers = self.powers
+        for k in range(start, cap + 1):
+            d = k + 1
+            last = self.pieces[-1] if k > 1 else {}
+            if k - 1 not in self.steps and any(p.nums for p in last.values()):
+                self.steps[k - 1] = self.maps(last["x"], last["y"])
+            piece, level = {}, {}
+            for g, target in targets.items():
+                level[g] = entries = {}
+                part = {w: n for w, n in target.nums.items() if len(w) == d}
+                terms = [(1, part, target.den)]
+                for m in range(2, d):
+                    rows = [
+                        step[g](powers[d - j][g][m - 1])
+                        for j, step in self.steps.items()
+                        if m - 1 in powers[d - j][g]
+                    ]
+                    if rows:
+                        entry = _combine(LieElt, self.work, [(1, r.nums, r.den) for r in rows])
+                        if entry.nums:
+                            entries[m] = entry
+                            terms.append((-1, entry.nums, entry.den * math.factorial(m)))
+                defect = _combine(LieElt, self.work, terms)
+                piece[g] = LieElt.zero(self.work)
+                if defect.nums:
+                    piece[g] = _solve_generator_bracket(g, k, defect)
+                    # The sweep leaves no residual, so [g, p_k] is the defect.
+                    entries[1] = defect
+            powers.append(level)
+            self.pieces.append(piece)
+        return tuple(
+            _combine(LieElt, cap, [(1, p[g].nums, p[g].den) for p in self.pieces[:cap]])
+            for g in ("x", "y")
+        )
 
 
 def _der_maps(a1, a2):
@@ -411,22 +457,34 @@ def taut_exp(u):
     exponential series of ``u``."""
     work = u.cap + 1
     targets = _series_images(_der_maps, u.u1.with_cap(work), u.u2.with_cap(work))
-    return TAutElt(*_match_generator_actions(targets, u.cap, _conj_maps))
+    return TAutElt(*_GeneratorMatcher(work, _conj_maps).solve(targets, u.cap))
 
 
 def taut_log(F):
     """Inverse of :func:`taut_exp`: the normalized derivation whose
     exponential series acts on the generators as ``F`` does."""
+    return _resumed_log(_GeneratorMatcher(F.cap + 1, _der_maps), F)
+
+
+def _resumed_log(matcher, F, start=1):
+    """``log F`` from a matcher of :func:`_der_maps` whose work cap is
+    above ``F``'s cap, re-solving from degree ``start``: the matcher keeps
+    its pieces below that degree, so ``F`` must agree below it with the
+    automorphism it last solved."""
     work = F.cap + 1
     targets = _series_images(_conj_maps, F.f1.with_cap(work), F.f2.with_cap(work))
-    return TDer(*_match_generator_actions(targets, F.cap, _der_maps))
+    return TDer(*matcher.solve(targets, F.cap, start))
 
 
 def jacobian(F):
     """The group cocycle integrating the divergence:
     ``J(e^w) = sum_k w^k (j(w)) / (k+1)!`` with ``w = log F`` acting on
     cyclic words."""
-    w = taut_log(F)
+    return _log_jacobian(taut_log(F))
+
+
+def _log_jacobian(w):
+    """:func:`jacobian` of ``exp(w)``, from its log ``w``."""
     return _exp_series(divergence(w), _cyc_action(w), shift=1)
 
 

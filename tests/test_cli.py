@@ -196,6 +196,10 @@ def _document(**changes):
     return doc
 
 
+def _entry(word):
+    return {"word": word, "num": "1", "den": "1"}
+
+
 # The longest decimal string ``int`` converts; 0 where there is no limit.
 _INT_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)()
 _VERIFY_DOC = ["verify", "--in", "DOC", "--degree", "1", "--variant", "SolKV"]
@@ -214,6 +218,13 @@ EXIT_2_CASES = [
     pytest.param(_VERIFY_DOC, _document(f1={}), "f1: expected a list", id="f1-not-a-list"),
     pytest.param(_VERIFY_DOC, _document(f1=[{"word": "xy", "num": "1", "den": "1"}]),
                  "word degree exceeds cap", id="word-above-cap"),
+    # A 200 KB word is named by its first 40 characters and its length.
+    pytest.param(_VERIFY_DOC, _document(cap=200000, f1=[_entry("y" + "x" * 199999)]),
+                 "f1[0]: not a Lyndon word: 'yxxxxx", id="long-word-not-lyndon"),
+    pytest.param(_VERIFY_DOC, _document(cap=200000, f1=[_entry("x" * 199999 + "z")]),
+                 "f1[0]: invalid word 'xxxxxx", id="long-word-invalid"),
+    pytest.param(_VERIFY_DOC, _document(cap=200000, f2=[_entry("x" * 199999 + "y")] * 2),
+                 "(200000 characters)", id="long-word-duplicate"),
     pytest.param(
         _VERIFY_DOC,
         _document(f1=[{"word": "y", "num": "1" * (_INT_DIGITS + 1), "den": "1"}]),

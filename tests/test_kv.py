@@ -2,6 +2,7 @@ from fractions import Fraction
 from pathlib import Path
 
 from conftest import rng_for
+import kvtower.cyclic
 import kvtower.kv
 from kvtower.cyclic import CycElt, duflo_pattern
 from kvtower.documents import parse_document
@@ -42,6 +43,7 @@ import pytest
 
 
 SOL10 = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
+GOLDEN = Path(__file__).parent / "golden"
 
 
 def identity(cap):
@@ -226,6 +228,50 @@ def test_extend_solkv_equals_the_checked_chain():
     while chain.cap < 7:
         chain = extend_solkv_step(chain)
     assert extend_solkv(identity(1), 7) == chain
+
+
+@pytest.mark.parametrize("start, to_degree", [("seed", 10), ("sol10", 12)])
+def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
+    # Each step re-solves the one log matcher from degree n, keeping the
+    # pieces below; a fresh taut_log of the same F1 is the reference.  The
+    # chains end at the stored degree-10 and degree-12 solutions.
+    resumed = kvtower.kv._resumed_log
+    steps = []
+
+    def checked(matcher, F1, start):
+        kept = len(matcher.pieces)
+        w = resumed(matcher, F1, start)
+        assert w == taut_log(F1)
+        steps.append((F1.cap, start, kept))
+        return w
+
+    monkeypatch.setattr(kvtower.kv, "_resumed_log", checked)
+    F = identity(1) if start == "seed" else sol10()
+    stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
+    assert kvtower.kv._extend_from(F, to_degree) == parse_document(stored.read_text()).to_taut()
+    caps = list(range(F.cap + 1, to_degree + 1))
+    assert [cap for cap, _, _ in steps] == caps
+    # Stage A changes F1 from degree n = cap - 1 on; every step after the
+    # first resumes from there, with the pieces of the last step's log.
+    assert all(start == cap - 1 for cap, start, _ in steps)
+    assert [kept for _, _, kept in steps] == [0] + caps[:-1]
+
+
+def test_bch_patterns_are_built_once_per_cap(monkeypatch):
+    # gr-test checks each transported element with check_kv at one cap;
+    # the BCH Duflo patterns of that cap are built by the first check only.
+    expansions = []
+    real = kvtower.cyclic.lie_to_assoc
+    monkeypatch.setattr(kvtower.cyclic, "lie_to_assoc", lambda u: expansions.append(u) or real(u))
+    clear_caches()
+    F = sol10().truncate(6)
+    first = check_kv(F, 6)
+    again = check_kv(F, 6)
+    assert len(expansions) == 1
+    assert again.duflo == first.duflo and not again.passed
+    assert lie._BCH_PATTERNS[(6,)] == tuple(kvtower.cyclic._duflo_patterns("bch", 6))
+    clear_caches()
+    assert lie._BCH_PATTERNS == {}
 
 
 def test_extend_solkv_checks_its_input_once(monkeypatch):

@@ -1,9 +1,11 @@
+import sys
 from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_lie, rng_for
 from kvtower import lie, words
 from kvtower.assoc import AssocElt
+from kvtower.cyclic import _bch_patterns
 from kvtower.errors import CapMismatch, NotPrimitive
 from kvtower.lie import (
     LieElt,
@@ -153,15 +155,16 @@ def test_bracket_table_matches_the_associative_construction():
 
 
 def _tables():
-    return (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY)
+    return (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY, lie._BCH_PATTERNS)
 
 
-# Each memoized function of lie with one argument tuple, and its table.
+# Each memoized function with one argument tuple, and its table of lie.
 MEMOIZED = [
     (basis_expansion, ("xxy",), lie._EXPANSION),
     (bracket_table, ("xy", "x"), lie._BRACKET),
     (_divergence_row, ("y", "xxy"), lie._DIVERGENCE),
     (bch_xy, (4,), lie._BCH_XY),
+    (_bch_patterns, (4,), lie._BCH_PATTERNS),
 ]
 
 
@@ -174,7 +177,7 @@ def test_clear_caches_empties_the_caches_in_place():
     assert all(cached)
     assert all(c.cache_info().currsize for c in word_caches)
     clear_caches()
-    assert _tables() == ({}, {}, {}, {})
+    assert _tables() == ({}, {}, {}, {}, {})
     assert all(a is b for a, b in zip(cached, _tables()))
     assert word_caches == (words._necklace, words._duval, words.standard_factorization)
     assert [c.cache_info().currsize for c in word_caches] == [0, 0, 0]
@@ -182,8 +185,8 @@ def test_clear_caches_empties_the_caches_in_place():
 
 @pytest.mark.parametrize("fn, args, table", MEMOIZED, ids=[m[0].__name__ for m in MEMOIZED])
 def test_memoized_functions_return_the_stored_object(fn, args, table):
-    # The memo keeps each function's name and docstring.
-    assert vars(lie)[fn.__name__] is fn and fn.__doc__
+    # The memo keeps each function's name, module and docstring.
+    assert vars(sys.modules[fn.__module__])[fn.__name__] is fn and fn.__doc__
     clear_caches()
     first = fn(*args)
     assert table[args] is first

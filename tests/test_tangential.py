@@ -16,8 +16,11 @@ from kvtower.tangential import (
     TAutElt,
     TDer,
     _AutEngine,
+    _DerEngine,
+    _GeneratorMatcher,
     _conj_maps,
     _der_maps,
+    _resumed_log,
     _series_images,
     _solve_generator_bracket,
     cyc_taut_act,
@@ -34,7 +37,7 @@ from kvtower.tangential import (
     tder_bracket,
     valuation,
 )
-from kvtower.words import lyndon_words, necklaces
+from kvtower.words import lyndon_words, necklaces, standard_factorization
 
 import pytest
 
@@ -84,6 +87,30 @@ def test_tder_apply_leibniz():
         lhs = tder_apply(u, lie_bracket(a, b))
         rhs = lie_bracket(tder_apply(u, a), b) + lie_bracket(a, tder_apply(u, b))
         assert lhs == rhs
+
+
+def _two_bracket_image(engine, word):
+    # The Leibniz rule before the one-pass kernel: two brackets with basis
+    # elements and a sum, on the engine's images of the standard factors.
+    p, q = standard_factorization(word)
+    bp, bq = LieElt.basis(p, engine.cap), LieElt.basis(q, engine.cap)
+    return lie_bracket(engine._image(p), bq) + lie_bracket(bp, engine._image(q))
+
+
+def test_one_pass_leibniz_image_matches_the_two_bracket_rule():
+    rng = rng_for("one-pass-leibniz")
+    checked = 0
+    for cap in range(2, 9):
+        for degree in range(1, cap):
+            # Homogeneous derivations, as the log matcher builds, and a
+            # mixed one, whose images the cap truncates.
+            for u in (random_tder(rng, degree, terms=3, min_degree=degree).with_cap(cap),
+                      random_tder(rng, cap, terms=3)):
+                engine = _DerEngine(u)
+                for word in (w for d in range(2, cap + 1) for w in lyndon_words(d)):
+                    assert engine._image(word) == _two_bracket_image(engine, word)
+                    checked += not engine._image(word).is_zero()
+    assert checked > 300
 
 
 def test_tder_bracket_example():
@@ -714,6 +741,28 @@ def test_log_matches_the_rebuilding_matcher_on_the_degree_10_solution():
     assert F.cap == 10
     for n in (9, 10):
         assert taut_log(F.truncate(n)) == _rebuilding_log(F.truncate(n))
+
+
+def test_resumed_log_matches_a_fresh_log():
+    # One matcher, at a work cap above both automorphisms, solves log F and
+    # then log G, which agrees with F below degree s and may have a larger
+    # cap; resumed from s it keeps F's pieces below s.
+    rng = rng_for("resumed-log")
+    for cap in range(2, 9):
+        for s in range(1, cap + 1):
+            F = random_taut(rng, cap, terms=4)
+            top = rng.choice((cap, cap + 1))
+            G = TAutElt(*(f.with_cap(top) + random_lie(rng, top, 2, min_degree=s)
+                          for f in (F.f1, F.f2)))
+            matcher = _GeneratorMatcher(cap + 3, _der_maps)
+            assert _resumed_log(matcher, F) == taut_log(F)
+            assert len(matcher.pieces) == cap
+            assert _resumed_log(matcher, G, start=s) == taut_log(G)
+            assert len(matcher.pieces) == top
+            # A start beyond the solved degrees resumes at the first
+            # unsolved one.
+            H = G.with_cap(top + 1)
+            assert _resumed_log(matcher, H, start=top + 2) == taut_log(H)
 
 
 def test_exp_inverts_log_on_the_degree_10_solution():

@@ -8,8 +8,8 @@ a canonical document and re-emitting it is byte-identical.
 Parsing checks every field.  The entry lists ``f1``, ``f2`` (``{word,
 num, den}``) and ``duflo`` (``{k, num, den}``) go through one reader.
 Every fault raises :class:`DocumentError` naming the field; a rejected
-integer string or word is shown by its first 40 characters and its
-length.
+integer string or word, and a duplicate ``duflo`` index over 40 digits,
+is shown by its first 40 characters and its length.
 """
 
 import json
@@ -87,7 +87,8 @@ def _parse_entries(items, field, key, index):
         value = item[key]
         index(value, where)
         if value in out:
-            shown = f"index {value}" if key == "k" else f"{key} {_shown(value)}"
+            text = str(value)  # a ``k`` may have as many digits as ``cap``
+            shown = f"index {text}" if key == "k" and len(text) <= 40 else f"{key} {_shown(text)}"
             raise DocumentError(f"{where}: duplicate {shown}", where)
         out[value] = _parse_fraction(item, where)
     return out

@@ -26,12 +26,11 @@ from .tangential import (
     TAutElt,
     TDer,
     _der_maps,
+    _exp_action,
     _GeneratorMatcher,
     _log_jacobian,
     _resumed_log,
     divergence,
-    jacobian,
-    taut_apply,
     taut_compose,
     taut_exp,
     taut_inverse,
@@ -127,12 +126,14 @@ def solve_duflo(c, target):
 def _check(variant, F, n, source, target):
     """Check ``F(source) = target`` and the Jacobian against the Duflo
     patterns of ``target``, both up to degree ``n``; the sides are
-    ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`."""
+    ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`.  Both
+    equations read one log ``w`` of ``F``: ``F`` acts on ``source`` as
+    the exponential series of ``w``, and the Jacobian is ``w``'s."""
     if n > F.cap:
         raise PreconditionFailed("degree exceeds the element's cap")
-    Ft = F.truncate(n)
-    defect = taut_apply(Ft, _side(source, n)) - _side(target, n)
-    duflo, residual = solve_duflo(jacobian(Ft), target)
+    w = taut_log(F.truncate(n))
+    defect = _exp_action(w)(_side(source, n)) - _side(target, n)
+    duflo, residual = solve_duflo(_log_jacobian(w), target)
     return KVReport(variant, n, defect, duflo, residual)
 
 
@@ -232,18 +233,24 @@ def _extend_step(F, side, log):
     """One step of :func:`extend_solkv`, without its precondition check.
     ``side`` is ``bch(x, y)`` at cap n + 1, and ``log`` a log matcher
     (:func:`~kvtower.tangential._resumed_log`) that is empty or last solved
-    the previous step's ``F1``."""
+    the previous step's ``F1``; it solves ``F`` for stage A and ``F1`` for
+    stage B."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
 
     # Stage A: degree-n correction; x + y has no part in degree n + 1.
-    E1 = taut_apply(Fx, side).homogeneous_part(cap)
+    # F differs from the previous step's F1 only in degree n, so its log
+    # is re-solved from there.  The log pieces are homogeneous, and those
+    # below degree n + 1, all that act on side under the cap, are the
+    # pieces of log F at cap n.
+    w = _resumed_log(log, F, start=n).with_cap(cap)
+    E1 = _exp_action(w)(side).homogeneous_part(cap)
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
-    # Stage B: new degree-(n+1) terms.  F1 differs from the previous
-    # step's F1 only from degree n on, so its log is re-solved from there.
+    # Stage B: new degree-(n+1) terms.  F1 differs from F only in degree
+    # n, so its log is re-solved from there too.
     E2 = _log_jacobian(_resumed_log(log, F1, start=n)).homogeneous_part(cap)
     b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)

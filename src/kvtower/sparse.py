@@ -16,16 +16,17 @@ from valid elements go through the trusted :meth:`SparseElt._from_ints`,
 which drops the sums that cancelled and divides out the common factor.
 
 The sums, the scalar product and the products (brackets, expansions, the
-associative product, the engines, the cyclic action and the trace) all
+associative product, the derivation engine, the cyclic action and the
+trace) all
 work on the numerators and multiply the denominators.  The arithmetic is
 exact, so :attr:`SparseElt.coeffs` and :meth:`SparseElt.coeff` give the
 same reduced ``Fraction``s that coefficient loops would give; documents
 and reports read those.  The module also holds :func:`_combine`, the one
 linear combination ``sum n * row / den`` of integer rows over the lcm of
-their denominators, which the engines, the divergence and
+their denominators, which the derivation engine, the divergence and
 ``lie_to_assoc`` share; :func:`_exp_series`, the one truncated
-exponential series, which with a shift also sums the Jacobian series
-``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over the
+exponential series, which gives an automorphism's action from its log
+and with a shift also sums the Jacobian series ``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over the
 pairs of terms whose product stays under the cap, which the bracket and
 the associative product share.  The sum of two elements, the bracket and
 the associative product keep their own loops, which are their hot paths.

@@ -22,26 +22,29 @@ by the unknown exponents to the derivation's exponential series, and
 ``taut_log`` matches the exponential series of the unknown derivation to
 the automorphism's conjugation action.  Either series is
 ``sum_m A^m(gen)/m!``; :func:`_series_images` sums it for a whole pair,
-for the targets and for an automorphism's engine.  For the unknown pair
-``A`` is the sum of one map per degree, so the matcher builds each
-degree's map once and keeps the homogeneous parts of the powers
-``A^m(gen)`` in a table that grows by one degree per step.  Everything it
-keeps is homogeneous, so it works at one fixed cap and can resume: given
-targets that agree below some degree with the last ones, it re-solves
-from that degree only.  ``taut_exp`` and ``taut_log`` each run a fresh
-matcher; the extension steps of :mod:`kvtower.kv` carry one log matcher
-from step to step (:func:`_resumed_log`).
+for the matcher's targets.  For the unknown pair ``A`` is the sum of one
+map per degree, so the matcher builds each degree's map once and keeps
+the homogeneous parts of the powers ``A^m(gen)`` in a table that grows by
+one degree per step.  Everything it keeps is homogeneous, so it works at
+one fixed cap and can resume: given targets that agree below some degree
+with the last ones, it re-solves from that degree only.  ``taut_exp`` and
+``taut_log`` each run a fresh matcher; the extension steps of
+:mod:`kvtower.kv` carry one log matcher from step to step
+(:func:`_resumed_log`).
 
-A derivation applies to Lie elements by the Leibniz rule, whose image of
-a Lyndon word is summed in one pass from the structure constants of its
-factors' images with the factors.  It acts on cyclic words letter by
-letter through its generator images, expanded into words once and scaled
-to one shared denominator, so :func:`jacobian` pays for them once for its
-whole series.  An automorphism acts on cyclic words through its log, as
-the exponential series of that action, and :func:`jacobian` sums its
-series ``sum_k w^k(j(w))/(k+1)!`` through the same helper, shifted by
-one.  The engines and the cyclic action sum the stored integer numerators
-of their inputs and images, as :mod:`kvtower.sparse` describes.
+There is one engine, the derivation's.  It applies a derivation to Lie
+elements by the Leibniz rule, whose image of a Lyndon word is summed in
+one pass from the structure constants of its factors' images with the
+factors.  A derivation acts on cyclic words letter by letter through its
+generator images, expanded into words once and scaled to one shared
+denominator, so :func:`jacobian` pays for them once for its whole
+series.  An automorphism ``F = exp(w)`` acts through its log, on Lie
+elements (:func:`_exp_action`) and on cyclic words alike, as the
+exponential series ``sum_m w^m/m!`` of the derivation's action, and
+:func:`jacobian` sums its series ``sum_k w^k(j(w))/(k+1)!`` through the
+same helper, shifted by one.  The engine and the cyclic action sum the
+stored integer numerators of their inputs and images, as
+:mod:`kvtower.sparse` describes.
 """
 
 import math
@@ -119,14 +122,18 @@ class TDer(_Pair):
         return f"TDer({self.u1!r}, {self.u2!r})"
 
 
-class _Engine:
-    """A linear map on Lie elements, given by the generator images in
-    ``_images``; the image of a longer Lyndon word is built by
-    ``_from_factors`` from those of its standard factors, and memoized."""
+class _DerEngine:
+    """Applies one tangential derivation by the Leibniz rule.  The images
+    of the generators are ``[x, u1]`` and ``[y, u2]``; the image of a
+    longer Lyndon word is built by ``_from_factors`` from those of its
+    standard factors, and memoized."""
 
-    def __init__(self, cap, images):
-        self.cap = cap
-        self._images = images
+    def __init__(self, u):
+        self.cap = u.cap
+        self._images = {
+            "x": lie_bracket(LieElt.gen_x(u.cap), u.u1),
+            "y": lie_bracket(LieElt.gen_y(u.cap), u.u2),
+        }
 
     def _image(self, word):
         img = self._images.get(word)
@@ -140,16 +147,6 @@ class _Engine:
         :func:`~kvtower.sparse._combine` over the lcm of those."""
         images = [(c, self._image(word)) for word, c in w.nums.items()]
         return _combine(LieElt, self.cap, [(c, img.nums, w.den * img.den) for c, img in images])
-
-
-class _DerEngine(_Engine):
-    """Applies one tangential derivation by the Leibniz rule."""
-
-    def __init__(self, u):
-        super().__init__(u.cap, {
-            "x": lie_bracket(LieElt.gen_x(u.cap), u.u1),
-            "y": lie_bracket(LieElt.gen_y(u.cap), u.u2),
-        })
 
     def _from_factors(self, p, q):
         """``[D(p), B(q)] - [D(q), B(p)]`` in one pass: each image term is
@@ -288,35 +285,26 @@ class TAutElt(_Pair):
         return f"TAutElt(e^({self.f1!r}), e^({self.f2!r}))"
 
 
-class _AutEngine(_Engine):
-    """Applies one tangential automorphism, for :func:`taut_apply` and
-    :func:`taut_compose`.
-
-    Images of the generators are the conjugation series
-    ``x + [x, f1] + [[x, f1], f1]/2 + ...``; images of longer Lyndon
-    words follow from the standard factorization since the map is a Lie
-    homomorphism.
-    """
-
-    def __init__(self, F):
-        super().__init__(F.cap, _series_images(_conj_maps, F.f1, F.f2))
-
-    def _from_factors(self, p, q):
-        return lie_bracket(self._image(p), self._image(q))
+def _exp_action(w):
+    """The action of the automorphism ``exp(w)`` on Lie elements, as a
+    function: the exponential series of the derivation ``w``, through one
+    engine."""
+    apply = _DerEngine(w).apply
+    return lambda v: _exp_series(v, apply)
 
 
 def taut_apply(F, w):
-    """Apply the automorphism to a Lie element."""
+    """Apply the automorphism to a Lie element, through its log."""
     _require_same_cap(F, w)
-    return _AutEngine(F).apply(w)
+    return _exp_action(taut_log(F))(w)
 
 
 def taut_compose(F, G):
     """Composition ``(F o G)(w) = F(G(w))``; exponents are
-    ``bch(f_i, F(g_i))``."""
+    ``bch(f_i, F(g_i))``, both images through one log of ``F``."""
     _require_same_cap(F, G)
-    eng = _AutEngine(F)
-    return TAutElt(bch(F.f1, eng.apply(G.f1)), bch(F.f2, eng.apply(G.f2)))
+    act = _exp_action(taut_log(F))
+    return TAutElt(bch(F.f1, act(G.f1)), bch(F.f2, act(G.f2)))
 
 
 def taut_inverse(F):
@@ -447,7 +435,8 @@ def _conj_maps(a1, a2):
 
 def _series_images(maps, p1, p2):
     """The generator images ``g + A(g) + A^2(g)/2! + ...`` for the maps
-    ``A`` of ``maps(p1, p2)``: :func:`_der_maps` or :func:`_conj_maps`."""
+    ``A`` of ``maps(p1, p2)``: :func:`_der_maps` for the targets of
+    :func:`taut_exp`, :func:`_conj_maps` for those of :func:`taut_log`."""
     return {g: _exp_series(LieElt.basis(g, p1.cap), step) for g, step in maps(p1, p2).items()}
 
 

@@ -1,4 +1,6 @@
-"""Shared helpers: seeded random element generators.
+"""Shared helpers: seeded random element generators, and the
+conjugation-series action of an automorphism that its log-series action
+is tested against.
 
 Sparse random inputs keep the exact-arithmetic property tests fast while
 still exercising generic coefficients.
@@ -7,7 +9,9 @@ still exercising generic coefficients.
 import random
 from fractions import Fraction
 
-from kvtower import LieElt, TAutElt, TDer, lyndon_words
+from kvtower import LieElt, TAutElt, TDer, lie_bracket, lyndon_words
+from kvtower.tangential import _conj_maps, _series_images
+from kvtower.words import standard_factorization
 
 
 def rng_for(name):
@@ -40,3 +44,32 @@ def random_taut(rng, cap, terms=2, min_degree=1):
         random_lie(rng, cap, terms, min_degree),
         random_lie(rng, cap, terms, min_degree),
     )
+
+
+class ConjugationReference:
+    """The action of an automorphism ``F`` on Lie elements by the rule that
+    ``taut_apply`` used before it acted through ``log F``.  The generator
+    images are the conjugation series ``x + [x, f1] + [[x, f1], f1]/2 +
+    ...``; ``F`` is a Lie homomorphism, so the image of a longer Lyndon
+    word is the bracket of its standard factors' images, memoized; apply
+    it with :func:`reference_apply`."""
+
+    def __init__(self, F):
+        self.cap = F.cap
+        self._images = _series_images(_conj_maps, F.f1, F.f2)
+
+    def _image(self, word):
+        img = self._images.get(word)
+        if img is None:
+            img = self._images[word] = lie_bracket(*map(self._image, standard_factorization(word)))
+        return img
+
+
+def reference_apply(images, w):
+    """The linear map with the Lyndon-word images ``images._image`` at
+    ``images.cap`` applied to ``w``, summed in ``Fraction`` coefficients."""
+    out = {}
+    for word, c in w.coeffs.items():
+        for ww, k in images._image(word).coeffs.items():
+            out[ww] = out.get(ww, 0) + c * k
+    return LieElt(images.cap, out)

@@ -225,6 +225,11 @@ EXIT_2_CASES = [
                  "f1[0]: invalid word 'xxxxxx", id="long-word-invalid"),
     pytest.param(_VERIFY_DOC, _document(cap=200000, f2=[_entry("x" * 199999 + "y")] * 2),
                  "(200000 characters)", id="long-word-duplicate"),
+    # A duflo index may have as many digits as the cap; a duplicate one is
+    # shown as a long word is.
+    pytest.param(_VERIFY_DOC, _document(cap=10**400, duflo=[{"k": 10**399 + 7, "num": "1",
+                                                             "den": "1"}] * 2),
+                 "duflo[1]: duplicate k '1000", id="long-index-duplicate"),
     pytest.param(
         _VERIFY_DOC,
         _document(f1=[{"word": "y", "num": "1" * (_INT_DIGITS + 1), "den": "1"}]),

@@ -1,23 +1,26 @@
 """The integer kernels against the ``Fraction`` loops they replaced.
 
-``lie_bracket``, ``lie_to_assoc``, ``AssocElt.__mul__``, ``_Engine.apply``,
+``lie_bracket``, ``lie_to_assoc``, ``AssocElt.__mul__``, ``_DerEngine.apply``,
 ``_cyc_action`` and ``trace`` sum integer numerators over one common denominator per operand
 and divide once at the end.  The ``_reference_*`` functions are the
-coefficient loops they replaced.  The inputs mix denominators (one, small
-ones and primes near 2^20 and 2^31) with negative numerators, carry
-degree-one cross terms, include sums built to cancel to zero, and have
-products that spill over the cap.
+coefficient loops they replaced, and ``conftest.reference_apply`` is the
+engine's.  ``taut_apply``, the derivation series of ``log F``, is checked
+against the conjugation-series images of ``conftest.ConjugationReference``.
+The inputs mix denominators (one, small ones and primes near 2^20 and
+2^31) with negative numerators, carry degree-one cross terms, include
+sums built to cancel to zero, and have products that spill over the cap.
 """
 
+import functools
 import math
 from fractions import Fraction
 from itertools import product
 
-from conftest import rng_for
+from conftest import ConjugationReference, reference_apply, rng_for
 from kvtower.assoc import AssocElt
 from kvtower.cyclic import CycElt, trace
 from kvtower.lie import LieElt, basis_expansion, bracket_table, lie_bracket, lie_to_assoc
-from kvtower.tangential import TAutElt, TDer, _AutEngine, _cyc_action, _DerEngine
+from kvtower.tangential import TAutElt, TDer, _cyc_action, _DerEngine, taut_apply
 from kvtower.words import lyndon_words, min_rotation, necklaces
 
 CAPS = range(1, 9)
@@ -63,14 +66,6 @@ def _reference_trace(a):
         k = min_rotation(w)
         out[k] = out.get(k, 0) + c
     return CycElt(a.cap, out)
-
-
-def _reference_apply(engine, w):
-    out = {}
-    for word, c in w.coeffs.items():
-        for ww, k in engine._image(word).coeffs.items():
-            out[ww] = out.get(ww, 0) + c * k
-    return LieElt(engine.cap, out)
 
 
 def _reference_cyc_action(u):
@@ -238,10 +233,13 @@ def test_trace_matches_reference():
 
 
 def _engines(rng, cap, i):
+    # Each action with the images its reference sums: a derivation's engine
+    # holds its own, and an automorphism's are the conjugation-series rule.
     u = _mixed_tder(rng, cap, integral=i % 4 == 0, crossed=i % 2 == 1)
     F = TAutElt(*(_mixed(rng, LieElt, _lyndon_pool(cap, max(1, cap - 1)), cap, 2, i % 4 == 0)
                   for _ in range(2)))
-    return _DerEngine(u), _AutEngine(F)
+    der = _DerEngine(u)
+    return (der.apply, der), (functools.partial(taut_apply, F), ConjugationReference(F))
 
 
 def test_engine_apply_matches_reference():
@@ -250,12 +248,12 @@ def test_engine_apply_matches_reference():
     for cap in CAPS:
         pool = _lyndon_pool(cap)
         for i in range(6):
-            for eng in _engines(rng, cap, i):
+            for apply, images in _engines(rng, cap, i):
                 w = _mixed(rng, LieElt, pool, cap, 5, i % 4 == 0)
-                got = eng.apply(w)
-                assert got == _reference_apply(eng, w)
+                got = apply(w)
+                assert got == reference_apply(images, w)
                 _assert_clean(got)
-                dens = {_den(eng._image(word)) for word in w.coeffs}
+                dens = {_den(images._image(word)) for word in w.coeffs}
                 ones += dens == {1} and _den(w) == 1
                 bigs += max(dens) * _den(w) > BIG
                 mixed += len(dens) > 1
@@ -270,7 +268,7 @@ def test_engine_apply_cancellation():
         eng = _DerEngine(u)
         w = LieElt(cap, {"x": Fraction(1, 3), "y": Fraction(1, 3), "xy": Fraction(7, 2)})
         got = eng.apply(w)
-        assert got == _reference_apply(eng, w)
+        assert got == reference_apply(eng, w)
         assert set(got.coeffs) <= {"xxy", "xyy"}
         _assert_clean(got)
 

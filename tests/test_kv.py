@@ -4,6 +4,7 @@ from pathlib import Path
 from conftest import rng_for
 import kvtower.cyclic
 import kvtower.kv
+import kvtower.tangential
 from kvtower.cyclic import CycElt, duflo_pattern
 from kvtower.documents import parse_document
 from kvtower.errors import InconsistentSystem, PreconditionFailed
@@ -232,29 +233,46 @@ def test_extend_solkv_equals_the_checked_chain():
 
 @pytest.mark.parametrize("start, to_degree", [("seed", 10), ("sol10", 12)])
 def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
-    # Each step re-solves the one log matcher from degree n, keeping the
-    # pieces below; a fresh taut_log of the same F1 is the reference.  The
+    # Each step re-solves the one log matcher twice from degree n, keeping
+    # the pieces below: stage A for F at cap n, stage B for F1 at cap n + 1.
+    # A fresh taut_log of the same automorphism is the reference.  The
     # chains end at the stored degree-10 and degree-12 solutions.
     resumed = kvtower.kv._resumed_log
-    steps = []
+    resumes = []
 
-    def checked(matcher, F1, start):
+    def checked(matcher, G, start):
         kept = len(matcher.pieces)
-        w = resumed(matcher, F1, start)
-        assert w == taut_log(F1)
-        steps.append((F1.cap, start, kept))
+        w = resumed(matcher, G, start)
+        assert w == taut_log(G)
+        resumes.append((G.cap, start, kept))
         return w
 
     monkeypatch.setattr(kvtower.kv, "_resumed_log", checked)
     F = identity(1) if start == "seed" else sol10()
     stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
     assert kvtower.kv._extend_from(F, to_degree) == parse_document(stored.read_text()).to_taut()
-    caps = list(range(F.cap + 1, to_degree + 1))
-    assert [cap for cap, _, _ in steps] == caps
-    # Stage A changes F1 from degree n = cap - 1 on; every step after the
-    # first resumes from there, with the pieces of the last step's log.
-    assert all(start == cap - 1 for cap, start, _ in steps)
-    assert [kept for _, _, kept in steps] == [0] + caps[:-1]
+    # Stage A resumes with the pieces of the last step's log of F1, which
+    # agrees with F below degree n; the first step's matcher is empty.
+    # Stage B resumes with the n pieces that stage A solved.
+    expected = []
+    for n in range(F.cap, to_degree):
+        expected += [(n, n, n if expected else 0), (n + 1, n, n)]
+    assert resumes == expected
+
+
+def test_a_check_takes_one_conjugation_series(monkeypatch):
+    # Both equations of a check read one log of F, so F's conjugation
+    # series is built once, as the targets of that log.
+    real = kvtower.tangential._series_images
+    built = []
+
+    def spy(maps, p1, p2):
+        built.append(maps)
+        return real(maps, p1, p2)
+
+    monkeypatch.setattr(kvtower.tangential, "_series_images", spy)
+    assert check_sol_kv(sol10(), 6).passed
+    assert built == [kvtower.tangential._conj_maps]
 
 
 def test_bch_patterns_are_built_once_per_cap(monkeypatch):

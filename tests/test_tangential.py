@@ -3,10 +3,18 @@ import math
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_fraction, random_lie, random_taut, random_tder, rng_for
+from conftest import (
+    ConjugationReference,
+    random_fraction,
+    random_lie,
+    random_taut,
+    random_tder,
+    reference_apply,
+    rng_for,
+)
 from kvtower.cyclic import CycElt, trace
 from kvtower.errors import CapMismatch, InconsistentSystem
-from kvtower.lie import LieElt, bracket_table, lie_bracket, lie_to_assoc
+from kvtower.lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
 from kvtower.assoc import AssocElt, assoc_exp
 from kvtower.documents import parse_document
 from kvtower.kv import _slot_columns
@@ -15,7 +23,6 @@ from kvtower.sparse import _exp_series
 from kvtower.tangential import (
     TAutElt,
     TDer,
-    _AutEngine,
     _DerEngine,
     _GeneratorMatcher,
     _conj_maps,
@@ -472,6 +479,27 @@ def test_compose_associative():
         )
 
 
+def test_apply_and_compose_match_the_conjugation_series():
+    # taut_apply and taut_compose act through the derivation series of
+    # log F; the reference brackets F's conjugation images up each word's
+    # standard factorization.
+    rng = rng_for("taut-conjugation-reference")
+    crossed = 0
+    for cap in range(1, 9):
+        for i in range(4):
+            F, G = random_taut(rng, cap, terms=3), random_taut(rng, cap, terms=3)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                F = TAutElt(F.f1 + c1, F.f2 + c2)
+            crossed += F.f1.coeff("y") != 0 and F.f2.coeff("x") != 0
+            images = ConjugationReference(F)
+            w = random_lie(rng, cap, terms=4)
+            assert taut_apply(F, w) == reference_apply(images, w)
+            g1, g2 = (reference_apply(images, g) for g in (G.f1, G.f2))
+            assert taut_compose(F, G) == TAutElt(bch(F.f1, g1), bch(F.f2, g2))
+    assert crossed >= 16
+
+
 def test_inverse_examples():
     cap = 4
     eye = TAutElt.identity(cap)
@@ -498,8 +526,9 @@ def _reference_inverse(F):
     # The fixed-point solve the group inverse used before it became
     # exp(-log F): the exponents of F^{-1} are -F^{-1}(f_i), and F^{-1}(w)
     # is the fixed point of v -> v + (w - F(v)).  F minus the identity
-    # raises degree, so the iteration settles within cap rounds.
-    apply = _AutEngine(F).apply
+    # raises degree, so the iteration settles within cap rounds.  F acts by
+    # the conjugation-series rule.
+    apply = functools.partial(reference_apply, ConjugationReference(F))
 
     def inverse_apply(w):
         v = w

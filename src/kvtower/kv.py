@@ -12,8 +12,9 @@ the degree-by-degree surjectivity as two exact linear solves:
 Free variables are set to zero under a fixed column order (first
 exponent block, second exponent block, then the Duflo unknown), so
 extension outputs are reproducible bit for bit.  The steps of one
-extension share one ``bch(x, y)`` series and one log matcher, which keeps
-the pieces of the log that a step leaves unchanged.
+extension share one ``bch(x, y)`` series and carry one log up the tower:
+each step reads the log of its input and returns the log of its output,
+re-solved by one log matcher from the one degree that the step corrects.
 """
 
 from fractions import Fraction
@@ -229,31 +230,28 @@ class _GradedSystem:
         return self.tder_from(particular, defect.cap)
 
 
-def _extend_step(F, side, log):
+def _extend_step(F, w, side, log):
     """One step of :func:`extend_solkv`, without its precondition check.
-    ``side`` is ``bch(x, y)`` at cap n + 1, and ``log`` a log matcher
-    (:func:`~kvtower.tangential._resumed_log`) that is empty or last solved
-    the previous step's ``F1``; it solves ``F`` for stage A and ``F1`` for
-    stage B."""
+    ``w`` is ``log F``, ``side`` is ``bch(x, y)`` at cap n + 1, and ``log``
+    a log matcher (:func:`~kvtower.tangential._resumed_log`) that last
+    solved an automorphism agreeing with ``F`` below degree n.  Returns
+    the extended element and its log."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
 
     # Stage A: degree-n correction; x + y has no part in degree n + 1.
-    # F differs from the previous step's F1 only in degree n, so its log
-    # is re-solved from there.  The log pieces are homogeneous, and those
-    # below degree n + 1, all that act on side under the cap, are the
-    # pieces of log F at cap n.
-    w = _resumed_log(log, F, start=n).with_cap(cap)
-    E1 = _exp_action(w)(side).homogeneous_part(cap)
+    E1 = _exp_action(w.with_cap(cap))(side).homogeneous_part(cap)
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
-    # Stage B: new degree-(n+1) terms.  F1 differs from F only in degree
-    # n, so its log is re-solved from there too.
-    E2 = _log_jacobian(_resumed_log(log, F1, start=n)).homogeneous_part(cap)
+    # Stage B: new degree-(n+1) terms b.  F1 differs from F only in degree
+    # n, so its log is re-solved from there.  Under the cap b enters the
+    # conjugation series only as [g, b], so the log of the output is w1 + b.
+    w1 = _resumed_log(log, F1, start=n)
+    E2 = _log_jacobian(w1).homogeneous_part(cap)
     b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
-    return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2)
+    return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2), w1 + b
 
 
 def extend_solkv_step(F):
@@ -277,14 +275,15 @@ def _extend_from(F, to_degree):
     is again a solution, so no step re-checks its input.  The steps share
     one ``bch(x, y)``, built at the top degree and truncated per step, and
     one log matcher, which keeps the pieces of the log that a step leaves
-    unchanged."""
+    unchanged; the log of ``F`` is solved once, and each step returns the
+    log of its output."""
     if F.cap >= to_degree:
         return F
     series = bch_xy(to_degree)
     log = _GeneratorMatcher(to_degree + 1, _der_maps)
-    out = F
+    out, w = F, _resumed_log(log, F)
     while out.cap < to_degree:
-        out = _extend_step(out, series.truncate(out.cap + 1), log)
+        out, w = _extend_step(out, w, series.truncate(out.cap + 1), log)
     return out
 
 

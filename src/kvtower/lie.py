@@ -170,14 +170,17 @@ class LieElt(SparseElt):
 
     __slots__ = ()
 
-    # Bound on the class itself so that per-class tracing can wrap them.
-    __init__ = SparseElt.__init__
+    def __init__(self, cap, coeffs=None):
+        SparseElt.__init__(self, cap, coeffs)
+        for w in coeffs or ():
+            if not is_lyndon(w):
+                raise ValueError(f"not a Lyndon word: {w!r}")
+
+    # Bound on the class itself so that per-class tracing can wrap it.
     __add__ = SparseElt.__add__
 
     @classmethod
     def basis(cls, word, cap):
-        if not is_lyndon(word):
-            raise ValueError(f"not a Lyndon word: {word!r}")
         return cls(cap, {word: 1})
 
     @classmethod

@@ -9,11 +9,12 @@ the quotient at that cap.
 This module alone keeps the one stored form: integer numerators ``nums``
 (word -> nonzero ``int``) over one positive denominator ``den``, reduced,
 so that ``gcd(den, *nums) == 1``.  The form is unique, so equality and
-hashing compare it directly.  The public constructor normalises its
-input: it drops over-cap words and zeros and writes the rest over the lcm
-of their reduced denominators, which is already reduced.  Results computed
-from valid elements go through the trusted :meth:`SparseElt._from_ints`,
-which drops the sums that cancelled and divides out the common factor.
+hashing compare it directly.  The public constructor checks that every
+key is a word in ``x`` and ``y`` and normalises its input: it drops
+over-cap words and zeros and writes the rest over the lcm of their
+reduced denominators, which is already reduced.  Results computed from
+valid elements go through the trusted :meth:`SparseElt._from_ints`, which
+drops the sums that cancelled and divides out the common factor.
 
 The sums, the scalar product and the products (brackets, expansions, the
 associative product, the derivation engine, the cyclic action and the
@@ -60,6 +61,8 @@ class SparseElt:
         terms = {}
         if coeffs:
             for w, c in coeffs.items():
+                if not isinstance(w, str) or w.strip("xy"):
+                    raise ValueError(f"not a word in x, y: {w!r}")
                 if len(w) > cap:
                     continue
                 c = Fraction(c)

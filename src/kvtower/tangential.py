@@ -28,9 +28,9 @@ the homogeneous parts of the powers ``A^m(gen)`` in a table that grows by
 one degree per step.  Everything it keeps is homogeneous, so it works at
 one fixed cap and can resume: given targets that agree below some degree
 with the last ones, it re-solves from that degree only.  ``taut_exp`` and
-``taut_log`` each run a fresh matcher; the extension steps of
-:mod:`kvtower.kv` carry one log matcher from step to step
-(:func:`_resumed_log`).
+``taut_log`` each run a fresh matcher; an extension in :mod:`kvtower.kv`
+carries one log up the tower, and one log matcher that re-solves it once
+per step (:func:`_resumed_log`).
 
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in

@@ -233,31 +233,56 @@ def test_extend_solkv_equals_the_checked_chain():
 
 @pytest.mark.parametrize("start, to_degree", [("seed", 10), ("sol10", 12)])
 def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
-    # Each step re-solves the one log matcher twice from degree n, keeping
-    # the pieces below: stage A for F at cap n, stage B for F1 at cap n + 1.
-    # A fresh taut_log of the same automorphism is the reference.  The
-    # chains end at the stored degree-10 and degree-12 solutions.
+    # The log of the input is solved once, by the one log matcher; each
+    # step then re-solves it from degree n for stage B's F1 at cap n + 1,
+    # keeping the pieces below, and returns the log of its output, which
+    # the next step reads.  A fresh taut_log of the same automorphism is
+    # the reference.  The chains end at the stored degree-10 and
+    # degree-12 solutions.
     resumed = kvtower.kv._resumed_log
+    step = kvtower.kv._extend_step
     resumes = []
+    carried = []
 
-    def checked(matcher, G, start):
+    def checked(matcher, G, start=1):
         kept = len(matcher.pieces)
         w = resumed(matcher, G, start)
         assert w == taut_log(G)
         resumes.append((G.cap, start, kept))
         return w
 
+    def spied(G, w, side, log):
+        assert w == taut_log(G)
+        carried.append(G.cap)
+        return step(G, w, side, log)
+
     monkeypatch.setattr(kvtower.kv, "_resumed_log", checked)
+    monkeypatch.setattr(kvtower.kv, "_extend_step", spied)
     F = identity(1) if start == "seed" else sol10()
     stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
     assert kvtower.kv._extend_from(F, to_degree) == parse_document(stored.read_text()).to_taut()
-    # Stage A resumes with the pieces of the last step's log of F1, which
-    # agrees with F below degree n; the first step's matcher is empty.
-    # Stage B resumes with the n pieces that stage A solved.
-    expected = []
-    for n in range(F.cap, to_degree):
-        expected += [(n, n, n if expected else 0), (n + 1, n, n)]
-    assert resumes == expected
+    # The first resume is a full solve with an empty matcher; stage B
+    # resumes with the n pieces of the last log, which agree with F1's
+    # below degree n.
+    assert resumes == [(F.cap, 1, 0)] + [(n + 1, n, n) for n in range(F.cap, to_degree)]
+    assert carried == list(range(F.cap, to_degree))
+
+
+def test_an_extension_takes_one_conjugation_series_per_step(monkeypatch):
+    # Stage A reads the log carried from the last step, so a k-step
+    # extension builds the conjugation series of its input once and that
+    # of each step's F1 once: k + 1 in all.
+    real = kvtower.tangential._series_images
+    built = []
+
+    def spy(maps, p1, p2):
+        built.append(maps)
+        return real(maps, p1, p2)
+
+    monkeypatch.setattr(kvtower.tangential, "_series_images", spy)
+    stored = parse_document((GOLDEN / "extend_d8.json").read_text()).to_taut()
+    assert kvtower.kv._extend_from(identity(1), 8) == stored
+    assert built == [kvtower.tangential._conj_maps] * 8
 
 
 def test_a_check_takes_one_conjugation_series(monkeypatch):

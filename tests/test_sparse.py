@@ -124,6 +124,33 @@ def test_the_stored_form_is_unique():
         _assert_clean(elt)
 
 
+@pytest.mark.parametrize(
+    "make, error",
+    [
+        # A key is a word in x and y, above the cap too; a Lie key is a
+        # Lyndon word.
+        (lambda: LieElt(4, {"yx": 1}), "not a Lyndon word: 'yx'"),
+        (lambda: LieElt(4, {"": 2}), "not a Lyndon word: ''"),
+        (lambda: LieElt(2, {"yxx": 1}), "not a Lyndon word: 'yxx'"),
+        (lambda: LieElt(4, {"qx": 1}), "not a word in x, y: 'qx'"),
+        (lambda: AssocElt(3, {"xq": 1}), "not a word in x, y: 'xq'"),
+        (lambda: AssocElt(1, {"xyz": 1}), "not a word in x, y: 'xyz'"),
+        (lambda: AssocElt(3, {1: 1}), "not a word in x, y: 1"),
+        (lambda: CycElt(3, {"q": 1}), "not a word in x, y: 'q'"),
+        (lambda: AssocElt.one(3), None),
+        (lambda: CycElt(3, {"": 1}), None),
+        (lambda: LieElt.gen_x(3), None),
+        (lambda: LieElt(2, {"xxy": 1, "xy": 0}), None),
+    ],
+)
+def test_the_public_constructors_take_valid_words_only(make, error):
+    if error is None:
+        _assert_clean(make())
+    else:
+        with pytest.raises(ValueError, match=f"^{error}$"):
+            make()
+
+
 def test_coeffs_reads_a_new_map():
     # Over a denominator of one and of two.
     for terms, den, nums in (

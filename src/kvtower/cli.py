@@ -10,12 +10,6 @@ import contextlib
 import os
 import sys
 
-from .documents import (
-    SolutionDocument,
-    emit_document,
-    identity_document,
-    parse_document,
-)
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
 from .kv import _extend_from, _gr_rank_and_dim, check_kv, check_krv, check_sol_kv, krv_dim
 from .lie import LieElt, bch_xy
@@ -53,6 +47,9 @@ def _guard_degree(n, allow_large, what="degree"):
 
 
 def _load(path):
+    # Imported here, so that dims and bch never load the document layer.
+    from .documents import parse_document
+
     try:
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
@@ -131,12 +128,18 @@ def _cmd_extend(args):
         report = check_sol_kv(F, args.to_degree)
         if not report.passed:
             raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")
+    # Imported here, so that dims and bch never load the document layer.
+    from .documents import SolutionDocument, emit_document
+
     out = SolutionDocument.from_taut(F, "SolKV", report.duflo)
     _write_output(emit_document(out), args.out)
     return 0
 
 
 def _cmd_seed(args):
+    # Imported here, so that dims and bch never load the document layer.
+    from .documents import emit_document, identity_document
+
     _write_output(emit_document(identity_document()), args.out)
     return 0
 

@@ -18,6 +18,7 @@ re-solved by one log matcher from the one degree that the step corrects.
 """
 
 from fractions import Fraction
+from math import lcm
 
 from .cyclic import _duflo_patterns, _side, _sum_pattern
 from .errors import InconsistentSystem, PreconditionFailed
@@ -208,11 +209,16 @@ class _GradedSystem:
 
     def tder_from(self, values, cap):
         """Read a homogeneous derivation off a solution/kernel vector,
-        dropping the trailing Duflo coordinate if present."""
+        dropping the trailing Duflo coordinate if present.  Each slot is
+        written over the lcm of its ``Fraction`` denominators."""
         k = len(self.cols1)
-        u1 = {w: v for w, v in zip(self.cols1, values[:k]) if v != 0}
-        u2 = {w: v for w, v in zip(self.cols2, values[k:]) if v != 0}
-        return TDer(LieElt(cap, u1), LieElt(cap, u2))
+        m = k + len(self.cols2)
+        slots = []
+        for cols, part in ((self.cols1, values[:k]), (self.cols2, values[k:m])):
+            den = lcm(*(v.denominator for v in part))
+            nums = {w: v.numerator * (den // v.denominator) for w, v in zip(cols, part)}
+            slots.append(LieElt._from_ints(cap, nums, den))
+        return TDer(*slots)
 
     def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or

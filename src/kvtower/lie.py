@@ -42,13 +42,15 @@ from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
 # The five global tables, keyed by argument tuple: the expansion of each
 # Lyndon basis element as an integer word polynomial, the structure
 # constants of brackets of basis elements, the divergence rows
-# {necklace: int} of basis elements in one slot, the bch(x, y) series per
-# cap, and the Duflo patterns of that series per cap (filled by
-# kvtower.cyclic).  All are exact and cap-independent or keyed by the cap,
-# so they are global; only _memo fills them and only clear_caches()
-# empties them, so this is the one place to count or bound them.  They
-# are unbounded today.  perfbench/tracer.py reads the sizes of the first
-# three and of _BCH_XY by these names.
+# {necklace: int} of basis elements in one slot (only x rows are summed:
+# above degree one the trace of the commutator B(w) is zero, so its y row
+# is the negated x row), the bch(x, y) series per cap, and the Duflo
+# patterns of that series per cap (filled by kvtower.cyclic).  All are
+# exact and cap-independent or keyed by the cap, so they are global; only
+# _memo fills them and only clear_caches() empties them, so this is the
+# one place to count or bound them.  They are unbounded today.
+# perfbench/tracer.py reads the sizes of the first three and of _BCH_XY
+# by these names.
 _EXPANSION = {}
 _BRACKET = {}
 _DIVERGENCE = {}
@@ -96,7 +98,13 @@ def basis_expansion(word):
 def _divergence_row(letter, word):
     """Divergence of the basis element ``B(word)`` in the slot of
     ``letter``, as a map necklace -> nonzero integer: the trace of the
-    words of its expansion that end in ``letter``."""
+    words of its expansion that end in ``letter``.
+
+    Above degree one ``B(word)`` is a commutator, whose trace is zero, and
+    it is the sum of its words ending in x and of those ending in y, so
+    the y row is the negated x row and only x rows are summed."""
+    if letter == "y" and len(word) > 1:
+        return {w: -c for w, c in _divergence_row("x", word).items()}
     kept = ((w, c) for w, c in basis_expansion(word).items() if w[-1] == letter)
     return _necklace_sums(kept)
 

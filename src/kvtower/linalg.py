@@ -3,18 +3,21 @@
 Functions read only ``M.rows``, ``M.cols`` and ``M.entries``, a dict
 (row, col) -> nonzero ``int`` or ``Fraction``; :class:`QMatrix` has those,
 and so has ``kv._GradedSystem``, with ``int`` entries.  :func:`_eliminate`,
-the one elimination, works forward on primitive integer rows (denominators
-cleared, content divided out), with a right-hand side, if any, under a
-column key of its own.  Columns go in ascending order; a column's pivot is
-the shortest unreduced row holding it (the first on ties), which keeps
-fill-in low.  Each other holder becomes ``a*row - f*pivot``, made primitive
-again; reduced rows are never touched, and answers come by back-substitution.
+the one elimination, works forward on integer rows (denominators cleared),
+with a right-hand side, if any, under a column key of its own.  Columns go
+in ascending order; a column's pivot is the shortest unreduced row holding
+it (the first on ties), which keeps fill-in low.  The pivot is made
+primitive (its content divided out) when it is chosen, and each other
+holder becomes ``a*row - f*pivot``; reduced rows are never touched.
+Answers come by back-substitution on integers over one positive
+denominator, made reduced ``Fraction``s once at the end.
 
 They equal those of the unique reduced row echelon form: back-elimination
 changes only reduced rows, and each update here is a nonzero multiple of
 the Gauss-Jordan one, so unreduced rows keep the same supports.  The
-pivot rule reads nothing else, so the pivots agree, and back-substitution
-finds the one vector with the given free entries that the rows annihilate.
+pivot rule reads nothing else, so the pivots agree whatever content the
+unreduced rows carry, and back-substitution finds the one vector with the
+given free entries that the rows annihilate, whatever their scaling.
 """
 
 from fractions import Fraction
@@ -105,13 +108,13 @@ def _eliminate(M, b=None):
         den = lcm(*(v.denominator for v in row.values()))
         for k, v in row.items():
             row[k] = v.numerator * (den // v.denominator)
-        _make_primitive(row)
     echelon, pivots = [], []
     for c in range(M.cols):
         holders = [row for row in rows if c in row]
         if not holders:
             continue
         p = min(holders, key=len)
+        _make_primitive(p)
         rows = [row for row in rows if row is not p]
         for row in holders:
             if row is p:
@@ -127,7 +130,6 @@ def _eliminate(M, b=None):
                     row[k] = v
                 else:
                     del row[k]
-            _make_primitive(row)
         echelon.append(p)
         pivots.append(c)
     return echelon, pivots, not any(rows)
@@ -135,12 +137,22 @@ def _eliminate(M, b=None):
 
 def _substitute(ncols, echelon, pivots, col, value):
     """The null vector of the echelon rows with ``value`` at ``col`` and
-    zero at the other free columns, cut before column ``ncols`` (``b``'s)."""
-    x = [Fraction(0)] * (ncols + 1)
-    x[col] = Fraction(value)
+    zero at the other free columns, cut before column ``ncols`` (``b``'s).
+    It is built as integers ``x`` over one positive denominator ``den``."""
+    x = [0] * (ncols + 1)
+    x[col] = value
+    den = 1
     for row, c in zip(reversed(echelon), reversed(pivots)):
-        x[c] = -sum((v * x[k] for k, v in row.items() if x[k]), Fraction(0)) / row[c]
-    return x[:ncols]
+        p = row[c]
+        s = sum(v * x[k] for k, v in row.items() if x[k])
+        # x[c] = -s / (den * p); g has p's sign, so q > 0 and den stays positive.
+        g = gcd(s, p) if p > 0 else -gcd(s, p)
+        q = p // g
+        if q != 1:
+            x = [q * v for v in x]
+            den *= q
+        x[c] = -(s // g)
+    return [Fraction(v, den) for v in x[:ncols]]
 
 
 def _kernel(ncols, echelon, pivots):

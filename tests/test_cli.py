@@ -408,6 +408,30 @@ def test_stdout_output_equals_out_file(command, tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
+    "argv, loaded",
+    [
+        (["dims", "--max-degree", "3"], False),
+        (["bch", "--degree", "3"], False),
+        (["verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV"], True),
+    ],
+    ids=["dims", "bch", "verify"],
+)
+def test_only_commands_that_read_a_document_load_the_document_layer(argv, loaded):
+    # A fresh interpreter, since this one has imported kvtower.documents.
+    # It is asked for the package, not for json, which a site hook may load.
+    script = (
+        "import sys\n"
+        "from kvtower.cli import main\n"
+        f"main({argv!r})\n"
+        "print('kvtower.documents' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == str(loaded)
+
+
+@pytest.mark.parametrize(
     "argv",
     [
         ["verify", "--in", str(SOL10), "--degree", "4", "--variant", "SolKV"],

@@ -20,7 +20,7 @@ from kvtower.lie import (
     lie_from_assoc,
     lie_to_assoc,
 )
-from kvtower.words import lyndon_words, standard_factorization
+from kvtower.words import lyndon_words, min_rotation, standard_factorization
 
 import pytest
 
@@ -119,6 +119,27 @@ def test_expansion_leading_term_is_the_word():
             exp = basis_expansion(w)
             assert exp[w] == 1
             assert min(exp) == w
+
+
+def _reference_divergence_row(letter, word):
+    # The trace of the words of B(word) that end in the slot's letter,
+    # summed by necklace.
+    out = {}
+    for w, c in basis_expansion(word).items():
+        if w[-1] == letter:
+            k = min_rotation(w)
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
+
+
+def test_divergence_rows_match_the_trace_of_the_expansion():
+    # From empty caches, so each y row is computed with its x row not yet
+    # in the memo.  Above degree one the y row is the negated x row.
+    clear_caches()
+    for d in range(1, 13):
+        for w in lyndon_words(d):
+            for letter in "yx":
+                assert _divergence_row(letter, w) == _reference_divergence_row(letter, w)
 
 
 # -- structure constants -------------------------------------------------------

@@ -196,17 +196,21 @@ def test_presolved_matches_solve_linear():
             assert solve_linear(M, b).particular == _reference_solve(M, b)[0]
 
 
-def _sparse_matrix(rng):
-    """A seeded sparse matrix of 10-40 rows and columns at 5-25% density;
-    about half of them rank-deficient, with some rows replaced by sums of
-    earlier rows (a sum of one row is a copy)."""
+def _small_fraction(rng):
+    return Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+
+
+def _sparse_matrix(rng, entry=_small_fraction):
+    """A seeded sparse matrix of 10-40 rows and columns at 5-25% density,
+    its entries drawn by ``entry``; about half of them rank-deficient, with
+    some rows replaced by sums of earlier rows (a sum of one row is a copy)."""
     rows, cols = rng.randint(10, 40), rng.randint(10, 40)
     density = rng.uniform(0.05, 0.25)
     M = QMatrix(rows, cols)
     for i in range(rows):
         for j in range(cols):
             if rng.random() < density:
-                M[i, j] = Fraction(rng.randint(-5, 5), rng.randint(1, 4))
+                M[i, j] = entry(rng)
     if rng.random() < 0.5:
         for i in rng.sample(range(1, rows), rng.randint(1, rows // 2)):
             for j in range(cols):
@@ -250,6 +254,38 @@ def test_sparse_eliminator_matches_reference_on_larger_sparse_matrices():
         longer_first += _longer_row_first(M)
     assert outcomes[True] > 0 and outcomes[False] > 0
     assert deficient > 0 and longer_first > 0
+
+
+ENTRIES = {
+    "integers": lambda rng: rng.randint(-9, 9),
+    "fractions": lambda rng: Fraction(rng.randint(-9, 9), rng.randint(1, 9)),
+}
+
+
+@pytest.mark.parametrize("entries", sorted(ENTRIES))
+def test_eliminator_matches_reference_with_non_unit_and_negative_pivots(entries):
+    # Entries up to 9 in size give pivot rows whose pivot is not +-1 after
+    # the content is divided out, so back-substitution has to scale its
+    # integers and their one denominator.
+    rng = rng_for(f"linalg-pivots-{entries}")
+    seen = {"non-unit pivot": 0, "negative pivot": 0, "non-integer answer": 0}
+    for _ in range(30):
+        M = _sparse_matrix(rng, ENTRIES[entries])
+        x = [Fraction(rng.randint(-3, 3)) for _ in range(M.cols)]
+        bad = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
+        for b in (M.mul_vector(x), bad):
+            particular, kernel, r = _reference_solve(M, b)
+            sol = solve_linear(M, b)
+            assert sol.particular == _particular(M, b) == particular
+            assert sol.kernel_basis == kernel_basis(M) == kernel
+            assert rank(M) == r
+            echelon, pivots, _ = _eliminate(M, b)
+            heads = [row[c] for row, c in zip(echelon, pivots)]
+            seen["non-unit pivot"] += any(abs(p) > 1 for p in heads)
+            seen["negative pivot"] += any(p < 0 for p in heads)
+            answers = [v for vec in (particular or [], *kernel) for v in vec]
+            seen["non-integer answer"] += any(v.denominator > 1 for v in answers)
+    assert all(seen.values()), seen
 
 
 def _qmatrix(S):

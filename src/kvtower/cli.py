@@ -3,6 +3,12 @@
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage, parse or I/O error, 3 internal error: a bug, printed with its
 traceback, or a system that theory says is solvable failed to solve.
+
+``main()`` with no argument is the program: after the command it flushes
+stdout and stderr and ends the process with ``os._exit``, so the
+interpreter does not tear down the modules and tables that the process is
+about to drop, and no ``atexit`` handler runs.  ``main(argv)`` and
+``run_command(argv)`` return the exit code and leave the process alone.
 """
 
 import argparse
@@ -216,7 +222,8 @@ def run_command(argv):
         return code
     except BrokenPipeError as exc:
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-        # The interpreter flushes stdout again at exit; that write goes nowhere.
+        # stdout is flushed again before the process ends (by main, or by
+        # the interpreter at exit); that write goes nowhere.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except (DocumentError, PreconditionFailed) as exc:
@@ -233,7 +240,21 @@ def run_command(argv):
 
 
 def main(argv=None):
-    return run_command(sys.argv[1:] if argv is None else argv)
+    """Run ``argv`` in-process and return the exit code; with no argument,
+    run ``sys.argv[1:]`` as the program and end the process (see above)."""
+    if argv is not None:
+        return run_command(argv)
+    code = run_command(sys.argv[1:])
+    # A stream is None when its file descriptor was closed at start.
+    try:
+        if sys.stdout is not None:
+            sys.stdout.flush()
+    except OSError as exc:
+        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        code = 2
+    if sys.stderr is not None:
+        sys.stderr.flush()
+    os._exit(code)
 
 
 if __name__ == "__main__":

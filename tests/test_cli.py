@@ -466,6 +466,101 @@ def test_closed_stdout_exit_code(argv, unbuffered):
     assert "Traceback" not in proc.stderr
 
 
+# The program as the console script runs it: ``main()`` reads sys.argv and
+# ends the process itself.  A ``-c`` script is ``sys.argv[0]``.  Its stdout
+# is buffered, so output that is not flushed before the exit is lost.
+PROGRAM = "from kvtower.cli import main; main()"
+BUFFERED = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+
+
+def _program(*argv, before=""):
+    """Run ``argv`` as a process through ``main()``, with stdout and stderr
+    read through pipes; ``before`` is Python run first in the process."""
+    return subprocess.run(
+        [sys.executable, "-c", before + PROGRAM, *argv], capture_output=True, env=BUFFERED
+    )
+
+
+@pytest.mark.parametrize(
+    "argv, golden, code",
+    [
+        (["dims", "--max-degree", "9"], "dims_d9.txt", 0),
+        (["bch", "--degree", "10"], "bch_d10.txt", 0),
+        (["verify", "--in", str(SOL10), "--degree", "10", "--variant", "KV"],
+         "verify_kv_d10.txt", 1),
+    ],
+    ids=["dims", "bch", "verify-fails"],
+)
+def test_program_writes_its_whole_output_before_it_exits(argv, golden, code):
+    # Buffered output is flushed before the hard exit, none of it lost.
+    proc = _program(*argv)
+    assert (proc.returncode, proc.stderr) == (code, b"")
+    assert proc.stdout == (GOLDEN / golden).read_bytes()
+
+
+def test_program_exit_2_paths(tmp_path):
+    proc = _program("dims")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert b"the following arguments are required: --max-degree" in proc.stderr
+    bad = tmp_path / "bad.json"
+    bad.write_bytes(b"\xff\xfe{}")
+    proc = _program("verify", "--in", str(bad), "--degree", "2", "--variant", "SolKV")
+    assert proc.returncode == 2 and proc.stdout == b""
+    assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
+
+
+def test_program_exit_3_path():
+    fail = ("import kvtower.cli\n"
+            "def fail(*args):\n"
+            "    raise KeyError('injected fault')\n"
+            "kvtower.cli._CHECKERS['SolKV'] = fail\n")
+    proc = _program("verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV",
+                    before=fail)
+    assert proc.returncode == 3 and proc.stdout == b""
+    assert b"Traceback" in proc.stderr and b"KeyError: 'injected fault'" in proc.stderr
+
+
+def test_program_final_flush_to_a_closed_stdout_exit_code():
+    # --help leaves its text in the buffer for the final flush, which fails.
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-c", PROGRAM, "--help"], env=BUFFERED,
+                              stdout=write_end, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_program_without_stderr_exit_code():
+    # With file descriptor 2 closed, sys.stderr is None; the run still
+    # ends with its own code.
+    proc = subprocess.run([sys.executable, "-c", PROGRAM, "dims", "--max-degree", "2"],
+                          env=BUFFERED, stdout=subprocess.PIPE, preexec_fn=lambda: os.close(2))
+    assert (proc.returncode, proc.stdout) == (0, b"n lie krv\n1 2 1\n2 1 0\n")
+
+
+def test_program_skips_the_interpreter_teardown():
+    # atexit handlers run only where main is called with a list.
+    before = "import atexit; atexit.register(print, 'at exit')\n"
+    assert _program("dims", "--max-degree", "2", before=before).stdout == (
+        b"n lie krv\n1 2 1\n2 1 0\n")
+    in_process = subprocess.run(
+        [sys.executable, "-c", before + "from kvtower.cli import main\n"
+         "print(main(['dims', '--max-degree', '2']))"],
+        capture_output=True,
+    )
+    assert in_process.stdout == b"n lie krv\n1 2 1\n2 1 0\n0\nat exit\n"
+
+
+def test_main_with_a_list_returns_its_code(capsys):
+    assert kvtower.cli.main(["dims", "--max-degree", "2"]) == 0
+    assert kvtower.cli.main(["no-such-command"]) == 2
+    assert capsys.readouterr().out == "n lie krv\n1 2 1\n2 1 0\n"
+
+
 def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     seed = tmp_path / "seed.json"
     run(capsys, "seed", "--out", str(seed))

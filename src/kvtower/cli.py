@@ -13,6 +13,7 @@ about to drop, and no ``atexit`` handler runs.  ``main(argv)`` and
 
 import argparse
 import contextlib
+import errno
 import os
 import sys
 
@@ -67,20 +68,39 @@ def _load(path):
 
 
 def _write_output(text, path):
-    """Print ``text``, or put it at ``path`` atomically: it is written to a
-    new file beside ``path`` first and then renamed over it."""
+    """Print ``text``, or put it at ``path``.  A link is resolved first, so
+    its target is written and the link kept.  A regular file, or a new
+    one, is written atomically: to a new file beside it first, then renamed
+    over it.  Any other node that exists, such as a FIFO, is written in
+    place, since a rename would replace the node itself."""
     if path is None:
         sys.stdout.write(text)
         return
-    tmp = f"{path}.{os.getpid()}.tmp"
+    real = os.path.realpath(path)
+    in_place = os.path.exists(real) and not os.path.isfile(real)
+    tmp = real if in_place else f"{real}.{os.getpid()}.tmp"
     try:
         with open(tmp, "w", encoding="utf-8") as fh:
             fh.write(text)
-        os.replace(tmp, path)
+        if not in_place:
+            os.replace(tmp, real)
     except OSError as exc:
-        with contextlib.suppress(OSError):
-            os.remove(tmp)
+        if not in_place:
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
         raise DocumentError(f"cannot write {path}: {exc}") from None
+
+
+class _ClosedStdout:
+    """Stands in for ``sys.stdout`` when it is ``None``, as it is when file
+    descriptor 1 was closed at start: a write fails as on a closed
+    descriptor, and there is never anything to flush."""
+
+    def write(self, text):
+        raise OSError(errno.EBADF, "stdout is closed")
+
+    def flush(self):
+        pass
 
 
 def _cmd_bch(args):
@@ -216,15 +236,25 @@ def run_command(argv):
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
+    # A stream is None when its file descriptor was closed at start: output
+    # to a closed stdout is an I/O error, and messages to a closed stderr
+    # are lost.
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
         code = args.func(args)
         sys.stdout.flush()
         return code
-    except BrokenPipeError as exc:
+    except OSError as exc:
+        # The commands turn their own file errors into DocumentError, so
+        # an OSError that reaches here is a write to stdout.
         print(f"error: cannot write stdout: {exc}", file=sys.stderr)
         # stdout is flushed again before the process ends (by main, or by
-        # the interpreter at exit); that write goes nowhere.
-        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        # the interpreter at exit); what it still holds goes nowhere.
+        if not isinstance(sys.stdout, _ClosedStdout):
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 2
     except (DocumentError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -2,8 +2,16 @@
 
 Checkers decide membership in the degree-n solution set and the two
 symmetry groups; the Duflo series attached to an element is recomputed
-from scratch on every check, never cached.  The extension step realizes
-the degree-by-degree surjectivity as two exact linear solves:
+from scratch on every check, never cached.  A check is a function of one
+log ``w``: ``exp(w)`` acts on the source side as the exponential series
+of ``w``, and the Jacobian is ``w``'s, so a caller that holds the log of
+its input checks it without solving that log again.  The graded-rank
+comparison transports each graded basis vector ``u`` through a solution
+``F`` as ``log(F^-1 o exp(u) o F)``, the conjugation series of ``u`` by
+``log F``, and checks and reads that log; it builds no group element.
+
+The extension step realizes the degree-by-degree surjectivity as two
+exact linear solves:
 
 * a degree-n correction of the exponents kills the first equation's
   defect one degree up while keeping the divergence side solvable, and
@@ -27,6 +35,7 @@ from .linalg import QMatrix, _particular, kernel_basis, rank
 from .tangential import (
     TAutElt,
     TDer,
+    _conjugate_log,
     _der_maps,
     _exp_action,
     _GeneratorMatcher,
@@ -35,7 +44,6 @@ from .tangential import (
     divergence,
     taut_compose,
     taut_exp,
-    taut_inverse,
     taut_log,
     tder_apply,
     valuation,
@@ -125,15 +133,21 @@ def solve_duflo(c, target):
     return series, remaining
 
 
-def _check(variant, F, n, source, target):
-    """Check ``F(source) = target`` and the Jacobian against the Duflo
-    patterns of ``target``, both up to degree ``n``; the sides are
-    ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`.  Both
-    equations read one log ``w`` of ``F``: ``F`` acts on ``source`` as
-    the exponential series of ``w``, and the Jacobian is ``w``'s."""
+def _log_to(F, n):
+    """``log F`` up to degree ``n``, which must not exceed ``F``'s cap."""
     if n > F.cap:
         raise PreconditionFailed("degree exceeds the element's cap")
-    w = taut_log(F.truncate(n))
+    return taut_log(F.truncate(n))
+
+
+def _check(variant, w, source, target):
+    """Check ``exp(w)(source) = target`` and the Jacobian of ``exp(w)``
+    against the Duflo patterns of ``target``, both up to ``w``'s cap; the
+    sides are ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`.
+    An automorphism is checked through its log alone: it acts on
+    ``source`` as the exponential series of ``w``, and the Jacobian is
+    ``w``'s."""
+    n = w.cap
     defect = _exp_action(w)(_side(source, n)) - _side(target, n)
     duflo, residual = solve_duflo(_log_jacobian(w), target)
     return KVReport(variant, n, defect, duflo, residual)
@@ -141,17 +155,17 @@ def _check(variant, F, n, source, target):
 
 def check_sol_kv(F, n):
     """Does ``F`` solve the KV equations up to degree ``n``?"""
-    return _check("SolKV", F, n, "bch", "sum")
+    return _check("SolKV", _log_to(F, n), "bch", "sum")
 
 
 def check_krv(F, n):
     """Membership in the graded symmetry group up to degree ``n``."""
-    return _check("KRV", F, n, "sum", "sum")
+    return _check("KRV", _log_to(F, n), "sum", "sum")
 
 
 def check_kv(F, n):
     """Membership in the left symmetry group up to degree ``n``."""
-    return _check("KV", F, n, "bch", "bch")
+    return _check("KV", _log_to(F, n), "bch", "bch")
 
 
 def check_krv_lie(u, n):
@@ -307,38 +321,36 @@ def extend_krv_step(G):
     """Extend a degree-n symmetry one degree up by zero-extending its
     logarithm and re-exponentiating."""
     n = G.cap
-    if not check_krv(G, n).passed:
+    w = _log_to(G, n)
+    if not _check("KRV", w, "sum", "sum").passed:
         raise PreconditionFailed("input is not in the symmetry group at its cap")
-    w = taut_log(G)
-    out = taut_exp(w.with_cap(n + 1))
-    if not check_krv(out, n + 1).passed:
+    w = w.with_cap(n + 1)
+    if not _check("KRV", w, "sum", "sum").passed:
         raise PreconditionFailed(
             "zero-extension of the log does not satisfy the equations one "
             "degree up; the input only satisfies them in the truncated sense"
         )
-    return out
+    return taut_exp(w)
 
 
 def torsor_quotient(F, G, n):
     """The symmetry ``H = G o F^{-1}`` carrying ``F`` to ``G`` under the
     right action ``G . H = H^{-1} o G``."""
-    if not check_sol_kv(F, n).passed or not check_sol_kv(G, n).passed:
+    w = _log_to(F, n)
+    if not _check("SolKV", w, "bch", "sum").passed or not check_sol_kv(G, n).passed:
         raise PreconditionFailed("both inputs must solve the system at degree n")
-    Ft = F.truncate(n)
-    Gt = G.truncate(n)
-    return taut_compose(Gt, taut_inverse(Ft))
+    return taut_compose(G.truncate(n), taut_exp(-w))
 
 
 def psi_conjugate(F, G, n):
     """Transport a left symmetry to a right symmetry through a solution:
     ``H = F o G o F^{-1}``."""
-    if not check_sol_kv(F, n).passed:
+    w = _log_to(F, n)
+    if not _check("SolKV", w, "bch", "sum").passed:
         raise PreconditionFailed("F must solve the system at degree n")
     if not check_kv(G, n).passed:
         raise PreconditionFailed("G must be a left symmetry at degree n")
-    Ft = F.truncate(n)
-    Gt = G.truncate(n)
-    return taut_compose(taut_compose(Ft, Gt), taut_inverse(Ft))
+    return taut_compose(taut_compose(F.truncate(n), G.truncate(n)), taut_exp(-w))
 
 
 def krv_dim(n):
@@ -367,23 +379,21 @@ def _gr_rank_and_dim(F, n):
     one :func:`krv_dim`."""
     if F.cap < n + 1:
         raise PreconditionFailed("the solution must be known beyond degree n")
-    if not check_sol_kv(F, F.cap).passed:
+    w = taut_log(F)
+    if not _check("SolKV", w, "bch", "sum").passed:
         raise PreconditionFailed("F must solve the system at its cap")
     dim, basis = krv_dim(n)
     if dim == 0:
         return 0, 0
-    Fi = taut_inverse(F)
     vectors = []
     cols = list(lyndon_words(n))
     for u in basis:
-        U = taut_exp(u.with_cap(F.cap))
-        G = taut_compose(taut_compose(Fi, U), F)
-        if not check_kv(G, F.cap).passed:
+        # g = log(F^-1 o exp(u) o F), the conjugate of u by log F.
+        g = _conjugate_log(u.with_cap(F.cap), w)
+        if not _check("KV", g, "bch", "bch").passed:
             raise InconsistentSystem("transported element fails the left system")
-        if valuation(G) != n:
+        if valuation(g) != n:
             raise InconsistentSystem("transported element has wrong valuation")
-        # log G leads with G's own f_n: its first piece solves [g, p] = [g, f_n].
-        vec = [G.f1.coeff(w) for w in cols] + [G.f2.coeff(w) for w in cols]
-        vectors.append(vec)
+        vectors.append([g.u1.coeff(c) for c in cols] + [g.u2.coeff(c) for c in cols])
     # The rank is the same for the transpose, so the vectors can be rows.
     return rank(QMatrix.from_rows(vectors)), dim

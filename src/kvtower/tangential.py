@@ -42,7 +42,10 @@ series.  An automorphism ``F = exp(w)`` acts through its log, on Lie
 elements (:func:`_exp_action`) and on cyclic words alike, as the
 exponential series ``sum_m w^m/m!`` of the derivation's action, and
 :func:`jacobian` sums its series ``sum_k w^k(j(w))/(k+1)!`` through the
-same helper, shifted by one.  The engine and the cyclic action sum the
+same helper, shifted by one.  The log of a conjugate
+``exp(w)^-1 o exp(u) o exp(w)`` is the series ``sum_k ad^k(u)/k!`` with
+``ad(v) = [v, w]`` (:func:`_conjugate_log`), so a transport through an
+automorphism needs its log only.  The engine and the cyclic action sum the
 stored integer numerators of their inputs and images, as
 :mod:`kvtower.sparse` describes.
 """
@@ -477,6 +480,12 @@ def _log_jacobian(w):
     return _exp_series(divergence(w), _cyc_action(w), shift=1)
 
 
+def _conjugate_log(u, w):
+    """``log(exp(w)^{-1} o exp(u) o exp(w))``, the series ``sum_k
+    ad^k(u)/k!`` with ``ad(v) = [v, w]``, for ``u`` and ``w`` at one cap."""
+    return _exp_series(u, lambda v: tder_bracket(v, w))
+
+
 def group_commutator(F, G):
     """``F^{-1} o G^{-1} o F o G``."""
     _require_same_cap(F, G)
@@ -486,7 +495,8 @@ def group_commutator(F, G):
 
 
 def valuation(F):
-    """Lowest degree with a nonzero exponent term; ``math.inf`` for the
-    identity at this cap."""
-    degs = [d for d in (F.f1.min_degree(), F.f2.min_degree()) if d]
+    """Lowest degree with a nonzero term in either part: the exponents of
+    an automorphism or the slots of a derivation; ``math.inf`` for the
+    identity or zero at this cap."""
+    degs = [d for d in (p.min_degree() for p in F._parts()) if d]
     return min(degs) if degs else math.inf

@@ -1,6 +1,7 @@
-"""Shared helpers: seeded random element generators, and the
+"""Shared helpers: seeded random element generators, the
 conjugation-series action of an automorphism that its log-series action
-is tested against.
+is tested against, and the group-path transport that gr-test's log
+series is tested against.
 
 Sparse random inputs keep the exact-arithmetic property tests fast while
 still exercising generic coefficients.
@@ -10,7 +11,7 @@ import random
 from fractions import Fraction
 
 from kvtower import LieElt, TAutElt, TDer, lie_bracket, lyndon_words
-from kvtower.tangential import _conj_maps, _series_images
+from kvtower.tangential import _conj_maps, _series_images, taut_compose, taut_exp, taut_inverse
 from kvtower.words import standard_factorization
 
 
@@ -73,3 +74,11 @@ def reference_apply(images, w):
         for ww, k in images._image(word).coeffs.items():
             out[ww] = out.get(ww, 0) + c * k
     return LieElt(images.cap, out)
+
+
+def group_transport(F, u):
+    """``F^{-1} o exp(u) o F`` at ``F``'s cap, through the group operations:
+    the transport of a graded basis vector ``u`` by the rule that gr-test
+    used before it worked through ``log F``."""
+    U = taut_exp(u.with_cap(F.cap))
+    return taut_compose(taut_compose(taut_inverse(F), U), F)

@@ -1,7 +1,9 @@
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
@@ -366,6 +368,22 @@ def test_gr_test_computes_the_graded_dimension_once(tmp_path, capsys, monkeypatc
     assert calls == [3]
 
 
+def test_gr_test_never_uses_the_group_operations(capsys, monkeypatch):
+    # The transport goes through log F alone: with the group inverse,
+    # exponential and composition all failing, gr-test prints its golden.
+    def fail(*args):
+        raise AssertionError("group operation called")
+
+    for module in (kvtower.tangential, kvtower.kv):
+        for name in ("taut_inverse", "taut_exp", "taut_compose"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, fail)
+    code, out, err = run(capsys, "gr-test", "--in", str(GOLDEN / "extend_d8.json"),
+                         "--degree", "7")
+    assert (code, err) == (0, "")
+    assert out == (GOLDEN / "gr_d7.txt").read_text()
+
+
 def test_emit_report_formats():
     F = extend_solkv(TAutElt.identity(1), 4)
     passing = emit_report(check_sol_kv(F, 4))
@@ -534,6 +552,35 @@ def test_program_final_flush_to_a_closed_stdout_exit_code():
     assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize("argv", [["dims", "--max-degree", "3"], ["seed"]], ids=["dims", "seed"])
+def test_program_stdout_on_a_full_device_exit_code(argv):
+    # Every write to /dev/full fails with ENOSPC: an I/O error, exit 2.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", PROGRAM, *argv], env=BUFFERED,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.count("\n") == 1
+
+
+def test_program_without_stdout_exit_code(tmp_path):
+    # With file descriptor 1 closed, sys.stdout is None: output that has to
+    # go there is an I/O error, and a run that writes only --out succeeds.
+    # With descriptor 2 closed too, the error line is lost, not the code.
+    def closed(fds, *argv):
+        return subprocess.run([sys.executable, "-c", PROGRAM, *argv], env=BUFFERED,
+                              stderr=subprocess.PIPE, text=True,
+                              preexec_fn=lambda: [os.close(fd) for fd in fds])
+
+    proc = closed([1], "dims", "--max-degree", "3")
+    assert proc.returncode == 2
+    assert proc.stderr == "error: cannot write stdout: [Errno 9] stdout is closed\n"
+    assert closed([1, 2], "dims", "--max-degree", "3").returncode == 2
+    out = tmp_path / "seed.json"
+    assert (closed([1], "seed", "--out", str(out)).returncode, out.exists()) == (0, True)
+
+
 def test_program_without_stderr_exit_code():
     # With file descriptor 2 closed, sys.stderr is None; the run still
     # ends with its own code.
@@ -679,6 +726,31 @@ def test_extend_to_its_own_cap_checks_once(tmp_path, capsys, monkeypatch):
     # No step runs, so the entry check is the only check.
     assert calls == [4]
     assert out.read_bytes() == sol4.read_bytes()
+
+
+def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):
+    target = tmp_path / "target.json"
+    target.write_text("old")
+    link = tmp_path / "link.json"
+    link.symlink_to(target.name)
+    assert run(capsys, "seed", "--out", str(link))[0] == 0
+    assert link.is_symlink() and os.readlink(link) == target.name
+    assert target.read_text() == run(capsys, "seed")[1]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "target.json"]
+
+
+@pytest.mark.skipif(not hasattr(os, "mkfifo"), reason="no FIFOs")
+def test_out_to_a_fifo_writes_in_place(tmp_path, capsys):
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_text()), daemon=True)
+    reader.start()
+    code = run(capsys, "seed", "--out", str(fifo))[0]
+    reader.join(timeout=10)
+    assert code == 0 and stat.S_ISFIFO(os.stat(fifo).st_mode)
+    assert got == [run(capsys, "seed")[1]]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo"]
 
 
 def test_out_is_replaced_atomically(tmp_path, capsys, monkeypatch):

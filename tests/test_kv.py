@@ -1,7 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import rng_for
+from conftest import group_transport, rng_for
 import kvtower.cyclic
 import kvtower.kv
 import kvtower.tangential
@@ -301,7 +301,7 @@ def test_a_check_takes_one_conjugation_series(monkeypatch):
 
 
 def test_bch_patterns_are_built_once_per_cap(monkeypatch):
-    # gr-test checks each transported element with check_kv at one cap;
+    # gr-test checks each transported log with the KV check at one cap;
     # the BCH Duflo patterns of that cap are built by the first check only.
     expansions = []
     real = kvtower.cyclic.lie_to_assoc
@@ -609,6 +609,20 @@ def test_gr_leading_terms_match_the_log_on_the_degree_10_solution(monkeypatch):
         if vectors:
             (M,) = ranked
             assert M.entries == QMatrix.from_rows(vectors).entries
+
+
+@pytest.mark.parametrize("n", [7, 9])
+def test_transport_series_is_the_log_of_the_group_transport(n):
+    # gr-test reads log(F^-1 o exp(u) o F) as the series sum_k ad^k(u)/k!
+    # with ad(v) = [v, log F]; the group path computes F^-1 o exp(u) o F.
+    F = sol10()
+    w = taut_log(F)
+    dim, basis = krv_dim(n)
+    assert dim == 1
+    for u in basis:
+        g = kvtower.tangential._conjugate_log(u.with_cap(F.cap), w)
+        assert g == taut_log(group_transport(F, u))
+        assert valuation(g) == n
 
 
 def test_gr_requires_headroom():

@@ -35,6 +35,7 @@ from .linalg import QMatrix, _particular, kernel_basis, rank
 from .tangential import (
     TAutElt,
     TDer,
+    _compose,
     _conjugate_log,
     _der_maps,
     _exp_action,
@@ -200,13 +201,19 @@ class _GradedSystem:
     constants of its bracket with the slot's letter and the divergence row
     of its basis element, so no element is built per column; the Duflo
     column is the ``nums`` (denominator 1) of the closed-form pattern.
+
+    The divergence sees only ``u1 - u2``: a second-slot column's divergence
+    is the negated x row of its word, and degree-one columns have none.
+    So without bracket rows the second slot's columns are the negated
+    first-slot ones, and they are left out; the solutions' second slot is
+    zero, as it is when those free columns are set to zero.
     """
 
     def __init__(self, n, with_bracket_rows):
         cap = n + 1
         self.n = n
         self.cols1 = _slot_columns("x", n)
-        self.cols2 = _slot_columns("y", n)
+        self.cols2 = _slot_columns("y", n) if with_bracket_rows else []
         lw = lyndon_words(cap) if with_bracket_rows else ()
         self.row_index = index = {w: i for i, w in enumerate(lw + necklaces(n))}
         self.rows = len(index)
@@ -214,9 +221,13 @@ class _GradedSystem:
         self.entries = entries = {}
         columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
         for j, (letter, w) in enumerate(columns):
-            brackets = bracket_table(letter, w) if with_bracket_rows else {}
-            for ww, c in (*brackets.items(), *_divergence_row(letter, w).items()):
-                entries[index[ww], j] = c
+            if with_bracket_rows:
+                for ww, c in bracket_table(letter, w).items():
+                    entries[index[ww], j] = c
+            if n >= 2:
+                sign = 1 if letter == "x" else -1
+                for ww, c in _divergence_row(w).items():
+                    entries[index[ww], j] = sign * c
         if n >= 2:
             for ww, c in _sum_pattern(n, cap).nums.items():
                 entries[index[ww], self.cols - 1] = -c
@@ -224,7 +235,8 @@ class _GradedSystem:
     def tder_from(self, values, cap):
         """Read a homogeneous derivation off a solution/kernel vector,
         dropping the trailing Duflo coordinate if present.  Each slot is
-        written over the lcm of its ``Fraction`` denominators."""
+        written over the lcm of its ``Fraction`` denominators; a slot with
+        no columns is zero."""
         k = len(self.cols1)
         m = k + len(self.cols2)
         slots = []
@@ -333,24 +345,33 @@ def extend_krv_step(G):
     return taut_exp(w)
 
 
+def _solution_log(F, n, message):
+    """``log F`` up to degree ``n`` if ``F`` solves the system there; else
+    :class:`PreconditionFailed` with ``message``."""
+    w = _log_to(F, n)
+    if not _check("SolKV", w, "bch", "sum").passed:
+        raise PreconditionFailed(message)
+    return w
+
+
 def torsor_quotient(F, G, n):
     """The symmetry ``H = G o F^{-1}`` carrying ``F`` to ``G`` under the
-    right action ``G . H = H^{-1} o G``."""
-    w = _log_to(F, n)
-    if not _check("SolKV", w, "bch", "sum").passed or not check_sol_kv(G, n).passed:
-        raise PreconditionFailed("both inputs must solve the system at degree n")
-    return taut_compose(G.truncate(n), taut_exp(-w))
+    right action ``G . H = H^{-1} o G``; the checks' logs of ``F`` and
+    ``G`` serve the inverse and the composition."""
+    message = "both inputs must solve the system at degree n"
+    w = _solution_log(F, n, message)
+    v = _solution_log(G, n, message)
+    return _compose(G.truncate(n), taut_exp(-w), v)
 
 
 def psi_conjugate(F, G, n):
     """Transport a left symmetry to a right symmetry through a solution:
-    ``H = F o G o F^{-1}``."""
-    w = _log_to(F, n)
-    if not _check("SolKV", w, "bch", "sum").passed:
-        raise PreconditionFailed("F must solve the system at degree n")
+    ``H = F o G o F^{-1}``; the check's log of ``F`` serves ``F o G`` and
+    the inverse."""
+    w = _solution_log(F, n, "F must solve the system at degree n")
     if not check_kv(G, n).passed:
         raise PreconditionFailed("G must be a left symmetry at degree n")
-    return taut_compose(taut_compose(F.truncate(n), G.truncate(n)), taut_exp(-w))
+    return taut_compose(_compose(F.truncate(n), G.truncate(n), w), taut_exp(-w))
 
 
 def krv_dim(n):

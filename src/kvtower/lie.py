@@ -42,9 +42,10 @@ from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
 # The five global tables, keyed by argument tuple: the expansion of each
 # Lyndon basis element as an integer word polynomial, the structure
 # constants of brackets of basis elements, the divergence rows
-# {necklace: int} of basis elements in one slot (only x rows are summed:
-# above degree one the trace of the commutator B(w) is zero, so its y row
-# is the negated x row), the bch(x, y) series per cap, and the Duflo
+# {necklace: int} of basis elements in the x slot (x rows only: above
+# degree one the trace of the commutator B(w) is zero, so its y row is the
+# negated x row, and a degree-one word has no divergence in the slot that
+# reads it), the bch(x, y) series per cap, and the Duflo
 # patterns of that series per cap (filled by kvtower.cyclic).  All are
 # exact and cap-independent or keyed by the cap, so they are global; only
 # _memo fills them and only clear_caches() empties them, so this is the
@@ -95,17 +96,16 @@ def basis_expansion(word):
 
 
 @_memo(_DIVERGENCE)
-def _divergence_row(letter, word):
-    """Divergence of the basis element ``B(word)`` in the slot of
-    ``letter``, as a map necklace -> nonzero integer: the trace of the
-    words of its expansion that end in ``letter``.
+def _divergence_row(word):
+    """Divergence of the basis element ``B(word)`` in the x slot, as a map
+    necklace -> nonzero integer: the trace of the words of its expansion
+    that end in x.
 
     Above degree one ``B(word)`` is a commutator, whose trace is zero, and
-    it is the sum of its words ending in x and of those ending in y, so
-    the y row is the negated x row and only x rows are summed."""
-    if letter == "y" and len(word) > 1:
-        return {w: -c for w, c in _divergence_row("x", word).items()}
-    kept = ((w, c) for w, c in basis_expansion(word).items() if w[-1] == letter)
+    it is the sum of its words ending in x and of those ending in y, so its
+    y row is the negated x row.  A degree-one word has an empty row in the
+    slot that reads it, though the x row of ``"x"`` is ``{x: 1}``."""
+    kept = ((w, c) for w, c in basis_expansion(word).items() if w[-1] == "x")
     return _necklace_sums(kept)
 
 

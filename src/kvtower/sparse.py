@@ -24,9 +24,10 @@ exact, so :attr:`SparseElt.coeffs` and :meth:`SparseElt.coeff` give the
 same reduced ``Fraction``s that coefficient loops would give; documents
 and reports read those.  The module also holds :func:`_combine`, the one
 linear combination ``sum n * row / den`` of integer rows over the lcm of
-their denominators, which the derivation engine, the divergence and
-``lie_to_assoc`` share; :func:`_exp_series`, the one truncated
-exponential series, which gives an automorphism's action from its log
+their denominators, which the derivation engine, the log matcher's
+table, the divergence and ``lie_to_assoc`` share; :func:`_exp_series`,
+the one truncated exponential series, which gives an automorphism's
+action from its log
 and with a shift also sums the Jacobian series ``sum_k w^k(j)/(k+1)!``; and :func:`_products`, the one loop over the
 pairs of terms whose product stays under the cap, which the bracket and
 the associative product share.  The sum of two elements, the bracket and
@@ -179,6 +180,10 @@ def _combine(cls, cap, terms):
     out = {}
     for n, row, den in terms:
         n *= common // den
+        if not out:
+            # Nothing to add to yet: the scaled row is the sum so far.
+            out = {w: n * k for w, k in row.items()}
+            continue
         for w, k in row.items():
             out[w] = out.get(w, 0) + n * k
     return cls._from_ints(cap, out, common)

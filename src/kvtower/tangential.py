@@ -35,9 +35,13 @@ per step (:func:`_resumed_log`).
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in
 one pass from the structure constants of its factors' images with the
-factors.  A derivation acts on cyclic words letter by letter through its
-generator images, expanded into words once and scaled to one shared
-denominator, so :func:`jacobian` pays for them once for its whole
+factors; it gives an image as the integer terms of its word images too,
+so that the matcher sums each entry of its table once.  A derivation
+``u`` reaches cyclic words only through ``d = u1 - u2``: under the trace
+it inserts ``d`` at each change from x to y and ``-d`` at each change
+from y to x (:func:`_cyc_action`), and its divergence is the sum of the
+x rows of ``d``'s basis words (:func:`divergence`).  ``d`` is expanded
+into words once, so :func:`jacobian` pays for it once for its whole
 series.  An automorphism ``F = exp(w)`` acts through its log, on Lie
 elements (:func:`_exp_action`) and on cyclic words alike, as the
 exponential series ``sum_m w^m/m!`` of the derivation's action, and
@@ -144,12 +148,17 @@ class _DerEngine:
             img = self._images[word] = self._from_factors(*standard_factorization(word))
         return img
 
-    def apply(self, w):
-        """The image of ``w``: the integer rows of its terms' images,
-        each over ``w.den`` times the image's denominator, summed by
-        :func:`~kvtower.sparse._combine` over the lcm of those."""
+    def terms(self, w):
+        """The image of ``w`` as :func:`~kvtower.sparse._combine` terms: the
+        integer row of each of its terms' images, over ``w.den`` times the
+        image's denominator."""
         images = [(c, self._image(word)) for word, c in w.nums.items()]
-        return _combine(LieElt, self.cap, [(c, img.nums, w.den * img.den) for c, img in images])
+        return [(c, img.nums, w.den * img.den) for c, img in images]
+
+    def apply(self, w):
+        """The image of ``w``: its :meth:`terms` summed over the lcm of
+        their denominators."""
+        return _combine(LieElt, self.cap, self.terms(w))
 
     def _from_factors(self, p, q):
         """``[D(p), B(q)] - [D(q), B(p)]`` in one pass: each image term is
@@ -192,52 +201,56 @@ def divergence(u):
 
     ``d_x(u1) x`` is just the part of ``u1`` whose words end in x, so the
     divergence is linear in the basis elements of each slot, and each
-    basis element's trace is a cached row of :mod:`kvtower.lie`.  The rows
-    are summed by :func:`~kvtower.sparse._combine`, over the lcm of the
-    two slots' denominators.
+    basis element's trace is a cached row of :mod:`kvtower.lie`.  Above
+    degree one a basis element's y row is its negated x row, and degree-one
+    terms have empty rows, so the divergence is the sum of the x rows of
+    ``d = u1 - u2`` from degree two, by :func:`~kvtower.sparse._combine`.
     """
-    terms = [
-        (n, _divergence_row(letter, w), part.den)
-        for letter, part in (("x", u.u1), ("y", u.u2))
-        for w, n in part.nums.items()
-    ]
+    d = u.u1 - u.u2
+    terms = [(n, _divergence_row(w), d.den) for w, n in d.nums.items() if len(w) > 1]
     return _combine(CycElt, u.cap, terms)
 
 
 def _cyc_action(u):
     """The action of ``u`` on cyclic words, as a function of one
-    :class:`CycElt` at ``u``'s cap: act letter by letter on any
-    representative, then re-trace.
+    :class:`CycElt` at ``u``'s cap.
 
-    The two generator images are expanded into words once, scaled to
-    one shared denominator and sorted by length, so each letter stops at
-    the first image word that does not fit under the cap.  A trace does
-    not change under rotation, so each word is rotated to put the
-    acted-on letter first and the image is prepended to the rest.  The
-    action sums integer numerators and rotates the sums to necklaces at
-    the end, by the necklace sum of :mod:`kvtower.words` that
-    :func:`~kvtower.cyclic.trace` also uses.
+    A letter's image ``[x, u1] = x u1 - u1 x`` puts ``u1`` once after the
+    letter and once, negated, before it.  Under the trace each gap between
+    two cyclically adjacent letters gets the insert after the first letter
+    and the negated insert before the second, so a gap between equal
+    letters gets nothing, a gap from x to y gets ``d = u1 - u2``, and one
+    from y to x gets ``-d``.  ``d`` is expanded into words once, up to
+    degree ``cap - 2``, the most that fits beside a word that has a gap
+    with a letter change, and sorted by length, so each gap stops at the
+    first word that does not fit under the cap.  A trace does not change
+    under rotation, so each word is rotated to begin just after its gap
+    and the insert is prepended.  The action sums integer numerators and
+    rotates the sums to necklaces at the end, by the necklace sum of
+    :mod:`kvtower.words` that :func:`~kvtower.cyclic.trace` also uses.
     """
     cap = u.cap
-    expanded = {g: lie_to_assoc(img) for g, img in _DerEngine(u)._images.items()}
-    common = math.lcm(*(a.den for a in expanded.values()))
-    images = {
-        g: sorted(((w, k * (common // a.den)) for w, k in a.nums.items()), key=lambda t: len(t[0]))
-        for g, a in expanded.items()
-    }
+    d = u.u1 - u.u2
+    low = {w: n for w, n in d.nums.items() if len(w) <= cap - 2}
+    expanded = lie_to_assoc(LieElt._from_ints(cap, low, d.den))
+    inserts = sorted(expanded.nums.items(), key=lambda t: len(t[0]))
 
     def act(c):
         out = {}
         for word, coeff in c.nums.items():
-            room = cap + 1 - len(word)
+            room = cap - len(word)
             for i, letter in enumerate(word):
-                rest = word[i + 1 :] + word[:i]
-                for w, k in images[letter]:
+                if letter == word[i - 1]:
+                    continue
+                # The gap before position i, from word[i - 1] to letter.
+                n = -coeff if letter == "x" else coeff
+                rest = word[i:] + word[:i]
+                for w, k in inserts:
                     if len(w) > room:
                         break
                     key = w + rest
-                    out[key] = out.get(key, 0) + coeff * k
-        return CycElt._from_ints(cap, _necklace_sums(out.items()), c.den * common)
+                    out[key] = out.get(key, 0) + n * k
+        return CycElt._from_ints(cap, _necklace_sums(out.items()), c.den * expanded.den)
 
     return act
 
@@ -306,7 +319,12 @@ def taut_compose(F, G):
     """Composition ``(F o G)(w) = F(G(w))``; exponents are
     ``bch(f_i, F(g_i))``, both images through one log of ``F``."""
     _require_same_cap(F, G)
-    act = _exp_action(taut_log(F))
+    return _compose(F, G, taut_log(F))
+
+
+def _compose(F, G, w):
+    """:func:`taut_compose` with ``w = log F`` given."""
+    act = _exp_action(w)
     return TAutElt(bch(F.f1, act(G.f1)), bch(F.f2, act(G.f2)))
 
 
@@ -354,15 +372,18 @@ class _GeneratorMatcher:
     from the degree-``j`` pieces ``a1, a2`` of the pair, which raises
     degree by ``j``; ``maps(a1, a2)`` returns it as a dict generator ->
     map, since the map that acts on the images of ``x`` need not be the
-    one that acts on those of ``y``.  For each generator ``g`` the table
-    ``P[m][d]``, the degree-``d`` part of ``A^m(g)``, is the sum over ``j``
-    of ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces below
-    degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} - sum_{m
-    >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]`` must be, so
-    one generator-bracket sweep per slot reads ``p_k`` off it.  Each table
-    entry and each defect is one :func:`~kvtower.sparse._combine` of
-    integer rows.  The map of degree ``k`` is built once, when degree
-    ``k + 1`` is solved, so none is built for the top degree.
+    one that acts on those of ``y``.  A map returns the terms of its image,
+    integer rows for :func:`~kvtower.sparse._combine`, not the image
+    itself.  For each generator ``g`` the table ``P[m][d]``, the
+    degree-``d`` part of ``A^m(g)``, is the sum over ``j`` of
+    ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces below
+    degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} -
+    sum_{m >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]``
+    must be, so one generator-bracket sweep per slot reads ``p_k`` off
+    it.  Each table entry (the terms of all its maps at once) and each
+    defect is one :func:`~kvtower.sparse._combine`.  The map of degree
+    ``k`` is built once, when degree ``k + 1`` is solved, so none is
+    built for the top degree.
 
     Pieces, maps and table entries are homogeneous, so the matcher works at
     one fixed cap, ``work``, and its numbers are those of any cap above the
@@ -401,12 +422,13 @@ class _GeneratorMatcher:
                 terms = [(1, part, target.den)]
                 for m in range(2, d):
                     rows = [
-                        step[g](powers[d - j][g][m - 1])
+                        row
                         for j, step in self.steps.items()
                         if m - 1 in powers[d - j][g]
+                        for row in step[g](powers[d - j][g][m - 1])
                     ]
                     if rows:
-                        entry = _combine(LieElt, self.work, [(1, r.nums, r.den) for r in rows])
+                        entry = _combine(LieElt, self.work, rows)
                         if entry.nums:
                             entries[m] = entry
                             terms.append((-1, entry.nums, entry.den * math.factorial(m)))
@@ -426,21 +448,32 @@ class _GeneratorMatcher:
 
 def _der_maps(a1, a2):
     """The derivation ``(a1, a2)``, one engine for both generators."""
-    apply = _DerEngine(TDer(a1, a2)).apply
-    return {"x": apply, "y": apply}
+    terms = _DerEngine(TDer(a1, a2)).terms
+    return {"x": terms, "y": terms}
 
 
 def _conj_maps(a1, a2):
     """Conjugation by the exponent pieces: ``t -> [t, a1]`` for ``x`` and
-    ``t -> [t, a2]`` for ``y``."""
-    return {"x": lambda t: lie_bracket(t, a1), "y": lambda t: lie_bracket(t, a2)}
+    ``t -> [t, a2]`` for ``y``, each bracket one whole term."""
+    return {"x": lambda t: _whole(lie_bracket(t, a1)), "y": lambda t: _whole(lie_bracket(t, a2))}
+
+
+def _whole(elt):
+    """``elt`` as the one :func:`~kvtower.sparse._combine` term it is."""
+    return [(1, elt.nums, elt.den)]
 
 
 def _series_images(maps, p1, p2):
     """The generator images ``g + A(g) + A^2(g)/2! + ...`` for the maps
     ``A`` of ``maps(p1, p2)``: :func:`_der_maps` for the targets of
-    :func:`taut_exp`, :func:`_conj_maps` for those of :func:`taut_log`."""
-    return {g: _exp_series(LieElt.basis(g, p1.cap), step) for g, step in maps(p1, p2).items()}
+    :func:`taut_exp`, :func:`_conj_maps` for those of :func:`taut_log`.
+    Each power is the sum of the terms its map returns."""
+    cap = p1.cap
+
+    def series(g, step):
+        return _exp_series(LieElt.basis(g, cap), lambda t: _combine(LieElt, cap, step(t)))
+
+    return {g: series(g, step) for g, step in maps(p1, p2).items()}
 
 
 def taut_exp(u):

@@ -50,6 +50,19 @@ def _golden_verify_d8_fail(tmp_path, capsys):
     return code, out.encode()
 
 
+def _golden_verify_sol_d10_fail(tmp_path, capsys):
+    # The degree-10 solution with its first degree-8 f2 coefficient
+    # doubled: both equations fail from degree 8 on.
+    doc = json.loads(SOL10.read_text())
+    item = next(i for i in doc["f2"] if len(i["word"]) == 8)
+    item["num"] = str(2 * int(item["num"]))
+    path = tmp_path / "tampered.json"
+    path.write_text(json.dumps(doc))
+    code, out, _ = run(capsys, "verify", "--in", str(path), "--degree", "10",
+                       "--variant", "SolKV")
+    return code, out.encode()
+
+
 def _golden_stdout(*argv):
     def job(tmp_path, capsys):
         code, out, _ = run(capsys, *argv)
@@ -63,6 +76,7 @@ GOLDEN_CASES = [
     ("bch_d7.txt", _golden_stdout("bch", "--degree", "7"), 0),
     ("bch_d10.txt", _golden_stdout("bch", "--degree", "10"), 0),
     ("verify_d8_fail.txt", _golden_verify_d8_fail, 1),
+    ("verify_sol_d10_fail.txt", _golden_verify_sol_d10_fail, 1),
     # A SolKV solution is not in the left symmetry group: the KV check runs
     # the BCH Duflo target and fails.
     ("verify_kv_d10.txt",
@@ -75,8 +89,9 @@ GOLDEN_CASES = [
     # check runs the x + y Duflo target on both sides.
     ("verify_krv_d10.txt",
      _golden_stdout("verify", "--in", str(SOL10), "--degree", "10", "--variant", "KRV"), 1),
-    # gr-test prints the transported rank and the graded dimension; it is
-    # the one CLI path through taut_exp, taut_inverse and taut_compose.
+    # gr-test prints the transported rank and the graded dimension; it
+    # transports each graded basis vector through log F, as a series of
+    # derivation brackets, and goes through no group operation.
     ("gr_d7.txt",
      _golden_stdout("gr-test", "--in", str(GOLDEN / "extend_d8.json"), "--degree", "7"), 0),
     ("gr_d9.txt", _golden_stdout("gr-test", "--in", str(SOL10), "--degree", "9"), 0),

@@ -440,6 +440,32 @@ def test_psi_requires_memberships():
         psi_conjugate(identity(2), identity(2), 2)
 
 
+def test_torsor_and_psi_reuse_the_logs_of_their_checks(monkeypatch):
+    # torsor_quotient solves log F and log G for its checks, and they serve
+    # the inverse of F and the composition with G; psi_conjugate solves log
+    # F and log G for its checks and log(F o G) for the last composition.
+    rng = rng_for("log-reuse")
+    F = sol10().truncate(6)
+    K = krv_element(rng, 6)
+    right = taut_compose(taut_inverse(K), F)
+    left = taut_compose(taut_compose(taut_inverse(F), K), F)
+    real = kvtower.tangential._resumed_log
+    solved = []
+
+    def spy(matcher, G, start=1):
+        solved.append(G.cap)
+        return real(matcher, G, start)
+
+    monkeypatch.setattr(kvtower.tangential, "_resumed_log", spy)
+    H = torsor_quotient(F, right, 6)
+    assert solved == [6, 6]
+    del solved[:]
+    assert psi_conjugate(F, left, 6) == K
+    assert solved == [6, 6, 6]
+    monkeypatch.undo()
+    assert taut_compose(taut_inverse(H), right) == F
+
+
 # -- graded dimensions -------------------------------------------------------------
 
 
@@ -484,11 +510,13 @@ def test_graded_system_rejects_a_defect_word_without_a_row():
 def _fraction_graded_matrix(n, with_bracket_rows):
     """The graded system as it was built before it held its own integer
     entries: each column's divergence read through ``.coeffs`` into a
-    ``QMatrix``, with the same rows and columns."""
+    ``QMatrix``, with the same rows and columns.  Without bracket rows
+    those are the slot-x and Duflo columns."""
     cap = n + 1
     lw = lyndon_words(cap) if with_bracket_rows else ()
     row = {w: i for i, w in enumerate(lw + necklaces(n))}
-    columns = [(g, w) for g in "xy" for w in lyndon_words(n) if w != g]
+    slots = "xy" if with_bracket_rows else "x"
+    columns = [(g, w) for g in slots for w in lyndon_words(n) if w != g]
     M = QMatrix(len(row), len(columns) + (1 if n >= 2 else 0))
     zero = LieElt.zero(cap)
     for j, (letter, w) in enumerate(columns):
@@ -513,6 +541,33 @@ def test_graded_system_holds_the_integer_entries_of_the_fraction_build():
             assert (S.rows, S.cols) == (M.rows, M.cols)
             assert all(type(v) is int for v in S.entries.values())
             assert S.entries == M.entries
+
+
+def test_second_slot_divergence_columns_are_the_negated_first_slot_ones():
+    # The premise of building the divergence-only system on the first
+    # slot's columns: there a column sees only u1 - u2.
+    for n in range(2, 13):
+        S = _GradedSystem(n, with_bracket_rows=True)
+        assert S.cols2 == S.cols1
+        brackets = len(lyndon_words(n + 1))
+        columns = [{} for _ in range(S.cols)]
+        for (i, j), c in S.entries.items():
+            if i >= brackets:
+                columns[j][i] = c
+        k = len(S.cols1)
+        for j in range(k):
+            assert columns[j], (n, S.cols1[j])
+            assert columns[k + j] == {i: -c for i, c in columns[j].items()}, (n, S.cols1[j])
+
+
+def test_divergence_only_system_solves_with_a_zero_second_slot():
+    # Stage B's system: the first slot's and the Duflo columns only.
+    for n in range(1, 9):
+        S = _GradedSystem(n, with_bracket_rows=False)
+        assert S.cols2 == [] and S.cols == len(S.cols1) + (1 if n >= 2 else 0)
+    S = _GradedSystem(4, with_bracket_rows=False)
+    u = S.tder_from([Fraction(1, 3)] * S.cols, 5)
+    assert u.u2.is_zero() and u.u1 == LieElt(5, {w: Fraction(1, 3) for w in S.cols1})
 
 
 def test_cold_graded_system_equals_a_warm_one():

@@ -372,17 +372,48 @@ def test_cyc_tder_act_matches_reference():
     # Degrees are drawn so that results reach the cap and some terms fall
     # one degree above it.  Single letters are left out of ``c``: their
     # images are commutators, which trace to zero.
+    # Every other derivation carries both degree-one cross terms.
     rng = rng_for("cyc-tder-reference")
-    nonzero = 0
+    nonzero = crossed = 0
     for cap in range(2, 8):
-        for _ in range(6):
+        for i in range(6):
             k = rng.randint(1, cap - 1)
             u = random_tder(rng, k, terms=3).with_cap(cap)
+            if i % 2:
+                c1, c2 = _cross_terms(rng, cap)
+                u = TDer(u.u1 + c1, u.u2 + c2)
             c = _random_cyc(rng, cap, range(2, cap + 2 - k))
             got = cyc_tder_act(u, c)
             assert got == _reference_cyc_tder_act(u, c)
             nonzero += not got.is_zero()
-    assert nonzero >= 12
+            crossed += u.u1.coeff("y") != 0 and u.u2.coeff("x") != 0 and not got.is_zero()
+    assert nonzero >= 12 and crossed >= 6
+
+
+def test_inner_derivations_act_trivially_on_cyclic_words():
+    # (c, c) acts as x -> [x, c], y -> [y, c], the inner derivation ad(-c),
+    # which fixes every trace: the cyclic action and the divergence see
+    # only u1 - u2.
+    # Degrees are drawn as for the reference test, so that the actions
+    # reach the cap; ``cancelled`` counts the cases where c alone, in one
+    # slot, acts on z.
+    rng = rng_for("inner-derivations")
+    acted = cancelled = 0
+    for cap in range(2, 10):
+        for _ in range(4):
+            k = rng.randint(1, cap - 1)
+            a, b = (random_lie(rng, k, terms=3).with_cap(cap) for _ in range(2))
+            c = random_lie(rng, max(2, k), terms=3, min_degree=2).with_cap(cap)
+            u, shifted, inner = TDer(a, b), TDer(a + c, b + c), TDer(c, c)
+            z = _random_cyc(rng, cap, range(2, cap + 2 - k))
+            got = cyc_tder_act(u, z)
+            assert cyc_tder_act(shifted, z) == got
+            assert cyc_tder_act(inner, z).is_zero()
+            assert divergence(shifted) == divergence(u)
+            assert divergence(inner).is_zero()
+            acted += not got.is_zero()
+            cancelled += not cyc_tder_act(TDer(c, LieElt.zero(cap)), z).is_zero()
+    assert acted >= 12 and cancelled >= 8
 
 
 def _cross_terms(rng, cap):

@@ -19,8 +19,7 @@ import sys
 
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
 from .kv import _extend_from, _gr_rank_and_dim, check_kv, check_krv, check_sol_kv, krv_dim
-from .lie import LieElt, bch_xy
-from .tangential import TAutElt
+from .lie import bch_xy
 from .words import lyndon_words
 
 DEGREE_GUARD = 12
@@ -122,15 +121,8 @@ def _cmd_dims(args):
 
 def _cmd_verify(args):
     _guard_degree(args.degree, args.allow_large)
-    doc = _load(args.infile)
-    # Only exponent terms of degree <= --degree reach the check, so the
-    # exponents are normalised at that cap, not at the document's.
-    cap = min(args.degree, doc.cap)
-    F = TAutElt(LieElt(cap, doc.f1), LieElt(cap, doc.f2))
-    if args.degree > cap:
-        # The exponents define an automorphism at any cap; check the
-        # zero extension when asked beyond the stored degree.
-        F = F.with_cap(args.degree)
+    # Only exponent terms of degree <= --degree reach the check.
+    F = _load(args.infile).to_taut(args.degree)
     report = _CHECKERS[args.variant](F, args.degree)
     sys.stdout.write(emit_report(report))
     return 0 if report.passed else 1
@@ -143,14 +135,14 @@ def _cmd_extend(args):
         raise DocumentError("extend requires a SolKV document", "variant")
     if args.to_degree < doc.cap:
         raise DocumentError("target degree is below the document cap")
-    F = doc.to_taut()
-    report = check_sol_kv(F, doc.cap)
+    # The extension checks its input through the log that it carries up.
+    F, report = _extend_from(doc.to_taut(), args.to_degree)
     if not report.passed:
         sys.stdout.write(emit_report(report))
         return 1
-    # With no step the output is the input, whose check has just passed.
+    # With no step the output is the input, whose check has just passed;
+    # otherwise the output is checked again, through a log of its own.
     if args.to_degree > doc.cap:
-        F = _extend_from(F, args.to_degree)
         report = check_sol_kv(F, args.to_degree)
         if not report.passed:
             raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")

@@ -42,8 +42,14 @@ class SolutionDocument:
     def from_taut(cls, F, variant, duflo):
         return cls(F.cap, F.f1.coeffs, F.f2.coeffs, dict(duflo.coeffs), variant)
 
-    def to_taut(self):
-        return TAutElt(LieElt(self.cap, self.f1), LieElt(self.cap, self.f2))
+    def to_taut(self, n=None):
+        """The automorphism at cap ``n``, by default the document's own.
+        The exponents are normalised at ``min(n, cap)``, so a low-degree
+        reading of a high-cap document stays cheap, and zero-extended when
+        ``n`` is above the cap: they define an automorphism at any cap."""
+        n = self.cap if n is None else n
+        low = min(n, self.cap)
+        return TAutElt(LieElt(low, self.f1), LieElt(low, self.f2)).with_cap(n)
 
 
 def _parse_int(value, field):

@@ -21,8 +21,9 @@ Free variables are set to zero under a fixed column order (first
 exponent block, second exponent block, then the Duflo unknown), so
 extension outputs are reproducible bit for bit.  The steps of one
 extension share one ``bch(x, y)`` series and carry one log up the tower:
-each step reads the log of its input and returns the log of its output,
-re-solved by one log matcher from the one degree that the step corrects.
+the log of the input is solved once and serves its check, and each step
+reads the log of its input and returns the log of its output, re-solved
+by one log matcher from the one degree that the step corrects.
 """
 
 from fractions import Fraction
@@ -302,31 +303,39 @@ def extend_solkv_step(F):
 
 
 def _extend_from(F, to_degree):
-    """Iterate :func:`_extend_step` up to the requested degree; ``F`` must
-    already be known to solve the system at its cap.  Each step's output
-    is again a solution, so no step re-checks its input.  The steps share
-    one ``bch(x, y)``, built at the top degree and truncated per step, and
-    one log matcher, which keeps the pieces of the log that a step leaves
-    unchanged; the log of ``F`` is solved once, and each step returns the
-    log of its output."""
-    if F.cap >= to_degree:
-        return F
-    series = bch_xy(to_degree)
+    """Check ``F`` at its cap and iterate :func:`_extend_step` up to
+    ``to_degree``, which must not be below that cap.  Returns the extension
+    and the report of the check; when the check fails, the extension is
+    ``F`` and no step runs.  The log of ``F`` is solved once, by the one
+    log matcher that the steps share, and the check reads that log; each
+    step's output is again a solution, so no step re-checks its input, and
+    each step returns the log of its output.  The matcher keeps the pieces
+    of the log that a step leaves unchanged, and the steps share one
+    ``bch(x, y)``, built at the top degree and truncated per step."""
     log = _GeneratorMatcher(to_degree + 1, _der_maps)
     out, w = F, _resumed_log(log, F)
-    while out.cap < to_degree:
-        out, w = _extend_step(out, w, series.truncate(out.cap + 1), log)
-    return out
+    report = _check("SolKV", w, "bch", "sum")
+    if report.passed and out.cap < to_degree:
+        series = bch_xy(to_degree)
+        while out.cap < to_degree:
+            out, w = _extend_step(out, w, series.truncate(out.cap + 1), log)
+    return out, report
 
 
 def extend_solkv(F, to_degree):
     """Extend a solution degree by degree up to the requested degree.
 
-    ``F`` is checked once, and only when a step will run.
+    With no step to run, ``F`` itself is returned, unchecked.  Otherwise
+    ``F`` is checked once, through the log that the extension carries up,
+    and :class:`PreconditionFailed` is raised if it fails.  A k-step
+    extension solves k + 1 logs.
     """
-    if F.cap < to_degree and not check_sol_kv(F, F.cap).passed:
+    if F.cap >= to_degree:
+        return F
+    out, report = _extend_from(F, to_degree)
+    if not report.passed:
         raise PreconditionFailed("input does not solve the system at its cap")
-    return _extend_from(F, to_degree)
+    return out
 
 
 def extend_krv_step(G):
@@ -400,9 +409,7 @@ def _gr_rank_and_dim(F, n):
     one :func:`krv_dim`."""
     if F.cap < n + 1:
         raise PreconditionFailed("the solution must be known beyond degree n")
-    w = taut_log(F)
-    if not _check("SolKV", w, "bch", "sum").passed:
-        raise PreconditionFailed("F must solve the system at its cap")
+    w = _solution_log(F, F.cap, "F must solve the system at its cap")
     dim, basis = krv_dim(n)
     if dim == 0:
         return 0, 0

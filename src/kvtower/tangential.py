@@ -21,16 +21,19 @@ triangular sweep over the Lyndon basis: ``taut_exp`` matches conjugation
 by the unknown exponents to the derivation's exponential series, and
 ``taut_log`` matches the exponential series of the unknown derivation to
 the automorphism's conjugation action.  Either series is
-``sum_m A^m(gen)/m!``; :func:`_series_images` sums it for a whole pair,
-for the matcher's targets.  For the unknown pair ``A`` is the sum of one
-map per degree, so the matcher builds each degree's map once and keeps
-the homogeneous parts of the powers ``A^m(gen)`` in a table that grows by
-one degree per step.  Everything it keeps is homogeneous, so it works at
-one fixed cap and can resume: given targets that agree below some degree
-with the last ones, it re-solves from that degree only.  ``taut_exp`` and
-``taut_log`` each run a fresh matcher; an extension in :mod:`kvtower.kv`
-carries one log up the tower, and one log matcher that re-solves it once
-per step (:func:`_resumed_log`).
+``sum_m A^m(gen)/m!``.  For a known pair it gives the matcher's targets:
+``taut_exp`` reads them off the action of ``exp(u)`` on the generators
+(:func:`_exp_action`), and ``taut_log`` off the conjugation series
+(:func:`_conjugation_images`), one bracket per power.  For the unknown
+pair ``A`` is the sum of one map per degree, so the matcher builds each
+degree's map once and keeps the homogeneous parts of the powers
+``A^m(gen)`` in a table that grows by one degree per step.  Everything it
+keeps is homogeneous, so it works at one fixed cap and can resume: given
+targets that agree below some degree with the last ones, it re-solves
+from that degree only.  ``taut_exp`` and ``taut_log`` each run a fresh
+matcher; an extension in :mod:`kvtower.kv` carries one log up the tower,
+and one log matcher that solves it once for the input's check and
+re-solves it once per step (:func:`_resumed_log`).
 
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in
@@ -463,17 +466,15 @@ def _whole(elt):
     return [(1, elt.nums, elt.den)]
 
 
-def _series_images(maps, p1, p2):
-    """The generator images ``g + A(g) + A^2(g)/2! + ...`` for the maps
-    ``A`` of ``maps(p1, p2)``: :func:`_der_maps` for the targets of
-    :func:`taut_exp`, :func:`_conj_maps` for those of :func:`taut_log`.
-    Each power is the sum of the terms its map returns."""
-    cap = p1.cap
+def _conjugation_images(f1, f2):
+    """The conjugation series ``g + [g, f] + [[g, f], f]/2! + ...`` of each
+    generator ``g`` by its exponent ``f``, the targets of
+    :func:`taut_log`; each power is one :func:`lie_bracket`."""
 
-    def series(g, step):
-        return _exp_series(LieElt.basis(g, cap), lambda t: _combine(LieElt, cap, step(t)))
+    def series(g, f):
+        return _exp_series(LieElt.basis(g, f.cap), lambda t: lie_bracket(t, f))
 
-    return {g: series(g, step) for g, step in maps(p1, p2).items()}
+    return {"x": series("x", f1), "y": series("y", f2)}
 
 
 def taut_exp(u):
@@ -481,7 +482,8 @@ def taut_exp(u):
     exponents whose conjugation action on the generators is the
     exponential series of ``u``."""
     work = u.cap + 1
-    targets = _series_images(_der_maps, u.u1.with_cap(work), u.u2.with_cap(work))
+    act = _exp_action(u.with_cap(work))
+    targets = {g: act(LieElt.basis(g, work)) for g in ("x", "y")}
     return TAutElt(*_GeneratorMatcher(work, _conj_maps).solve(targets, u.cap))
 
 
@@ -497,7 +499,7 @@ def _resumed_log(matcher, F, start=1):
     its pieces below that degree, so ``F`` must agree below it with the
     automorphism it last solved."""
     work = F.cap + 1
-    targets = _series_images(_conj_maps, F.f1.with_cap(work), F.f2.with_cap(work))
+    targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
     return TDer(*matcher.solve(targets, F.cap, start))
 
 

@@ -1,7 +1,7 @@
 """Shared helpers: seeded random element generators, the
 conjugation-series action of an automorphism that its log-series action
-is tested against, and the group-path transport that gr-test's log
-series is tested against.
+is tested against, the group-path transport that gr-test's log series is
+tested against, and spies that count the logs solved and the checks run.
 
 Sparse random inputs keep the exact-arithmetic property tests fast while
 still exercising generic coefficients.
@@ -10,8 +10,10 @@ still exercising generic coefficients.
 import random
 from fractions import Fraction
 
+import kvtower.kv
+import kvtower.tangential
 from kvtower import LieElt, TAutElt, TDer, lie_bracket, lyndon_words
-from kvtower.tangential import _conj_maps, _series_images, taut_compose, taut_exp, taut_inverse
+from kvtower.tangential import _conjugation_images, taut_compose, taut_exp, taut_inverse
 from kvtower.words import standard_factorization
 
 
@@ -57,7 +59,7 @@ class ConjugationReference:
 
     def __init__(self, F):
         self.cap = F.cap
-        self._images = _series_images(_conj_maps, F.f1, F.f2)
+        self._images = _conjugation_images(F.f1, F.f2)
 
     def _image(self, word):
         img = self._images.get(word)
@@ -82,3 +84,32 @@ def group_transport(F, u):
     used before it worked through ``log F``."""
     U = taut_exp(u.with_cap(F.cap))
     return taut_compose(taut_compose(taut_inverse(F), U), F)
+
+
+def count_logs(monkeypatch):
+    """Record the cap of every log solved from now on, by ``kv`` or by
+    ``tangential``; returns the list it appends to."""
+    real = kvtower.tangential._resumed_log
+    solved = []
+
+    def spy(matcher, G, start=1):
+        solved.append(G.cap)
+        return real(matcher, G, start)
+
+    monkeypatch.setattr(kvtower.tangential, "_resumed_log", spy)
+    monkeypatch.setattr(kvtower.kv, "_resumed_log", spy)
+    return solved
+
+
+def count_checks(monkeypatch):
+    """Record the variant and degree of every check that ``kv`` runs from
+    now on, through ``check_sol_kv`` or on a log that it holds."""
+    real = kvtower.kv._check
+    calls = []
+
+    def spy(variant, w, source, target):
+        calls.append((variant, w.cap))
+        return real(variant, w, source, target)
+
+    monkeypatch.setattr(kvtower.kv, "_check", spy)
+    return calls

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from conftest import count_checks, count_logs
 import kvtower.cli
 import kvtower.kv
 import kvtower.tangential
@@ -50,16 +51,20 @@ def _golden_verify_d8_fail(tmp_path, capsys):
     return code, out.encode()
 
 
-def _golden_verify_sol_d10_fail(tmp_path, capsys):
+def _tampered_sol10(tmp_path):
     # The degree-10 solution with its first degree-8 f2 coefficient
     # doubled: both equations fail from degree 8 on.
     doc = json.loads(SOL10.read_text())
     item = next(i for i in doc["f2"] if len(i["word"]) == 8)
     item["num"] = str(2 * int(item["num"]))
-    path = tmp_path / "tampered.json"
+    path = tmp_path / "tampered10.json"
     path.write_text(json.dumps(doc))
-    code, out, _ = run(capsys, "verify", "--in", str(path), "--degree", "10",
-                       "--variant", "SolKV")
+    return path
+
+
+def _golden_verify_sol_d10_fail(tmp_path, capsys):
+    code, out, _ = run(capsys, "verify", "--in", str(_tampered_sol10(tmp_path)),
+                       "--degree", "10", "--variant", "SolKV")
     return code, out.encode()
 
 
@@ -683,8 +688,10 @@ def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
     seed = tmp_path / "seed.json"
     out = tmp_path / "sol2.json"
     run(capsys, "seed", "--out", str(seed))
+    # The stub passes the entry check and returns a non-solution.
+    passed = check_sol_kv(TAutElt.identity(1), 1)
     monkeypatch.setattr(
-        "kvtower.cli._extend_from", lambda F, to_degree: TAutElt.identity(2)
+        "kvtower.cli._extend_from", lambda F, to_degree: (TAutElt.identity(2), passed)
     )
     code, _, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "2",
                        "--out", str(out))
@@ -694,30 +701,22 @@ def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
 
 
 def test_extend_checks_its_input_and_its_output_once(tmp_path, capsys, monkeypatch):
-    calls = []
-    real = check_sol_kv
-
-    def counting(F, n):
-        calls.append(n)
-        return real(F, n)
-
-    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
-    monkeypatch.setattr("kvtower.cli.check_sol_kv", counting)
+    calls = count_checks(monkeypatch)
     seed = tmp_path / "seed.json"
     out = tmp_path / "sol4.json"
     run(capsys, "seed", "--out", str(seed))
     code, _, _ = run(capsys, "extend", "--in", str(seed), "--to-degree", "4",
                      "--out", str(out))
     assert code == 0
-    assert calls == [1, 4]
+    assert calls == [("SolKV", 1), ("SolKV", 4)]
     # A non-solution is reported once, and nothing is extended.
     calls.clear()
     bad = tmp_path / "bad.json"
     bad.write_text(emit_document(SolutionDocument(2, {}, {}, {}, "SolKV")))
     code, report, _ = run(capsys, "extend", "--in", str(bad), "--to-degree", "4")
     assert code == 1
-    assert report == emit_report(real(TAutElt.identity(2), 2))
-    assert calls == [2]
+    assert calls == [("SolKV", 2)]
+    assert report == emit_report(check_sol_kv(TAutElt.identity(2), 2))
 
 
 def test_extend_to_its_own_cap_checks_once(tmp_path, capsys, monkeypatch):
@@ -726,21 +725,42 @@ def test_extend_to_its_own_cap_checks_once(tmp_path, capsys, monkeypatch):
     out = tmp_path / "again.json"
     run(capsys, "seed", "--out", str(seed))
     run(capsys, "extend", "--in", str(seed), "--to-degree", "4", "--out", str(sol4))
-    calls = []
-    real = check_sol_kv
-
-    def counting(F, n):
-        calls.append(n)
-        return real(F, n)
-
-    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
-    monkeypatch.setattr("kvtower.cli.check_sol_kv", counting)
+    calls = count_checks(monkeypatch)
+    solved = count_logs(monkeypatch)
     code, _, _ = run(capsys, "extend", "--in", str(sol4), "--to-degree", "4",
                      "--out", str(out))
     assert code == 0
-    # No step runs, so the entry check is the only check.
-    assert calls == [4]
+    # No step runs, so the entry check is the only check, on the one log.
+    assert calls == [("SolKV", 4)]
+    assert solved == [4]
     assert out.read_bytes() == sol4.read_bytes()
+
+
+def test_extend_solves_two_logs_more_than_its_steps(tmp_path, capsys, monkeypatch):
+    # One log of the input serves the entry check and the first step; each
+    # step solves its corrected element's log once; the output's check
+    # solves a log of its own.
+    solved = count_logs(monkeypatch)
+    out = tmp_path / "sol10.json"
+    code, _, _ = run(capsys, "extend", "--in", str(GOLDEN / "extend_d8.json"),
+                     "--to-degree", "10", "--out", str(out))
+    assert code == 0
+    assert out.read_bytes() == SOL10.read_bytes()
+    assert solved == [8, 9, 10, 10]
+    # A failing input solves one log, and no step runs.
+    solved.clear()
+    code, _, _ = run(capsys, "extend", "--in", str(_tampered_sol10(tmp_path)),
+                     "--to-degree", "11")
+    assert code == 1
+    assert solved == [10]
+
+
+def test_extend_reports_a_failed_input_as_verify_does(tmp_path):
+    # The entry check of extend is the SolKV check at the document's cap,
+    # so it prints the report that verify prints at that degree.
+    proc = _program("extend", "--in", str(_tampered_sol10(tmp_path)), "--to-degree", "11")
+    assert (proc.returncode, proc.stderr) == (1, b"")
+    assert proc.stdout == (GOLDEN / "verify_sol_d10_fail.txt").read_bytes()
 
 
 def test_out_through_a_symlink_replaces_its_target(tmp_path, capsys):

@@ -3,7 +3,7 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import rng_for
+from conftest import random_lie, rng_for
 from kvtower.cli import _load
 from kvtower.documents import (
     SolutionDocument,
@@ -156,6 +156,22 @@ def test_parse_accepts_ascii_decimal_integers():
     entry = {"word": "y", "num": "-0012", "den": "30"}
     data = dict(json.loads(IDENTITY_TEXT), f1=[entry])
     assert parse_document(json.dumps(data)).f1 == {"y": Fraction(-2, 5)}
+
+
+def test_to_taut_at_a_cap_below_at_and_above_the_document_cap():
+    # Exponents with generator terms, so that the normalization acts: at
+    # min(n, cap), and then the exponents are zero-extended.
+    rng = rng_for("to-taut-caps")
+    f1 = dict(random_lie(rng, 6, terms=5).coeffs, x=Fraction(2, 3))
+    f2 = dict(random_lie(rng, 6, terms=5).coeffs, y=Fraction(-1, 2))
+    doc = SolutionDocument(6, f1, f2, {}, "SolKV")
+    F = doc.to_taut()
+    assert F.cap == 6 and F.f1.coeff("x") == 0 and not F.f1.is_zero()
+    for n in range(1, 6):
+        assert doc.to_taut(n) == F.truncate(n)
+    assert doc.to_taut(6) == F
+    for n in (7, 10):
+        assert doc.to_taut(n) == F.with_cap(n)
 
 
 def test_roundtrip_byte_identity():

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import group_transport, rng_for
+from conftest import count_checks, count_logs, group_transport, rng_for
 import kvtower.cyclic
 import kvtower.kv
 import kvtower.tangential
@@ -260,7 +260,9 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
     monkeypatch.setattr(kvtower.kv, "_extend_step", spied)
     F = identity(1) if start == "seed" else sol10()
     stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
-    assert kvtower.kv._extend_from(F, to_degree) == parse_document(stored.read_text()).to_taut()
+    out, report = kvtower.kv._extend_from(F, to_degree)
+    assert report.passed and report.degree == F.cap
+    assert out == parse_document(stored.read_text()).to_taut()
     # The first resume is a full solve with an empty matcher; stage B
     # resumes with the n pieces of the last log, which agree with F1's
     # below degree n.
@@ -268,36 +270,37 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
     assert carried == list(range(F.cap, to_degree))
 
 
+def _count_conjugation_series(monkeypatch):
+    """Record the cap of every conjugation series built, the targets of
+    one log each."""
+    real = kvtower.tangential._conjugation_images
+    built = []
+
+    def spy(f1, f2):
+        built.append(f1.cap)
+        return real(f1, f2)
+
+    monkeypatch.setattr(kvtower.tangential, "_conjugation_images", spy)
+    return built
+
+
 def test_an_extension_takes_one_conjugation_series_per_step(monkeypatch):
     # Stage A reads the log carried from the last step, so a k-step
     # extension builds the conjugation series of its input once and that
-    # of each step's F1 once: k + 1 in all.
-    real = kvtower.tangential._series_images
-    built = []
-
-    def spy(maps, p1, p2):
-        built.append(maps)
-        return real(maps, p1, p2)
-
-    monkeypatch.setattr(kvtower.tangential, "_series_images", spy)
+    # of each step's F1 once: k + 1 in all.  The entry check reads the
+    # input's log too.
+    built = _count_conjugation_series(monkeypatch)
     stored = parse_document((GOLDEN / "extend_d8.json").read_text()).to_taut()
-    assert kvtower.kv._extend_from(identity(1), 8) == stored
-    assert built == [kvtower.tangential._conj_maps] * 8
+    assert kvtower.kv._extend_from(identity(1), 8)[0] == stored
+    assert built == list(range(2, 10))
 
 
 def test_a_check_takes_one_conjugation_series(monkeypatch):
     # Both equations of a check read one log of F, so F's conjugation
     # series is built once, as the targets of that log.
-    real = kvtower.tangential._series_images
-    built = []
-
-    def spy(maps, p1, p2):
-        built.append(maps)
-        return real(maps, p1, p2)
-
-    monkeypatch.setattr(kvtower.tangential, "_series_images", spy)
+    built = _count_conjugation_series(monkeypatch)
     assert check_sol_kv(sol10(), 6).passed
-    assert built == [kvtower.tangential._conj_maps]
+    assert built == [7]
 
 
 def test_bch_patterns_are_built_once_per_cap(monkeypatch):
@@ -318,21 +321,24 @@ def test_bch_patterns_are_built_once_per_cap(monkeypatch):
 
 
 def test_extend_solkv_checks_its_input_once(monkeypatch):
-    calls = []
-
-    def counting(F, n):
-        calls.append(n)
-        return check_sol_kv(F, n)
-
-    monkeypatch.setattr(kvtower.kv, "check_sol_kv", counting)
+    calls = count_checks(monkeypatch)
     F = extend_solkv(identity(1), 5)
-    assert calls == [1]
+    assert calls == [("SolKV", 1)]
     # No step runs, so nothing is checked.
     assert extend_solkv(F, 5) is F
-    assert calls == [1]
+    assert calls == [("SolKV", 1)]
     # The public single step keeps its own check.
     extend_solkv_step(F)
-    assert calls == [1, 5]
+    assert calls == [("SolKV", 1), ("SolKV", 5)]
+
+
+def test_extend_solkv_solves_one_log_more_than_its_steps(monkeypatch):
+    # The input's log serves its check and the first step, and each step
+    # solves the log of its corrected element once.
+    solved = count_logs(monkeypatch)
+    sol8 = parse_document((GOLDEN / "extend_d8.json").read_text()).to_taut()
+    assert extend_solkv(sol8, 10) == sol10()
+    assert solved == [8, 9, 10]
 
 
 def test_extend_solkv_requires_a_solution():
@@ -449,14 +455,7 @@ def test_torsor_and_psi_reuse_the_logs_of_their_checks(monkeypatch):
     K = krv_element(rng, 6)
     right = taut_compose(taut_inverse(K), F)
     left = taut_compose(taut_compose(taut_inverse(F), K), F)
-    real = kvtower.tangential._resumed_log
-    solved = []
-
-    def spy(matcher, G, start=1):
-        solved.append(G.cap)
-        return real(matcher, G, start)
-
-    monkeypatch.setattr(kvtower.tangential, "_resumed_log", spy)
+    solved = count_logs(monkeypatch)
     H = torsor_quotient(F, right, 6)
     assert solved == [6, 6]
     del solved[:]

@@ -25,10 +25,10 @@ from kvtower.tangential import (
     TDer,
     _DerEngine,
     _GeneratorMatcher,
-    _conj_maps,
+    _conjugation_images,
     _der_maps,
+    _exp_action,
     _resumed_log,
-    _series_images,
     _solve_generator_bracket,
     cyc_taut_act,
     cyc_tder_act,
@@ -735,9 +735,11 @@ def _reference_match(targets, cap, images):
     return pair["x"].truncate(cap), pair["y"].truncate(cap)
 
 
-# The generator-image series of the two directions.
-_exp_images = functools.partial(_series_images, _der_maps)
-_conjugation_images = functools.partial(_series_images, _conj_maps)
+# The generator images of a derivation's exponential; those of the other
+# direction are the conjugation series, _conjugation_images.
+def _exp_images(p1, p2):
+    act = _exp_action(TDer(p1, p2))
+    return {g: act(LieElt.basis(g, p1.cap)) for g in ("x", "y")}
 
 
 def _rebuilding_exp(u):

@@ -10,6 +10,12 @@ num, den}``) and ``duflo`` (``{k, num, den}``) go through one reader.
 Every fault raises :class:`DocumentError` naming the field; a rejected
 integer string or word, and a duplicate ``duflo`` index over 40 digits,
 is shown by its first 40 characters and its length.
+
+A parsed document holds the exponents as Lie elements and the Duflo
+series as a :class:`~kvtower.kv.DufloSeries`, all at the document's cap,
+so ``Fraction``s appear only where a file is read or written: the
+entries are read as ``Fraction``s and written from the elements'
+``sorted_terms()``, which are in the canonical order.
 """
 
 import json
@@ -17,6 +23,7 @@ import re
 from fractions import Fraction
 
 from .errors import DocumentError
+from .kv import DufloSeries
 from .lie import LieElt
 from .tangential import TAutElt
 from .words import is_lyndon
@@ -33,14 +40,14 @@ class SolutionDocument:
 
     def __init__(self, cap, f1, f2, duflo, variant):
         self.cap = cap
-        self.f1 = f1  # dict word -> Fraction
-        self.f2 = f2
-        self.duflo = duflo  # dict k -> Fraction
+        self.f1 = f1  # LieElt at cap, as written; to_taut normalises it
+        self.f2 = f2  # LieElt at cap, likewise
+        self.duflo = duflo  # DufloSeries at cap
         self.variant = variant
 
     @classmethod
     def from_taut(cls, F, variant, duflo):
-        return cls(F.cap, F.f1.coeffs, F.f2.coeffs, dict(duflo.coeffs), variant)
+        return cls(F.cap, F.f1, F.f2, duflo, variant)
 
     def to_taut(self, n=None):
         """The automorphism at cap ``n``, by default the document's own.
@@ -49,7 +56,7 @@ class SolutionDocument:
         ``n`` is above the cap: they define an automorphism at any cap."""
         n = self.cap if n is None else n
         low = min(n, self.cap)
-        return TAutElt(LieElt(low, self.f1), LieElt(low, self.f2)).with_cap(n)
+        return TAutElt(self.f1.truncate(low), self.f2.truncate(low)).with_cap(n)
 
 
 def _parse_int(value, field):
@@ -138,25 +145,17 @@ def parse_document(text):
         if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k <= cap:
             raise DocumentError(f"{where}: k must be an integer in 2..cap", where)
 
-    f1 = _parse_entries(data["f1"], "f1", "word", check_word)
-    f2 = _parse_entries(data["f2"], "f2", "word", check_word)
-    duflo = _parse_entries(data["duflo"], "duflo", "k", check_k)
+    f1 = LieElt(cap, _parse_entries(data["f1"], "f1", "word", check_word))
+    f2 = LieElt(cap, _parse_entries(data["f2"], "f2", "word", check_word))
+    duflo = DufloSeries(cap, _parse_entries(data["duflo"], "duflo", "k", check_k))
     return SolutionDocument(cap, f1, f2, duflo, variant)
 
 
-def _entries(key, items):
-    """``{key, num, den}`` entries for the nonzero ``(index, coefficient)``
-    pairs of ``items``, in the given order."""
-    out = []
-    for index, c in items:
-        c = Fraction(c)
-        if c != 0:
-            out.append({key: index, "num": str(c.numerator), "den": str(c.denominator)})
-    return out
-
-
-def _by_degree(coeffs):
-    return sorted(coeffs.items(), key=lambda kv: (len(kv[0]), kv[0]))
+def _entries(key, terms):
+    """``{key, num, den}`` entries for the ``(index, coefficient)`` pairs
+    ``terms``, in the given order."""
+    return [{key: index, "num": str(c.numerator), "den": str(c.denominator)}
+            for index, c in terms]
 
 
 def emit_document(doc):
@@ -164,9 +163,9 @@ def emit_document(doc):
     payload = {
         "format_version": FORMAT_VERSION,
         "cap": doc.cap,
-        "f1": _entries("word", _by_degree(doc.f1)),
-        "f2": _entries("word", _by_degree(doc.f2)),
-        "duflo": _entries("k", sorted(doc.duflo.items())),
+        "f1": _entries("word", doc.f1.sorted_terms()),
+        "f2": _entries("word", doc.f2.sorted_terms()),
+        "duflo": _entries("k", doc.duflo.sorted_terms()),
         "variant": doc.variant,
     }
     return json.dumps(payload, indent=2) + "\n"
@@ -174,4 +173,4 @@ def emit_document(doc):
 
 def identity_document():
     """The identity seed: the degree-1 solution every extension starts from."""
-    return SolutionDocument(1, {}, {}, {}, "SolKV")
+    return SolutionDocument.from_taut(TAutElt.identity(1), "SolKV", DufloSeries(1))

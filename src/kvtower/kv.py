@@ -249,18 +249,22 @@ class _GradedSystem:
 
     def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or
-        cyclic element keyed by row words, read off at its cap."""
+        cyclic element keyed by row words, read off at its cap.  The system
+        is solved for the defect's negated integer numerators, so every row
+        stays integral, and the solution is divided by the defect's
+        denominator once, as a derivation: the solve is linear in the
+        right-hand side, and its pivots do not read it."""
         rhs = [0] * self.rows
         for w, c in defect.nums.items():
             if w not in self.row_index:
                 raise InconsistentSystem(
                     f"degree-{self.n} graded system has no row for defect word {w}"
                 )
-            rhs[self.row_index[w]] = Fraction(-c, defect.den)
+            rhs[self.row_index[w]] = -c
         particular = _particular(self, rhs)
         if particular is None:
             raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
-        return self.tder_from(particular, defect.cap)
+        return Fraction(1, defect.den) * self.tder_from(particular, defect.cap)
 
 
 def _extend_step(F, w, side, log):

@@ -14,7 +14,8 @@ import kvtower.kv
 import kvtower.tangential
 from kvtower.cli import emit_report, run_command
 from kvtower.documents import SolutionDocument, emit_document
-from kvtower.kv import check_sol_kv, extend_solkv
+from kvtower.kv import DufloSeries, check_sol_kv, extend_solkv
+from kvtower.lie import LieElt
 from kvtower.tangential import TAutElt
 
 
@@ -665,7 +666,8 @@ def test_verify_normalises_at_the_checked_degree(tmp_path, capsys, monkeypatch):
     outputs = {}
     for cap in (11, 2):
         path = tmp_path / f"cap{cap}.json"
-        doc = SolutionDocument(cap, {"x": 1, "y": 1}, {}, {}, "SolKV")
+        f1 = LieElt(cap, {"x": 1, "y": 1})
+        doc = SolutionDocument(cap, f1, LieElt.zero(cap), DufloSeries(cap), "SolKV")
         path.write_text(emit_document(doc))
         caps = []
         real_bch = kvtower.tangential.bch
@@ -712,7 +714,8 @@ def test_extend_checks_its_input_and_its_output_once(tmp_path, capsys, monkeypat
     # A non-solution is reported once, and nothing is extended.
     calls.clear()
     bad = tmp_path / "bad.json"
-    bad.write_text(emit_document(SolutionDocument(2, {}, {}, {}, "SolKV")))
+    zero = LieElt.zero(2)
+    bad.write_text(emit_document(SolutionDocument(2, zero, zero, DufloSeries(2), "SolKV")))
     code, report, _ = run(capsys, "extend", "--in", str(bad), "--to-degree", "4")
     assert code == 1
     assert calls == [("SolKV", 2)]

@@ -12,7 +12,8 @@ from kvtower.documents import (
     parse_document,
 )
 from kvtower.errors import DocumentError
-from kvtower.kv import check_sol_kv, extend_solkv
+from kvtower.kv import DufloSeries, check_sol_kv, extend_solkv
+from kvtower.lie import LieElt
 from kvtower.tangential import TAutElt
 
 import pytest
@@ -26,7 +27,7 @@ IDENTITY_TEXT = (
 def test_parse_identity():
     doc = parse_document(IDENTITY_TEXT)
     assert doc.cap == 1
-    assert doc.f1 == {} and doc.f2 == {}
+    assert doc.f1.coeffs == {} and doc.f2.coeffs == {}
     assert doc.variant == "SolKV"
     assert doc.to_taut() == TAutElt.identity(1)
 
@@ -66,7 +67,7 @@ def test_parse_checks_a_long_word_in_linear_time():
     start = time.process_time()
     doc = parse_document(text)
     assert time.process_time() - start < 2
-    assert doc.f1 == {word: 1}
+    assert doc.f1.coeffs == {word: 1}
 
 
 def test_parse_rejects_zero_denominator():
@@ -155,7 +156,7 @@ def test_parse_rejects_integers_outside_ascii_decimal(field, text):
 def test_parse_accepts_ascii_decimal_integers():
     entry = {"word": "y", "num": "-0012", "den": "30"}
     data = dict(json.loads(IDENTITY_TEXT), f1=[entry])
-    assert parse_document(json.dumps(data)).f1 == {"y": Fraction(-2, 5)}
+    assert parse_document(json.dumps(data)).f1.coeffs == {"y": Fraction(-2, 5)}
 
 
 def test_to_taut_at_a_cap_below_at_and_above_the_document_cap():
@@ -164,7 +165,7 @@ def test_to_taut_at_a_cap_below_at_and_above_the_document_cap():
     rng = rng_for("to-taut-caps")
     f1 = dict(random_lie(rng, 6, terms=5).coeffs, x=Fraction(2, 3))
     f2 = dict(random_lie(rng, 6, terms=5).coeffs, y=Fraction(-1, 2))
-    doc = SolutionDocument(6, f1, f2, {}, "SolKV")
+    doc = SolutionDocument(6, LieElt(6, f1), LieElt(6, f2), DufloSeries(6), "SolKV")
     F = doc.to_taut()
     assert F.cap == 6 and F.f1.coeff("x") == 0 and not F.f1.is_zero()
     for n in range(1, 6):
@@ -181,6 +182,14 @@ def test_roundtrip_byte_identity():
     text = emit_document(doc)
     again = emit_document(parse_document(text))
     assert text == again
+    # Stored solutions go through their automorphism and back unchanged.
+    root = Path(__file__).parent
+    for path in (root / "golden" / "extend_d8.json", root / "golden" / "extend_d12.json",
+                 root.parent / "perfbench" / "data" / "sol10.json"):
+        text = path.read_text()
+        doc = parse_document(text)
+        again = SolutionDocument.from_taut(doc.to_taut(), doc.variant, doc.duflo)
+        assert emit_document(again) == text
 
 
 def test_identity_document_roundtrip():
@@ -210,7 +219,7 @@ def test_duflo_series_preserved():
             }
         )
     )
-    assert doc.duflo[2] == Fraction(1, 48)
+    assert doc.duflo.coeff(2) == Fraction(1, 48)
 
 
 def _duflo_entry(k):

@@ -506,6 +506,36 @@ def test_graded_system_rejects_a_defect_word_without_a_row():
         system.solve(LieElt(5, {"xxxxy": 1}))
 
 
+def test_graded_solve_equals_the_reference_solve_of_the_fraction_defect(monkeypatch):
+    # The solve takes the defect's integer numerators and divides its
+    # solution by the defect's denominator; the dense reference solves for
+    # the defect's Fractions.  Both stages of the step from 8 to 9.
+    from test_linalg import _reference_solve
+
+    solves = []
+    solve = _GradedSystem.solve
+
+    def recording_solve(system, defect):
+        u = solve(system, defect)
+        solves.append((system, defect, u))
+        return u
+
+    monkeypatch.setattr(_GradedSystem, "solve", recording_solve)
+    sol8 = parse_document((GOLDEN / "extend_d8.json").read_text()).to_taut()
+    extend_solkv(sol8, 9)
+    shapes = [(S.rows, S.cols, defect.den.bit_length()) for S, defect, _ in solves]
+    assert shapes == [(92, 61, 39), (60, 57, 34)]
+    for S, defect, u in solves:
+        M = QMatrix(S.rows, S.cols)
+        for key, c in S.entries.items():
+            M[key] = c
+        b = [0] * S.rows
+        for w, c in defect.coeffs.items():
+            b[S.row_index[w]] = -c
+        particular = _reference_solve(M, b)[0]
+        assert u == S.tder_from(particular, defect.cap)
+
+
 def _fraction_graded_matrix(n, with_bracket_rows):
     """The graded system as it was built before it held its own integer
     entries: each column's divergence read through ``.coeffs`` into a

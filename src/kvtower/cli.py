@@ -4,6 +4,14 @@ Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage, parse or I/O error, 3 internal error: a bug, printed with its
 traceback, or a system that theory says is solvable failed to solve.
 
+A plain command line, ``COMMAND (--option VALUE | --flag)...`` with
+every option spelled in full and given at most once, is read by
+``_read_args`` from the table ``_COMMANDS``, without importing argparse.
+Any other argv falls back to ``build_parser()``, an argparse parser built
+from the same table, which reads it as before and writes every help
+text and usage error; the two readings of an argv that both accept are
+the same.
+
 ``main()`` with no argument is the program: after the command it flushes
 stdout and stderr and ends the process with ``os._exit``, so the
 interpreter does not tear down the modules and tables that the process is
@@ -11,11 +19,11 @@ about to drop, and no ``atexit`` handler runs.  ``main(argv)`` and
 ``run_command(argv)`` return the exit code and leave the process alone.
 """
 
-import argparse
 import contextlib
 import errno
 import os
 import sys
+from types import SimpleNamespace
 
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
 from .kv import _extend_from, _gr_rank_and_dim, check_kv, check_krv, check_sol_kv, krv_dim
@@ -175,59 +183,113 @@ def _cmd_gr_test(args):
     return 0 if r == d else 1
 
 
+# Each command once: its handler, its help line and its options in order.
+# An option is (flag, dest, kind, required), where kind is int, str, a
+# tuple of the values allowed, or None for a store-true flag.
+_ALLOW_LARGE = ("--allow-large", "allow_large", None, False)
+_COMMANDS = {
+    "bch": (_cmd_bch, "print the BCH series in the Lyndon basis", (
+        ("--degree", "degree", int, True),
+        _ALLOW_LARGE,
+    )),
+    "dims": (_cmd_dims, "table of graded dimensions", (
+        ("--max-degree", "max_degree", int, True),
+        _ALLOW_LARGE,
+    )),
+    "verify": (_cmd_verify, "run an equation-system check", (
+        ("--in", "infile", str, True),
+        ("--degree", "degree", int, True),
+        ("--variant", "variant", tuple(sorted(_CHECKERS)), True),
+        _ALLOW_LARGE,
+    )),
+    "extend": (_cmd_extend, "extend a solution degree by degree", (
+        ("--in", "infile", str, True),
+        ("--to-degree", "to_degree", int, True),
+        ("--out", "out", str, False),
+        _ALLOW_LARGE,
+    )),
+    "seed": (_cmd_seed, "write the identity degree-1 solution", (
+        ("--out", "out", str, False),
+    )),
+    "gr-test": (_cmd_gr_test, "compare transported leading ranks with the graded dimension", (
+        ("--in", "infile", str, True),
+        ("--degree", "degree", int, True),
+        _ALLOW_LARGE,
+    )),
+}
+
+
 def build_parser():
+    """The argparse parser of ``_COMMANDS``: the reference reading of every
+    argv, and the source of every help text and usage error."""
+    # Imported here: a plain command line never needs it (see _read_args).
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="kvtower",
         description="Exact degree-by-degree computation with the "
         "Kashiwara-Vergne equations.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("bch", help="print the BCH series in the Lyndon basis")
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_bch)
-
-    p = sub.add_parser("dims", help="table of graded dimensions")
-    p.add_argument("--max-degree", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_dims)
-
-    p = sub.add_parser("verify", help="run an equation-system check")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--variant", choices=sorted(_CHECKERS), required=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_verify)
-
-    p = sub.add_parser("extend", help="extend a solution degree by degree")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--to-degree", type=int, required=True)
-    p.add_argument("--out", default=None)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_extend)
-
-    p = sub.add_parser("seed", help="write the identity degree-1 solution")
-    p.add_argument("--out", default=None)
-    p.set_defaults(func=_cmd_seed)
-
-    p = sub.add_parser("gr-test", help="compare transported leading ranks "
-                       "with the graded dimension")
-    p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--degree", type=int, required=True)
-    p.add_argument("--allow-large", action="store_true")
-    p.set_defaults(func=_cmd_gr_test)
-
+    for name, (func, help_line, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_line)
+        for flag, dest, kind, required in options:
+            if kind is None:
+                p.add_argument(flag, dest=dest, action="store_true")
+            else:
+                p.add_argument(flag, dest=dest, required=required,
+                               type=int if kind is int else None,
+                               choices=kind if isinstance(kind, tuple) else None)
+        p.set_defaults(func=func)
     return parser
+
+
+def _read_args(argv):
+    """The attributes that ``build_parser().parse_args(argv)`` sets, when
+    ``argv`` has the plain form ``COMMAND (--option VALUE | --flag)...``:
+    every option spelled in full and given at most once, no value that
+    starts with ``-``, every ``int`` value read by ``int()`` as argparse
+    reads it, every choice allowed and every required option present.
+    ``None`` for any other argv: help, usage errors, abbreviations,
+    ``--opt=value``, repeats, negative numbers and ``--`` are argparse's."""
+    if not argv or argv[0] not in _COMMANDS:
+        return None
+    func, _, options = _COMMANDS[argv[0]]
+    values = {dest: False if kind is None else None for _, dest, kind, _ in options}
+    unread = {option[0]: option for option in options}
+    words = iter(argv[1:])
+    for word in words:
+        option = unread.pop(word, None)  # so a repeated option is None
+        if option is None:
+            return None
+        _, dest, kind, _ = option
+        if kind is None:
+            values[dest] = True
+            continue
+        value = next(words, "-")  # a missing value reads as an option
+        if value.startswith("-"):
+            return None
+        if kind is int:
+            try:
+                value = int(value)
+            except ValueError:
+                return None
+        elif kind is not str and value not in kind:
+            return None
+        values[dest] = value
+    if any(required for *_, required in unread.values()):
+        return None
+    return SimpleNamespace(command=argv[0], func=func, **values)
 
 
 def run_command(argv):
     """Dispatch one invocation; returns the process exit code."""
-    parser = build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return 2 if exc.code not in (0, None) else 0
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     # A stream is None when its file descriptor was closed at start: output
     # to a closed stdout is an I/O error, and messages to a closed stderr
     # are lost.

@@ -21,6 +21,7 @@ entries are read as ``Fraction``s and written from the elements'
 import json
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import DocumentError
 from .kv import DufloSeries
@@ -107,6 +108,16 @@ def _parse_entries(items, field, key, index):
     return out
 
 
+def _lie_elt(cap, coeffs):
+    """The Lie element of ``coeffs``, a map from Lyndon words of degree at
+    most ``cap`` to reduced ``Fraction``s, built in the integer form over
+    the lcm of their denominators.  The words have been checked by the
+    reader, so the public constructor's second Lyndon check is skipped."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    nums = {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
+    return LieElt._from_ints(cap, nums, den)
+
+
 def parse_document(text):
     """Parse and validate a UTF-8 JSON solution document."""
     try:
@@ -145,8 +156,8 @@ def parse_document(text):
         if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k <= cap:
             raise DocumentError(f"{where}: k must be an integer in 2..cap", where)
 
-    f1 = LieElt(cap, _parse_entries(data["f1"], "f1", "word", check_word))
-    f2 = LieElt(cap, _parse_entries(data["f2"], "f2", "word", check_word))
+    f1 = _lie_elt(cap, _parse_entries(data["f1"], "f1", "word", check_word))
+    f2 = _lie_elt(cap, _parse_entries(data["f2"], "f2", "word", check_word))
     duflo = DufloSeries(cap, _parse_entries(data["duflo"], "duflo", "k", check_k))
     return SolutionDocument(cap, f1, f2, duflo, variant)
 

@@ -1,5 +1,8 @@
+import importlib.util
+import itertools
 import json
 import os
+import shlex
 import stat
 import subprocess
 import sys
@@ -12,7 +15,7 @@ from conftest import count_checks, count_logs
 import kvtower.cli
 import kvtower.kv
 import kvtower.tangential
-from kvtower.cli import emit_report, run_command
+from kvtower.cli import _read_args, build_parser, emit_report, run_command
 from kvtower.documents import SolutionDocument, emit_document
 from kvtower.kv import DufloSeries, check_sol_kv, extend_solkv
 from kvtower.lie import LieElt
@@ -20,8 +23,9 @@ from kvtower.tangential import TAutElt
 
 
 GOLDEN = Path(__file__).parent / "golden"
+ROOT = Path(__file__).parent.parent
 # The canonical degree-10 solution that the benchmark also reads.
-SOL10 = Path(__file__).parent.parent / "perfbench" / "data" / "sol10.json"
+SOL10 = ROOT / "perfbench" / "data" / "sol10.json"
 
 
 def run(capsys, *argv):
@@ -195,6 +199,165 @@ def test_degree_guard(capsys):
     code, out, err = run(capsys, "bch", "--degree", "13")
     assert code == 2
     assert "allow-large" in err
+
+
+def _typed(args):
+    """``vars(args)`` with the type of each value, so that True and 1 differ."""
+    return {name: (type(value), value) for name, value in vars(args).items()}
+
+
+def _parsed(argv):
+    """argparse's reading of ``argv``, typed; ``None`` where it prints
+    help or a usage error and exits."""
+    try:
+        return _typed(build_parser().parse_args(argv))
+    except SystemExit:
+        return None
+
+
+# Each command with a plain value for every option.
+_PLAIN_OPTIONS = {
+    "bch": [["--degree", "7"], ["--allow-large"]],
+    "dims": [["--max-degree", "9"], ["--allow-large"]],
+    "verify": [["--in", "sol.json"], ["--degree", "9"], ["--variant", "SolKV"],
+               ["--allow-large"]],
+    "extend": [["--in", "sol.json"], ["--to-degree", "8"], ["--out", "out.json"],
+               ["--allow-large"]],
+    "seed": [["--out", "out.json"]],
+    "gr-test": [["--in", "sol.json"], ["--degree", "7"], ["--allow-large"]],
+}
+_OPTIONAL = {"--allow-large", "--out"}
+
+
+def _argv_corpus():
+    """(argv, plain) pairs: ``plain`` when argv has the form that
+    ``_read_args`` reads, ``COMMAND (--option VALUE | --flag)...``."""
+    for command, options in _PLAIN_OPTIONS.items():
+        # Every order, and with each option left out in turn.
+        for order in itertools.permutations(options):
+            yield [command, *itertools.chain(*order)], True
+        for i, left_out in enumerate(options):
+            rest = options[:i] + options[i + 1:]
+            yield [command, *itertools.chain(*rest)], left_out[0] in _OPTIONAL
+        first = options[0]
+        yield [command, "-h"], False
+        yield [command, "--help"], False
+        yield [command, *itertools.chain(*options), "--help"], False
+        yield [command, "--"] + list(itertools.chain(*options)), False
+        yield [command, *itertools.chain(*options), "--"], False
+        yield [command, *itertools.chain(*options), "extra"], False
+        yield [command, *itertools.chain(*options), first[0]], False
+        yield [command, *itertools.chain(*options), *first], False
+        if len(first) == 2:
+            yield [command, f"{first[0]}={first[1]}", *itertools.chain(*options[1:])], False
+            yield [command, first[0][:-1], first[1], *itertools.chain(*options[1:])], False
+    yield [], False
+    yield ["-h"], False
+    yield ["--help"], False
+    yield ["--help", "dims"], False
+    yield ["no-such-command"], False
+    yield ["dim", "--max-degree", "9"], False
+    yield ["dims", "--max", "9"], False
+    yield ["dims", "--max-degree", "9", "--allow"], False
+    yield ["dims", "--allow-large", "yes", "--max-degree", "9"], False
+    yield ["dims", "--allow-large", "--allow-large", "--max-degree", "9"], False
+    # int values as int() reads them, as type=int does; a value that starts
+    # with "-" is argparse's, a negative number included.
+    for value, plain in ((" 9", True), ("1_0", True), ("\u0669", True), ("+3", True),
+                         ("-3", False), ("", False), ("nine", False), ("9.0", False),
+                         ("1" * 5000, False)):
+        yield ["dims", "--max-degree", value], plain
+    # Empty strings, and a value that is an option name.
+    yield ["verify", "--in", "", "--degree", "9", "--variant", "SolKV"], True
+    yield ["extend", "--in", "sol.json", "--to-degree", "8", "--out", ""], True
+    yield ["verify", "--in", "--degree", "9", "--variant", "SolKV"], False
+    yield ["verify", "--in", "-", "--degree", "9", "--variant", "SolKV"], False
+    yield ["extend", "--in", "sol.json", "--to-degree", "8", "--out", "--allow-large"], False
+    yield ["verify", "--in", "sol.json", "--degree", "9", "--variant", "solkv"], False
+    yield ["verify", "--in", "sol.json", "--degree", "9", "--variant", ""], False
+    yield ["verify", "--in", "sol.json", "--degree", "9", "--variant"], False
+    yield ["verify", "--degree", "9", "--variant", "SolKV", "--in"], False
+    yield ["seed", "--out"], False
+    yield ["seed", "out.json"], False
+    yield ["seed", "--out", "a b", "--out", "c"], False
+
+
+def test_plain_command_lines_are_read_as_argparse_reads_them(capsys):
+    # argparse is the reference: the reader returns exactly what it sets,
+    # or None to leave the argv to it.
+    for argv, plain in _argv_corpus():
+        got = _read_args(argv)
+        want = _parsed(argv)
+        if plain:
+            assert got is not None and want is not None, argv
+        else:
+            assert got is None, argv
+        assert got is None or _typed(got) == want, argv
+
+
+def _benchmark_argvs(tmp_path):
+    """The argv of every job of every benchmark workload."""
+    bench = ROOT / "perfbench"
+    sys.path.insert(0, str(bench))  # run.py imports its tracer by name
+    try:
+        spec = importlib.util.spec_from_file_location("perfbench_run", bench / "run.py")
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+    finally:
+        sys.path.remove(str(bench))
+    for name, workload in module.WORKLOADS.items():
+        workdir = tmp_path / name
+        workdir.mkdir()
+        jobs, _ = module.prepare(workload, 1, workdir)
+        yield from (job.argv for job in jobs)
+
+
+def _ci_argvs():
+    """The argv of every ``python -m kvtower.cli`` call in the CI step
+    "CLI as a process", up to its first shell operator."""
+    text = (ROOT / ".github" / "workflows" / "tests.yml").read_text()
+    step = text.split("- name: CLI as a process", 1)[1].split("- name:", 1)[0]
+    prefix = "python -m kvtower.cli "
+    for line in step.splitlines():
+        if prefix in line:
+            words = shlex.split(line.split(prefix, 1)[1].rstrip("\\"))
+            stop = next((i for i, w in enumerate(words)
+                         if w.startswith((">", "2>", "|", "<"))), len(words))
+            yield words[:stop]
+
+
+# The CI calls that run argparse's path as a process.
+_CI_FALLBACKS = [["dims", "--max=9"], ["dims", "--max", "9"], ["--help"],
+                 ["verify", "--help"], ["dims"]]
+
+
+def test_every_benchmark_job_and_ci_call_is_read_without_argparse(tmp_path, capsys):
+    argvs = list(_benchmark_argvs(tmp_path))
+    assert {argv[0] for argv in argvs} == {"extend", "verify", "dims"}
+    ci = list(_ci_argvs())
+    assert all(argv in ci for argv in _CI_FALLBACKS)
+    for argv in argvs + [argv for argv in ci if argv not in _CI_FALLBACKS]:
+        got = _read_args(argv)
+        assert got is not None, argv
+        assert _typed(got) == _parsed(argv), argv
+    for argv in _CI_FALLBACKS:
+        assert _read_args(argv) is None, argv
+
+
+@pytest.mark.parametrize("argv, imported", [(["dims", "--max-degree", "3"], False),
+                                            (["--help"], True)], ids=["plain", "help"])
+def test_only_argparses_own_command_lines_import_it(argv, imported):
+    # A fresh interpreter, since pytest itself imports argparse.
+    script = (
+        "import sys\n"
+        "from kvtower.cli import run_command\n"
+        f"run_command({argv!r})\n"
+        "print('argparse' in sys.modules)\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == str(imported)
 
 
 @pytest.mark.parametrize(

@@ -12,6 +12,11 @@ from the same table, which reads it as before and writes every help
 text and usage error; the two readings of an argv that both accept are
 the same.
 
+Every ``int`` option in ``_COMMANDS`` is a degree, so ``run_command``
+guards each one, once, before it calls the command: it must be at least
+1, and at most ``DEGREE_GUARD`` unless ``--allow-large`` is given.
+``gr-test`` also guards the cap of the document it reads.
+
 ``main()`` with no argument is the program: after the command it flushes
 stdout and stderr and ends the process with ``os._exit``, so the
 interpreter does not tear down the modules and tables that the process is
@@ -111,7 +116,6 @@ class _ClosedStdout:
 
 
 def _cmd_bch(args):
-    _guard_degree(args.degree, args.allow_large)
     series = bch_xy(args.degree)
     for word, c in series.sorted_terms():
         print(f"{word} {c}")
@@ -119,7 +123,6 @@ def _cmd_bch(args):
 
 
 def _cmd_dims(args):
-    _guard_degree(args.max_degree, args.allow_large)
     print("n lie krv")
     for n in range(1, args.max_degree + 1):
         d, _ = krv_dim(n)
@@ -128,7 +131,6 @@ def _cmd_dims(args):
 
 
 def _cmd_verify(args):
-    _guard_degree(args.degree, args.allow_large)
     # Only exponent terms of degree <= --degree reach the check.
     F = _load(args.infile).to_taut(args.degree)
     report = _CHECKERS[args.variant](F, args.degree)
@@ -137,7 +139,6 @@ def _cmd_verify(args):
 
 
 def _cmd_extend(args):
-    _guard_degree(args.to_degree, args.allow_large)
     doc = _load(args.infile)
     if doc.variant != "SolKV":
         raise DocumentError("extend requires a SolKV document", "variant")
@@ -171,7 +172,6 @@ def _cmd_seed(args):
 
 
 def _cmd_gr_test(args):
-    _guard_degree(args.degree, args.allow_large)
     doc = _load(args.infile)
     # The transport is checked at the document's own cap, so guard it too.
     _guard_degree(doc.cap, args.allow_large, "document cap")
@@ -298,6 +298,10 @@ def run_command(argv):
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
+        # Every int option is a degree, guarded before the command runs.
+        for _, dest, kind, _ in _COMMANDS[args.command][2]:
+            if kind is int:
+                _guard_degree(getattr(args, dest), args.allow_large)
         code = args.func(args)
         sys.stdout.flush()
         return code
@@ -308,7 +312,11 @@ def run_command(argv):
         # stdout is flushed again before the process ends (by main, or by
         # the interpreter at exit); what it still holds goes nowhere.
         if not isinstance(sys.stdout, _ClosedStdout):
-            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            fd = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(fd, sys.stdout.fileno())
+            finally:
+                os.close(fd)
         return 2
     except (DocumentError, PreconditionFailed) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -5,7 +5,8 @@ least rotation — as a key in the shared sparse form of
 :mod:`kvtower.sparse`, so the trace map is the necklace sum of
 :mod:`kvtower.words` over the element's stored integer numerators, kept
 over its denominator.  The public constructor rejects keys that are not
-canonical.  The Duflo patterns are ``tr(w^k - x^k - y^k)`` for a side
+canonical, after the shared check that each key is a word in ``x`` and
+``y``.  The Duflo patterns are ``tr(w^k - x^k - y^k)`` for a side
 ``w`` of the KV equations, by the one map of side names (:func:`_side`)
 that the checkers use too.  For ``w = x + y`` each pattern is read off
 the necklaces of degree ``k``: ``(x + y)^k`` is the sum of all words of
@@ -29,11 +30,10 @@ class CycElt(SparseElt):
     __slots__ = ()
 
     def __init__(self, cap, coeffs=None):
-        if coeffs:
-            for w in coeffs:
-                if len(w) <= cap and w != min_rotation(w):
-                    raise ValueError(f"not a canonical necklace: {w!r}")
-        super().__init__(cap, coeffs)
+        SparseElt.__init__(self, cap, coeffs)
+        for w in coeffs or ():
+            if len(w) <= cap and w != min_rotation(w):
+                raise ValueError(f"not a canonical necklace: {w!r}")
 
     def coeff(self, word):
         return super().coeff(min_rotation(word))

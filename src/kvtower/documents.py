@@ -14,23 +14,25 @@ is shown by its first 40 characters and its length.
 A parsed document holds the exponents as Lie elements and the Duflo
 series as a :class:`~kvtower.kv.DufloSeries`, all at the document's cap,
 so ``Fraction``s appear only where a file is read or written: the
-entries are read as ``Fraction``s and written from the elements'
-``sorted_terms()``, which are in the canonical order.
+entries are read as ``Fraction``s, turned into the exponents' integer
+form by :mod:`kvtower.sparse`, and written from the elements'
+``sorted_terms()``, which are in the canonical order.  The variant names
+are the keys of the checkers' table in :mod:`kvtower.kv`.
 """
 
 import json
 import re
 from fractions import Fraction
-from math import lcm
 
 from .errors import DocumentError
-from .kv import DufloSeries
+from .kv import _VARIANTS, DufloSeries
 from .lie import LieElt
+from .sparse import _int_form
 from .tangential import TAutElt
 from .words import is_lyndon
 
 FORMAT_VERSION = "1"
-VARIANTS = ("SolKV", "KV", "KRV")
+VARIANTS = tuple(_VARIANTS)
 _INTEGER = re.compile(r"-?[0-9]+")
 
 
@@ -108,16 +110,6 @@ def _parse_entries(items, field, key, index):
     return out
 
 
-def _lie_elt(cap, coeffs):
-    """The Lie element of ``coeffs``, a map from Lyndon words of degree at
-    most ``cap`` to reduced ``Fraction``s, built in the integer form over
-    the lcm of their denominators.  The words have been checked by the
-    reader, so the public constructor's second Lyndon check is skipped."""
-    den = lcm(*(c.denominator for c in coeffs.values()))
-    nums = {w: c.numerator * (den // c.denominator) for w, c in coeffs.items()}
-    return LieElt._from_ints(cap, nums, den)
-
-
 def parse_document(text):
     """Parse and validate a UTF-8 JSON solution document."""
     try:
@@ -156,8 +148,10 @@ def parse_document(text):
         if not isinstance(k, int) or isinstance(k, bool) or not 2 <= k <= cap:
             raise DocumentError(f"{where}: k must be an integer in 2..cap", where)
 
-    f1 = _lie_elt(cap, _parse_entries(data["f1"], "f1", "word", check_word))
-    f2 = _lie_elt(cap, _parse_entries(data["f2"], "f2", "word", check_word))
+    # The reader has checked the words, so the exponents are built in the
+    # integer form directly, without the public constructor's second check.
+    f1, f2 = (LieElt._from_ints(cap, *_int_form(_parse_entries(data[k], k, "word", check_word)))
+              for k in ("f1", "f2"))
     duflo = DufloSeries(cap, _parse_entries(data["duflo"], "duflo", "k", check_k))
     return SolutionDocument(cap, f1, f2, duflo, variant)
 

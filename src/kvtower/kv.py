@@ -2,10 +2,14 @@
 
 Checkers decide membership in the degree-n solution set and the two
 symmetry groups; the Duflo series attached to an element is recomputed
-from scratch on every check, never cached.  A check is a function of one
-log ``w``: ``exp(w)`` acts on the source side as the exponential series
-of ``w``, and the Jacobian is ``w``'s, so a caller that holds the log of
-its input checks it without solving that log again.  The graded-rank
+from scratch on every check, never cached.  The three systems differ only
+in their sides, and one table, ``_VARIANTS``, holds them: each variant
+name (``SolKV``, ``KV``, ``KRV``) maps to its source and target side, so
+a check names its variant alone, and the documents' variant names are
+the table's keys.  A check is a function of one log ``w``: ``exp(w)``
+acts on the source side as the exponential series of ``w``, and the
+Jacobian is ``w``'s, so a caller that holds the log of its input checks
+it without solving that log again.  The graded-rank
 comparison transports each graded basis vector ``u`` through a solution
 ``F`` as ``log(F^-1 o exp(u) o F)``, the conjugation series of ``u`` by
 ``log F``, and checks and reads that log; it builds no group element.
@@ -27,12 +31,12 @@ by one log matcher from the one degree that the step corrects.
 """
 
 from fractions import Fraction
-from math import lcm
 
 from .cyclic import _duflo_patterns, _side, _sum_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, _divergence_row, bch_xy, bracket_table
 from .linalg import QMatrix, _particular, kernel_basis, rank
+from .sparse import _int_form
 from .tangential import (
     TAutElt,
     TDer,
@@ -142,13 +146,19 @@ def _log_to(F, n):
     return taut_log(F.truncate(n))
 
 
-def _check(variant, w, source, target):
+# The sides ``(source, target)`` of each equation system, ``"sum"`` or
+# ``"bch"`` as in :func:`~kvtower.cyclic._side`; the documents' variant
+# names are this table's keys, in this order.
+_VARIANTS = {"SolKV": ("bch", "sum"), "KV": ("bch", "bch"), "KRV": ("sum", "sum")}
+
+
+def _check(variant, w):
     """Check ``exp(w)(source) = target`` and the Jacobian of ``exp(w)``
-    against the Duflo patterns of ``target``, both up to ``w``'s cap; the
-    sides are ``"sum"`` or ``"bch"`` as in :func:`~kvtower.cyclic._side`.
-    An automorphism is checked through its log alone: it acts on
-    ``source`` as the exponential series of ``w``, and the Jacobian is
-    ``w``'s."""
+    against the Duflo patterns of ``target``, both up to ``w``'s cap, for
+    the sides of ``variant`` in :data:`_VARIANTS`.  An automorphism is
+    checked through its log alone: it acts on ``source`` as the
+    exponential series of ``w``, and the Jacobian is ``w``'s."""
+    source, target = _VARIANTS[variant]
     n = w.cap
     defect = _exp_action(w)(_side(source, n)) - _side(target, n)
     duflo, residual = solve_duflo(_log_jacobian(w), target)
@@ -157,17 +167,17 @@ def _check(variant, w, source, target):
 
 def check_sol_kv(F, n):
     """Does ``F`` solve the KV equations up to degree ``n``?"""
-    return _check("SolKV", _log_to(F, n), "bch", "sum")
+    return _check("SolKV", _log_to(F, n))
 
 
 def check_krv(F, n):
     """Membership in the graded symmetry group up to degree ``n``."""
-    return _check("KRV", _log_to(F, n), "sum", "sum")
+    return _check("KRV", _log_to(F, n))
 
 
 def check_kv(F, n):
     """Membership in the left symmetry group up to degree ``n``."""
-    return _check("KV", _log_to(F, n), "bch", "bch")
+    return _check("KV", _log_to(F, n))
 
 
 def check_krv_lie(u, n):
@@ -236,16 +246,13 @@ class _GradedSystem:
     def tder_from(self, values, cap):
         """Read a homogeneous derivation off a solution/kernel vector,
         dropping the trailing Duflo coordinate if present.  Each slot is
-        written over the lcm of its ``Fraction`` denominators; a slot with
-        no columns is zero."""
+        written in the integer form of its ``Fraction``s; a slot with no
+        columns is zero."""
         k = len(self.cols1)
         m = k + len(self.cols2)
-        slots = []
-        for cols, part in ((self.cols1, values[:k]), (self.cols2, values[k:m])):
-            den = lcm(*(v.denominator for v in part))
-            nums = {w: v.numerator * (den // v.denominator) for w, v in zip(cols, part)}
-            slots.append(LieElt._from_ints(cap, nums, den))
-        return TDer(*slots)
+        slots = ((self.cols1, values[:k]), (self.cols2, values[k:m]))
+        return TDer(*(LieElt._from_ints(cap, *_int_form(dict(zip(cols, part))))
+                      for cols, part in slots))
 
     def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or
@@ -318,7 +325,7 @@ def _extend_from(F, to_degree):
     ``bch(x, y)``, built at the top degree and truncated per step."""
     log = _GeneratorMatcher(to_degree + 1, _der_maps)
     out, w = F, _resumed_log(log, F)
-    report = _check("SolKV", w, "bch", "sum")
+    report = _check("SolKV", w)
     if report.passed and out.cap < to_degree:
         series = bch_xy(to_degree)
         while out.cap < to_degree:
@@ -346,11 +353,9 @@ def extend_krv_step(G):
     """Extend a degree-n symmetry one degree up by zero-extending its
     logarithm and re-exponentiating."""
     n = G.cap
-    w = _log_to(G, n)
-    if not _check("KRV", w, "sum", "sum").passed:
-        raise PreconditionFailed("input is not in the symmetry group at its cap")
+    w = _solution_log("KRV", G, n, "input is not in the symmetry group at its cap")
     w = w.with_cap(n + 1)
-    if not _check("KRV", w, "sum", "sum").passed:
+    if not _check("KRV", w).passed:
         raise PreconditionFailed(
             "zero-extension of the log does not satisfy the equations one "
             "degree up; the input only satisfies them in the truncated sense"
@@ -358,11 +363,11 @@ def extend_krv_step(G):
     return taut_exp(w)
 
 
-def _solution_log(F, n, message):
-    """``log F`` up to degree ``n`` if ``F`` solves the system there; else
-    :class:`PreconditionFailed` with ``message``."""
+def _solution_log(variant, F, n, message):
+    """``log F`` up to degree ``n`` if ``F`` passes the ``variant`` check
+    there; else :class:`PreconditionFailed` with ``message``."""
     w = _log_to(F, n)
-    if not _check("SolKV", w, "bch", "sum").passed:
+    if not _check(variant, w).passed:
         raise PreconditionFailed(message)
     return w
 
@@ -372,8 +377,8 @@ def torsor_quotient(F, G, n):
     right action ``G . H = H^{-1} o G``; the checks' logs of ``F`` and
     ``G`` serve the inverse and the composition."""
     message = "both inputs must solve the system at degree n"
-    w = _solution_log(F, n, message)
-    v = _solution_log(G, n, message)
+    w = _solution_log("SolKV", F, n, message)
+    v = _solution_log("SolKV", G, n, message)
     return _compose(G.truncate(n), taut_exp(-w), v)
 
 
@@ -381,7 +386,7 @@ def psi_conjugate(F, G, n):
     """Transport a left symmetry to a right symmetry through a solution:
     ``H = F o G o F^{-1}``; the check's log of ``F`` serves ``F o G`` and
     the inverse."""
-    w = _solution_log(F, n, "F must solve the system at degree n")
+    w = _solution_log("SolKV", F, n, "F must solve the system at degree n")
     if not check_kv(G, n).passed:
         raise PreconditionFailed("G must be a left symmetry at degree n")
     return taut_compose(_compose(F.truncate(n), G.truncate(n), w), taut_exp(-w))
@@ -413,7 +418,7 @@ def _gr_rank_and_dim(F, n):
     one :func:`krv_dim`."""
     if F.cap < n + 1:
         raise PreconditionFailed("the solution must be known beyond degree n")
-    w = _solution_log(F, F.cap, "F must solve the system at its cap")
+    w = _solution_log("SolKV", F, F.cap, "F must solve the system at its cap")
     dim, basis = krv_dim(n)
     if dim == 0:
         return 0, 0
@@ -422,7 +427,7 @@ def _gr_rank_and_dim(F, n):
     for u in basis:
         # g = log(F^-1 o exp(u) o F), the conjugate of u by log F.
         g = _conjugate_log(u.with_cap(F.cap), w)
-        if not _check("KV", g, "bch", "bch").passed:
+        if not _check("KV", g).passed:
             raise InconsistentSystem("transported element fails the left system")
         if valuation(g) != n:
             raise InconsistentSystem("transported element has wrong valuation")

@@ -3,7 +3,8 @@
 Functions read only ``M.rows``, ``M.cols`` and ``M.entries``, a dict
 (row, col) -> nonzero ``int`` or ``Fraction``; :class:`QMatrix` has those,
 and so has ``kv._GradedSystem``, with ``int`` entries.  :func:`_eliminate`,
-the one elimination, works forward on integer rows (denominators cleared),
+the one elimination, works forward on integer rows (each row's numerators
+over its denominator, by the integer form of :mod:`kvtower.sparse`),
 with a right-hand side, if any, under a column key of its own.  Columns go
 in ascending order; a column's pivot is the shortest unreduced row holding
 it (the first on ties), which keeps fill-in low.  The pivot is made
@@ -21,7 +22,9 @@ given free entries that the rows annihilate, whatever their scaling.
 """
 
 from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
+
+from .sparse import _int_form
 
 
 class QMatrix:
@@ -104,10 +107,7 @@ def _eliminate(M, b=None):
         for row, v in zip(rows, b):
             if v != 0:
                 row[M.cols] = Fraction(v)
-    for row in rows:
-        den = lcm(*(v.denominator for v in row.values()))
-        for k, v in row.items():
-            row[k] = v.numerator * (den // v.denominator)
+    rows = [_int_form(row)[0] for row in rows]
     echelon, pivots = [], []
     for c in range(M.cols):
         holders = [row for row in rows if c in row]

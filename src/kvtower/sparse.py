@@ -11,10 +11,14 @@ This module alone keeps the one stored form: integer numerators ``nums``
 so that ``gcd(den, *nums) == 1``.  The form is unique, so equality and
 hashing compare it directly.  The public constructor checks that every
 key is a word in ``x`` and ``y`` and normalises its input: it drops
-over-cap words and zeros and writes the rest over the lcm of their
-reduced denominators, which is already reduced.  Results computed from
-valid elements go through the trusted :meth:`SparseElt._from_ints`, which
-drops the sums that cancelled and divides out the common factor.
+over-cap words and zeros and writes the rest in the integer form of
+:func:`_int_form`, over the lcm of their reduced denominators, which is
+already reduced.  :func:`_int_form` is the one conversion of a map of
+rationals to integer numerators over one denominator; the document
+reader, the graded solves and the eliminator's rows use it too.  Results
+computed from valid elements go through the trusted
+:meth:`SparseElt._from_ints`, which drops the sums that cancelled and
+divides out the common factor.
 
 The sums, the scalar product and the products (brackets, expansions, the
 associative product, the derivation engine, the cyclic action and the
@@ -69,8 +73,7 @@ class SparseElt:
                 c = Fraction(c)
                 if c != 0:
                     terms[w] = c
-        self.den = den = lcm(*(c.denominator for c in terms.values()))
-        self.nums = {w: c.numerator * (den // c.denominator) for w, c in terms.items()}
+        self.nums, self.den = _int_form(terms)
 
     @classmethod
     def _from_ints(cls, cap, sums, den):
@@ -169,6 +172,14 @@ class SparseElt:
         if not self.nums:
             return "0"
         return " + ".join(f"{c}*{self._show(w)}" for w, c in self.sorted_terms())
+
+
+def _int_form(coeffs):
+    """The integer form of ``coeffs``, a map to rationals (``Fraction`` or
+    ``int``): ``(nums, den)``, the same keys with integer numerators over
+    ``den``, the lcm of the reduced denominators."""
+    den = lcm(*(c.denominator for c in coeffs.values()))
+    return {k: c.numerator * (den // c.denominator) for k, c in coeffs.items()}, den
 
 
 def _combine(cls, cap, terms):

@@ -107,9 +107,9 @@ def count_checks(monkeypatch):
     real = kvtower.kv._check
     calls = []
 
-    def spy(variant, w, source, target):
+    def spy(variant, w):
         calls.append((variant, w.cap))
-        return real(variant, w, source, target)
+        return real(variant, w)
 
     monkeypatch.setattr(kvtower.kv, "_check", spy)
     return calls

@@ -1,3 +1,4 @@
+import ast
 import importlib.util
 import itertools
 import json
@@ -746,6 +747,25 @@ def test_program_stdout_on_a_full_device_exit_code(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),
+                    reason="no /proc/self/fd or no /dev/full")
+def test_stdout_failure_closes_the_descriptor_it_opens():
+    # The first run's write fails, and stdout is pointed at the null device
+    # through a descriptor that is closed again; the later runs write there.
+    script = ("import os, sys\n"
+              "from kvtower.cli import run_command\n"
+              "before = len(os.listdir('/proc/self/fd'))\n"
+              "codes = [run_command(['dims', '--max-degree', '2']) for _ in range(3)]\n"
+              "sys.stderr.write(repr((codes, before, len(os.listdir('/proc/self/fd')))))\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", script], env=BUFFERED,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0, proc.stderr
+    codes, before, after = ast.literal_eval(proc.stderr.splitlines()[-1])
+    assert codes == [2, 0, 0]
+    assert after == before
 
 
 def test_program_without_stdout_exit_code(tmp_path):

@@ -39,6 +39,11 @@ def test_non_canonical_key_rejected():
         CycElt(3, {"yx": 0})
     # Over-cap words are dropped before the check.
     assert CycElt(1, {"yx": 1}).is_zero()
+    # A key that is not a word fails the shared word check first, as in LieElt.
+    with pytest.raises(ValueError, match="not a word in x, y"):
+        CycElt(3, {5: 1})
+    with pytest.raises(ValueError, match="not a word in x, y"):
+        CycElt(3, {"ba": 1})
 
 
 def test_pattern_degree_two_sum():

@@ -3,6 +3,9 @@
 Exit codes: 0 success / verification passed, 1 verification failed,
 2 usage, parse or I/O error, 3 internal error: a bug, printed with its
 traceback, or a system that theory says is solvable failed to solve.
+Every error line and traceback goes through one writer, ``_error``, which
+drops what cannot be written, so a full or closed stderr never changes
+the exit code.
 
 A plain command line, ``COMMAND (--option VALUE | --flag)...`` with
 every option spelled in full and given at most once, is read by
@@ -100,7 +103,17 @@ def _write_output(text, path):
         if not in_place:
             with contextlib.suppress(OSError):
                 os.remove(tmp)
-        raise DocumentError(f"cannot write {path}: {exc}") from None
+        # The path given, not the temporary file, and the system's reason.
+        raise DocumentError(f"cannot write {path}: {exc.strerror or exc}") from None
+
+
+def _error(text):
+    """Write ``text`` to stderr at once.  A message that cannot be written
+    is dropped, so that a full or closed stderr never changes the exit
+    code that the message explains."""
+    with contextlib.suppress(OSError):
+        sys.stderr.write(text)
+        sys.stderr.flush()
 
 
 class _ClosedStdout:
@@ -284,12 +297,6 @@ def _read_args(argv):
 
 def run_command(argv):
     """Dispatch one invocation; returns the process exit code."""
-    args = _read_args(argv)
-    if args is None:
-        try:
-            args = build_parser().parse_args(argv)
-        except SystemExit as exc:
-            return 2 if exc.code not in (0, None) else 0
     # A stream is None when its file descriptor was closed at start: output
     # to a closed stdout is an I/O error, and messages to a closed stderr
     # are lost.
@@ -297,6 +304,12 @@ def run_command(argv):
         sys.stdout = _ClosedStdout()
     if sys.stderr is None:
         sys.stderr = open(os.devnull, "w", encoding="utf-8")
+    args = _read_args(argv)
+    if args is None:
+        try:
+            args = build_parser().parse_args(argv)
+        except SystemExit as exc:
+            return 2 if exc.code not in (0, None) else 0
     try:
         # Every int option is a degree, guarded before the command runs.
         for _, dest, kind, _ in _COMMANDS[args.command][2]:
@@ -308,7 +321,7 @@ def run_command(argv):
     except OSError as exc:
         # The commands turn their own file errors into DocumentError, so
         # an OSError that reaches here is a write to stdout.
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _error(f"error: cannot write stdout: {exc}\n")
         # stdout is flushed again before the process ends (by main, or by
         # the interpreter at exit); what it still holds goes nowhere.
         if not isinstance(sys.stdout, _ClosedStdout):
@@ -319,15 +332,15 @@ def run_command(argv):
                 os.close(fd)
         return 2
     except (DocumentError, PreconditionFailed) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        _error(f"error: {exc}\n")
         return 2
     except InconsistentSystem as exc:
-        print(f"internal inconsistency: {exc}", file=sys.stderr)
+        _error(f"internal inconsistency: {exc}\n")
         return 3
     except Exception:
         # Imported here: it would add about 5 ms to every start-up.
         import traceback
-        traceback.print_exc()
+        _error(traceback.format_exc())
         return 3
 
 
@@ -337,14 +350,12 @@ def main(argv=None):
     if argv is not None:
         return run_command(argv)
     code = run_command(sys.argv[1:])
-    # A stream is None when its file descriptor was closed at start.
     try:
-        if sys.stdout is not None:
-            sys.stdout.flush()
+        sys.stdout.flush()
     except OSError as exc:
-        print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+        _error(f"error: cannot write stdout: {exc}\n")
         code = 2
-    if sys.stderr is not None:
+    with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)
 

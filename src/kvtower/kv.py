@@ -42,13 +42,11 @@ from .tangential import (
     TDer,
     _compose,
     _conjugate_log,
-    _der_maps,
     _exp_action,
     _GeneratorMatcher,
     _log_jacobian,
     _resumed_log,
     divergence,
-    taut_compose,
     taut_exp,
     taut_log,
     tder_apply,
@@ -323,7 +321,7 @@ def _extend_from(F, to_degree):
     each step returns the log of its output.  The matcher keeps the pieces
     of the log that a step leaves unchanged, and the steps share one
     ``bch(x, y)``, built at the top degree and truncated per step."""
-    log = _GeneratorMatcher(to_degree + 1, _der_maps)
+    log = _GeneratorMatcher(to_degree + 1)
     out, w = F, _resumed_log(log, F)
     report = _check("SolKV", w)
     if report.passed and out.cap < to_degree:
@@ -384,12 +382,12 @@ def torsor_quotient(F, G, n):
 
 def psi_conjugate(F, G, n):
     """Transport a left symmetry to a right symmetry through a solution:
-    ``H = F o G o F^{-1}``; the check's log of ``F`` serves ``F o G`` and
-    the inverse."""
+    ``H = F o G o F^{-1}``.  With the checks' logs ``w`` of ``F`` and ``v``
+    of ``G``, ``H`` is the exponential of the conjugate of ``v`` by
+    ``-w``, so no other log is solved."""
     w = _solution_log("SolKV", F, n, "F must solve the system at degree n")
-    if not check_kv(G, n).passed:
-        raise PreconditionFailed("G must be a left symmetry at degree n")
-    return taut_compose(_compose(F.truncate(n), G.truncate(n), w), taut_exp(-w))
+    v = _solution_log("KV", G, n, "G must be a left symmetry at degree n")
+    return taut_exp(_conjugate_log(v, -w))
 
 
 def krv_dim(n):

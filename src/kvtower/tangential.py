@@ -14,26 +14,26 @@ truncation and zero extension from one base, ``_Pair``, and keep their
 own normalization.
 
 The action of an automorphism on the generators only sees exponent terms
-below the cap, so both directions between a derivation and its
-exponential match actions on the generators one degree above the cap.
-One matcher does both, solving ``[gen, a] = r`` degree by degree with one
-triangular sweep over the Lyndon basis: ``taut_exp`` matches conjugation
-by the unknown exponents to the derivation's exponential series, and
-``taut_log`` matches the exponential series of the unknown derivation to
-the automorphism's conjugation action.  Either series is
-``sum_m A^m(gen)/m!``.  For a known pair it gives the matcher's targets:
-``taut_exp`` reads them off the action of ``exp(u)`` on the generators
-(:func:`_exp_action`), and ``taut_log`` off the conjugation series
-(:func:`_conjugation_images`), one bracket per power.  For the unknown
-pair ``A`` is the sum of one map per degree, so the matcher builds each
-degree's map once and keeps the homogeneous parts of the powers
-``A^m(gen)`` in a table that grows by one degree per step.  Everything it
-keeps is homogeneous, so it works at one fixed cap and can resume: given
-targets that agree below some degree with the last ones, it re-solves
-from that degree only.  ``taut_exp`` and ``taut_log`` each run a fresh
-matcher; an extension in :mod:`kvtower.kv` carries one log up the tower,
-and one log matcher that solves it once for the input's check and
-re-solves it once per step (:func:`_resumed_log`).
+below the cap, so ``taut_log`` matches the exponential series
+``sum_m A^m(gen)/m!`` of the unknown derivation to the automorphism's
+conjugation action on the generators one degree above the cap, read off
+the conjugation series (:func:`_conjugation_images`), one bracket per
+power.  One matcher does it, solving ``[gen, a] = r`` degree by degree
+with one triangular sweep over the Lyndon basis.  ``A`` is the sum of one
+derivation per degree, so the matcher builds each degree's map once and
+keeps the homogeneous parts of the powers ``A^m(gen)`` in a table that
+grows by one degree per step.  Everything it keeps is homogeneous, so it
+works at one fixed cap and can resume: given targets that agree below
+some degree with the last ones, it re-solves from that degree only.
+
+``taut_exp`` goes through the log too.  Exponent terms of degree ``k``
+enter the degree-``k`` part of the log as themselves, so it sets the
+exponents one degree at a time, each the derivation's part minus that of
+the log of the exponents below it, which one log matcher re-solves one
+degree per step.  ``taut_log`` runs a fresh matcher; an extension in
+:mod:`kvtower.kv` carries one log up the tower, and one log matcher that
+solves it once for the input's check and re-solves it once per step
+(:func:`_resumed_log`).
 
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in
@@ -52,7 +52,8 @@ exponential series ``sum_m w^m/m!`` of the derivation's action, and
 same helper, shifted by one.  The log of a conjugate
 ``exp(w)^-1 o exp(u) o exp(w)`` is the series ``sum_k ad^k(u)/k!`` with
 ``ad(v) = [v, w]`` (:func:`_conjugate_log`), so a transport through an
-automorphism needs its log only.  The engine and the cyclic action sum the
+automorphism needs its log only, and :func:`group_commutator` needs the
+logs of its two inputs only.  The engine and the cyclic action sum the
 stored integer numerators of their inputs and images, as
 :mod:`kvtower.sparse` describes.
 """
@@ -366,21 +367,19 @@ def _solve_generator_bracket(letter, k, rhs):
 
 
 class _GeneratorMatcher:
-    """Solves for the normalized pair ``(p1, p2)`` whose generator images
-    ``A^0(g) + A(g) + A^2(g)/2! + ...`` equal given targets, degree by
-    degree, and keeps what it solved, so that a later call whose targets
-    agree below some degree resumes there.
+    """Solves for the normalized derivation ``(p1, p2)`` whose exponential
+    series ``g + A(g) + A^2(g)/2! + ...`` on each generator ``g`` equals a
+    given target, degree by degree, and keeps what it solved, so that a
+    later call whose targets agree below some degree resumes there.
 
-    The linear map ``A`` is the sum over ``j`` of the part ``A_j`` built
-    from the degree-``j`` pieces ``a1, a2`` of the pair, which raises
-    degree by ``j``; ``maps(a1, a2)`` returns it as a dict generator ->
-    map, since the map that acts on the images of ``x`` need not be the
-    one that acts on those of ``y``.  A map returns the terms of its image,
-    integer rows for :func:`~kvtower.sparse._combine`, not the image
-    itself.  For each generator ``g`` the table ``P[m][d]``, the
-    degree-``d`` part of ``A^m(g)``, is the sum over ``j`` of
-    ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces below
-    degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} -
+    ``A`` is the sum over ``j`` of the derivation ``A_j`` made of the
+    degree-``j`` pieces ``(a1, a2)``, which raises degree by ``j``; one
+    engine applies it to the images of both generators and returns the
+    terms of an image, integer rows for :func:`~kvtower.sparse._combine`,
+    not the image itself.  For each generator ``g`` the table
+    ``P[m][d]``, the degree-``d`` part of ``A^m(g)``, is the sum over
+    ``j`` of ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces
+    below degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} -
     sum_{m >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]``
     must be, so one generator-bracket sweep per slot reads ``p_k`` off
     it.  Each table entry (the terms of all its maps at once) and each
@@ -395,19 +394,19 @@ class _GeneratorMatcher:
     keeps the rest.
     """
 
-    def __init__(self, work, maps):
+    def __init__(self, work):
         self.work = work
-        self.maps = maps
         self.pieces = []  # pieces[k - 1] maps each generator to p_k
-        self.steps = {}  # j -> the map A_j, for the nonzero pieces only
+        self.steps = {}  # j -> the terms of A_j, for the nonzero pieces only
         # powers[d][g] maps m to P[m][d]; zero entries are left out.
         self.powers = [None, {g: {1: LieElt.basis(g, work)} for g in ("x", "y")}]
 
     def solve(self, targets, cap, start=1):
-        """The pair at ``cap`` whose images match ``targets``, given up to
-        degree ``cap + 1`` at any cap.  Pieces below ``start``, or below
-        the first degree not yet solved, are kept; the targets must agree
-        with the last call's below degree ``start + 1``."""
+        """The derivation's pair at ``cap`` whose images match
+        ``targets``, given up to degree ``cap + 1`` at any cap.  Pieces
+        below ``start``, or below the first degree not yet solved, are
+        kept; the targets must agree with the last call's below degree
+        ``start + 1``."""
         start = min(start, len(self.pieces) + 1)
         del self.pieces[start - 1 :]
         del self.powers[start + 1 :]
@@ -417,7 +416,7 @@ class _GeneratorMatcher:
             d = k + 1
             last = self.pieces[-1] if k > 1 else {}
             if k - 1 not in self.steps and any(p.nums for p in last.values()):
-                self.steps[k - 1] = self.maps(last["x"], last["y"])
+                self.steps[k - 1] = _DerEngine(TDer(last["x"], last["y"])).terms
             piece, level = {}, {}
             for g, target in targets.items():
                 level[g] = entries = {}
@@ -428,7 +427,7 @@ class _GeneratorMatcher:
                         row
                         for j, step in self.steps.items()
                         if m - 1 in powers[d - j][g]
-                        for row in step[g](powers[d - j][g][m - 1])
+                        for row in step(powers[d - j][g][m - 1])
                     ]
                     if rows:
                         entry = _combine(LieElt, self.work, rows)
@@ -449,23 +448,6 @@ class _GeneratorMatcher:
         )
 
 
-def _der_maps(a1, a2):
-    """The derivation ``(a1, a2)``, one engine for both generators."""
-    terms = _DerEngine(TDer(a1, a2)).terms
-    return {"x": terms, "y": terms}
-
-
-def _conj_maps(a1, a2):
-    """Conjugation by the exponent pieces: ``t -> [t, a1]`` for ``x`` and
-    ``t -> [t, a2]`` for ``y``, each bracket one whole term."""
-    return {"x": lambda t: _whole(lie_bracket(t, a1)), "y": lambda t: _whole(lie_bracket(t, a2))}
-
-
-def _whole(elt):
-    """``elt`` as the one :func:`~kvtower.sparse._combine` term it is."""
-    return [(1, elt.nums, elt.den)]
-
-
 def _conjugation_images(f1, f2):
     """The conjugation series ``g + [g, f] + [[g, f], f]/2! + ...`` of each
     generator ``g`` by its exponent ``f``, the targets of
@@ -478,26 +460,34 @@ def _conjugation_images(f1, f2):
 
 
 def taut_exp(u):
-    """Exponential of a tangential derivation, as an automorphism: the
-    exponents whose conjugation action on the generators is the
-    exponential series of ``u``."""
+    """Exponential of a tangential derivation, as an automorphism, set one
+    degree at a time through the log.  The exponents of degree ``k`` enter
+    the degree-``k`` part of the log as themselves, so ``f_k = u_k - w_k``,
+    where ``w`` is the log of the exponents below degree ``k``.  One log
+    matcher solves ``w`` at each degree, re-solving from ``k - 1``, the
+    one degree that the last step set."""
     work = u.cap + 1
-    act = _exp_action(u.with_cap(work))
-    targets = {g: act(LieElt.basis(g, work)) for g in ("x", "y")}
-    return TAutElt(*_GeneratorMatcher(work, _conj_maps).solve(targets, u.cap))
+    log = _GeneratorMatcher(work)
+    parts = [p.with_cap(work) for p in u._parts()]
+    f = [p.homogeneous_part(1) for p in parts]  # degree one is u's own
+    for k in range(2, work):
+        w = log.solve(_conjugation_images(*(p.truncate(k + 1) for p in f)), k, start=k - 1)
+        f = [p + q.homogeneous_part(k) - r.homogeneous_part(k).with_cap(work)
+             for p, q, r in zip(f, parts, w)]
+    return TAutElt(*(p.truncate(u.cap) for p in f))
 
 
 def taut_log(F):
     """Inverse of :func:`taut_exp`: the normalized derivation whose
     exponential series acts on the generators as ``F`` does."""
-    return _resumed_log(_GeneratorMatcher(F.cap + 1, _der_maps), F)
+    return _resumed_log(_GeneratorMatcher(F.cap + 1), F)
 
 
 def _resumed_log(matcher, F, start=1):
-    """``log F`` from a matcher of :func:`_der_maps` whose work cap is
-    above ``F``'s cap, re-solving from degree ``start``: the matcher keeps
-    its pieces below that degree, so ``F`` must agree below it with the
-    automorphism it last solved."""
+    """``log F`` from a matcher whose work cap is above ``F``'s cap,
+    re-solving from degree ``start``: the matcher keeps its pieces below
+    that degree, so ``F`` must agree below it with the automorphism it last
+    solved."""
     work = F.cap + 1
     targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
     return TDer(*matcher.solve(targets, F.cap, start))
@@ -522,11 +512,12 @@ def _conjugate_log(u, w):
 
 
 def group_commutator(F, G):
-    """``F^{-1} o G^{-1} o F o G``."""
+    """``F^{-1} o G^{-1} o F o G``, from the logs ``w`` of ``F`` and ``v``
+    of ``G``: ``exp(-w)`` composed with ``G^{-1} o F o G``, the
+    exponential of the conjugate of ``w`` by ``v``."""
     _require_same_cap(F, G)
-    Fi = taut_inverse(F)
-    Gi = taut_inverse(G)
-    return taut_compose(taut_compose(taut_compose(Fi, Gi), F), G)
+    w, v = taut_log(F), taut_log(G)
+    return _compose(taut_exp(-w), taut_exp(_conjugate_log(w, v)), -w)
 
 
 def valuation(F):

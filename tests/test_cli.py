@@ -593,7 +593,9 @@ def test_unwritable_out_exit_code(command, tmp_path, capsys):
                                                 "--to-degree", "2"]
     code, out, err = run(capsys, *argv, "--out", str(target))
     assert code == 2
-    assert "cannot write" in err
+    # The path given, not the temporary file beside it, and the system's
+    # reason, so the line is the same from run to run.
+    assert err == f"error: cannot write {target}: No such file or directory\n"
     assert not target.exists()
 
 
@@ -712,13 +714,16 @@ def test_program_exit_2_paths(tmp_path):
     assert proc.stderr.startswith(b"error: ") and proc.stderr.count(b"\n") == 1
 
 
+# A bug in the checker, for the internal-error path.
+_INJECTED_FAULT = ("import kvtower.cli\n"
+                   "def fail(*args):\n"
+                   "    raise KeyError('injected fault')\n"
+                   "kvtower.cli._CHECKERS['SolKV'] = fail\n")
+
+
 def test_program_exit_3_path():
-    fail = ("import kvtower.cli\n"
-            "def fail(*args):\n"
-            "    raise KeyError('injected fault')\n"
-            "kvtower.cli._CHECKERS['SolKV'] = fail\n")
     proc = _program("verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV",
-                    before=fail)
+                    before=_INJECTED_FAULT)
     assert proc.returncode == 3 and proc.stdout == b""
     assert b"Traceback" in proc.stderr and b"KeyError: 'injected fault'" in proc.stderr
 
@@ -747,6 +752,28 @@ def test_program_stdout_on_a_full_device_exit_code(argv):
     assert proc.returncode == 2
     assert proc.stderr.startswith("error: cannot write stdout: ")
     assert proc.stderr.count("\n") == 1
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+@pytest.mark.parametrize(
+    "argv, before, stdout_full, code",
+    [
+        (["verify", "--in", "no-such-file.json", "--degree", "2", "--variant", "SolKV"], "",
+         False, 2),
+        (["dims", "--max-degree", "3"], "", True, 2),
+        (["verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV"],
+         _INJECTED_FAULT, False, 3),
+    ],
+    ids=["missing-input", "stdout-full", "internal-error"],
+)
+def test_program_error_to_a_full_stderr_keeps_its_exit_code(argv, before, stdout_full, code):
+    # The error line or traceback cannot be written, and is dropped: the
+    # exit code stays the one it explains, never the 1 of a failed check.
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", before + PROGRAM, *argv], env=BUFFERED,
+                              stdout=full if stdout_full else subprocess.PIPE, stderr=full)
+    assert proc.returncode == code
+    assert stdout_full or proc.stdout == b""
 
 
 @pytest.mark.skipif(not (os.path.isdir("/proc/self/fd") and os.path.exists("/dev/full")),

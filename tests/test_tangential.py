@@ -5,6 +5,7 @@ from pathlib import Path
 
 from conftest import (
     ConjugationReference,
+    count_logs,
     random_fraction,
     random_lie,
     random_taut,
@@ -26,7 +27,6 @@ from kvtower.tangential import (
     _DerEngine,
     _GeneratorMatcher,
     _conjugation_images,
-    _der_maps,
     _exp_action,
     _resumed_log,
     _solve_generator_bracket,
@@ -816,7 +816,7 @@ def test_resumed_log_matches_a_fresh_log():
             top = rng.choice((cap, cap + 1))
             G = TAutElt(*(f.with_cap(top) + random_lie(rng, top, 2, min_degree=s)
                           for f in (F.f1, F.f2)))
-            matcher = _GeneratorMatcher(cap + 3, _der_maps)
+            matcher = _GeneratorMatcher(cap + 3)
             assert _resumed_log(matcher, F) == taut_log(F)
             assert len(matcher.pieces) == cap
             assert _resumed_log(matcher, G, start=s) == taut_log(G)
@@ -930,6 +930,21 @@ def test_group_commutator_leading_term_example():
         TDer(LieElt.zero(cap), LieElt.gen_x(cap)),
     )
     assert lead == expect
+
+
+def test_group_commutator_solves_one_log_per_input(monkeypatch):
+    # F^-1 o G^-1 o F o G is exp(-log F) composed with the exponential of
+    # the conjugate of log F by log G, so log F and log G are the only logs
+    # solved; the product of inverses and compositions solved five.
+    rng = rng_for("gc-logs")
+    for _ in range(3):
+        F = random_taut(rng, 8, terms=4)
+        G = random_taut(rng, 8, terms=4)
+        expected = taut_compose(taut_compose(taut_compose(taut_inverse(F), taut_inverse(G)), F), G)
+        solved = count_logs(monkeypatch)
+        assert group_commutator(F, G) == expected
+        assert solved == [8, 8]
+        monkeypatch.undo()
 
 
 def test_filtration_commutator_bound():

@@ -76,7 +76,7 @@ def _load(path):
         with open(path, "r", encoding="utf-8") as fh:
             text = fh.read()
     except OSError as exc:
-        raise DocumentError(f"cannot read {path}: {exc}") from None
+        raise DocumentError(f"cannot read {path}: {exc.strerror or exc}") from None
     except UnicodeDecodeError as exc:
         raise DocumentError(f"{path} is not UTF-8: {exc}") from None
     return parse_document(text)

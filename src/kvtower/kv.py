@@ -26,8 +26,9 @@ exponent block, second exponent block, then the Duflo unknown), so
 extension outputs are reproducible bit for bit.  The steps of one
 extension share one ``bch(x, y)`` series and carry one log up the tower:
 the log of the input is solved once and serves its check, and each step
-reads the log of its input and returns the log of its output, re-solved
-by one log matcher from the one degree that the step corrects.
+reads the log of its input and returns the log of its output.  One log
+matcher solves them all; it finds on its own the first degree that a
+step's correction changes, and keeps the pieces of the log below it.
 """
 
 from fractions import Fraction
@@ -137,11 +138,12 @@ def solve_duflo(c, target):
     return series, remaining
 
 
-def _log_to(F, n):
-    """``log F`` up to degree ``n``, which must not exceed ``F``'s cap."""
-    if n > F.cap:
+def _truncated(X, n):
+    """``X``, an automorphism or a derivation, cut to degree ``n``, which
+    must not exceed its cap."""
+    if n > X.cap:
         raise PreconditionFailed("degree exceeds the element's cap")
-    return taut_log(F.truncate(n))
+    return X.truncate(n)
 
 
 # The sides ``(source, target)`` of each equation system, ``"sum"`` or
@@ -165,25 +167,23 @@ def _check(variant, w):
 
 def check_sol_kv(F, n):
     """Does ``F`` solve the KV equations up to degree ``n``?"""
-    return _check("SolKV", _log_to(F, n))
+    return _check("SolKV", taut_log(_truncated(F, n)))
 
 
 def check_krv(F, n):
     """Membership in the graded symmetry group up to degree ``n``."""
-    return _check("KRV", _log_to(F, n))
+    return _check("KRV", taut_log(_truncated(F, n)))
 
 
 def check_kv(F, n):
     """Membership in the left symmetry group up to degree ``n``."""
-    return _check("KV", _log_to(F, n))
+    return _check("KV", taut_log(_truncated(F, n)))
 
 
 def check_krv_lie(u, n):
     """Lie-algebra variant: ``u(x+y) = 0`` and divergence in the Duflo
     span, both up to degree ``n``."""
-    if n > u.cap:
-        raise PreconditionFailed("degree exceeds the element's cap")
-    ut = u.truncate(n)
+    ut = _truncated(u, n)
     defect = tder_apply(ut, _side("sum", n))
     duflo, residual = solve_duflo(divergence(ut), "sum")
     return KVReport("krv-lie", n, defect, duflo, residual)
@@ -275,9 +275,8 @@ class _GradedSystem:
 def _extend_step(F, w, side, log):
     """One step of :func:`extend_solkv`, without its precondition check.
     ``w`` is ``log F``, ``side`` is ``bch(x, y)`` at cap n + 1, and ``log``
-    a log matcher (:func:`~kvtower.tangential._resumed_log`) that last
-    solved an automorphism agreeing with ``F`` below degree n.  Returns
-    the extended element and its log."""
+    the log matcher (:func:`~kvtower.tangential._resumed_log`) that the
+    steps share.  Returns the extended element and its log."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
@@ -287,10 +286,9 @@ def _extend_step(F, w, side, log):
     a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
     F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
 
-    # Stage B: new degree-(n+1) terms b.  F1 differs from F only in degree
-    # n, so its log is re-solved from there.  Under the cap b enters the
+    # Stage B: new degree-(n+1) terms b.  Under the cap b enters the
     # conjugation series only as [g, b], so the log of the output is w1 + b.
-    w1 = _resumed_log(log, F1, start=n)
+    w1 = _resumed_log(log, F1)
     E2 = _log_jacobian(w1).homogeneous_part(cap)
     b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2), w1 + b
@@ -364,7 +362,7 @@ def extend_krv_step(G):
 def _solution_log(variant, F, n, message):
     """``log F`` up to degree ``n`` if ``F`` passes the ``variant`` check
     there; else :class:`PreconditionFailed` with ``message``."""
-    w = _log_to(F, n)
+    w = taut_log(_truncated(F, n))
     if not _check(variant, w).passed:
         raise PreconditionFailed(message)
     return w
@@ -415,7 +413,8 @@ def _gr_rank_and_dim(F, n):
     """The rank of :func:`gr_leading_rank` and the graded dimension, from
     one :func:`krv_dim`."""
     if F.cap < n + 1:
-        raise PreconditionFailed("the solution must be known beyond degree n")
+        raise PreconditionFailed(f"the solution must be known beyond degree {n}; "
+                                 f"its cap is {F.cap}")
     w = _solution_log("SolKV", F, F.cap, "F must solve the system at its cap")
     dim, basis = krv_dim(n)
     if dim == 0:

@@ -23,17 +23,19 @@ with one triangular sweep over the Lyndon basis.  ``A`` is the sum of one
 derivation per degree, so the matcher builds each degree's map once and
 keeps the homogeneous parts of the powers ``A^m(gen)`` in a table that
 grows by one degree per step.  Everything it keeps is homogeneous, so it
-works at one fixed cap and can resume: given targets that agree below
-some degree with the last ones, it re-solves from that degree only.
+works at one fixed cap and resumes on its own: the degree-``k`` piece
+reads the targets up to degree ``k + 1`` only, so the matcher keeps the
+targets of its last call and re-solves from the first degree whose
+piece the new targets change.  No caller names that degree.
 
 ``taut_exp`` goes through the log too.  Exponent terms of degree ``k``
 enter the degree-``k`` part of the log as themselves, so it sets the
 exponents one degree at a time, each the derivation's part minus that of
-the log of the exponents below it, which one log matcher re-solves one
-degree per step.  ``taut_log`` runs a fresh matcher; an extension in
-:mod:`kvtower.kv` carries one log up the tower, and one log matcher that
-solves it once for the input's check and re-solves it once per step
-(:func:`_resumed_log`).
+the log of the exponents below it, which one log matcher re-solves from
+the degree that the last step set.  ``taut_log`` runs a fresh matcher;
+an extension in :mod:`kvtower.kv` carries one log up the tower, and one
+log matcher that solves it once for the input's check and again once per
+step (:func:`_resumed_log`), keeping what the step left unchanged.
 
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in
@@ -370,7 +372,7 @@ class _GeneratorMatcher:
     """Solves for the normalized derivation ``(p1, p2)`` whose exponential
     series ``g + A(g) + A^2(g)/2! + ...`` on each generator ``g`` equals a
     given target, degree by degree, and keeps what it solved, so that a
-    later call whose targets agree below some degree resumes there.
+    later call re-solves only from the first degree whose targets changed.
 
     ``A`` is the sum over ``j`` of the derivation ``A_j`` made of the
     degree-``j`` pieces ``(a1, a2)``, which raises degree by ``j``; one
@@ -384,39 +386,39 @@ class _GeneratorMatcher:
     must be, so one generator-bracket sweep per slot reads ``p_k`` off
     it.  Each table entry (the terms of all its maps at once) and each
     defect is one :func:`~kvtower.sparse._combine`.  The map of degree
-    ``k`` is built once, when degree ``k + 1`` is solved, so none is
-    built for the top degree.
+    ``k`` is built when ``p_k`` is solved, and only if it is not zero.
 
     Pieces, maps and table entries are homogeneous, so the matcher works at
     one fixed cap, ``work``, and its numbers are those of any cap above the
-    degrees it solves.  Re-solving from degree ``k`` drops the pieces and
-    maps from degree ``k`` and the table entries above degree ``k``, and
-    keeps the rest.
+    degrees it solves.  ``p_k`` reads the targets' parts of degree at most
+    ``k + 1`` only, so the matcher keeps the targets of its last call and
+    re-solves from the first degree ``k`` whose part of degree ``k + 1``
+    differs from theirs, or else from the first degree not yet solved: it
+    drops the pieces and maps from degree ``k`` and the table entries above
+    degree ``k``, and keeps the rest.
     """
 
     def __init__(self, work):
         self.work = work
-        self.pieces = []  # pieces[k - 1] maps each generator to p_k
-        self.steps = {}  # j -> the terms of A_j, for the nonzero pieces only
+        self.targets = {g: LieElt.zero(work) for g in ("x", "y")}
+        # pieces[k - 1] is p_k, by generator, and the terms of A_k, or None
+        # for a zero piece.
+        self.pieces = []
         # powers[d][g] maps m to P[m][d]; zero entries are left out.
         self.powers = [None, {g: {1: LieElt.basis(g, work)} for g in ("x", "y")}]
 
-    def solve(self, targets, cap, start=1):
+    def solve(self, targets, cap):
         """The derivation's pair at ``cap`` whose images match
-        ``targets``, given up to degree ``cap + 1`` at any cap.  Pieces
-        below ``start``, or below the first degree not yet solved, are
-        kept; the targets must agree with the last call's below degree
-        ``start + 1``."""
-        start = min(start, len(self.pieces) + 1)
+        ``targets``, given up to degree ``cap + 1`` at any cap."""
+        targets = {g: t.with_cap(self.work) for g, t in targets.items()}
+        diffs = (t - self.targets[g] for g, t in targets.items())
+        changed = min((len(w) for t in diffs for w in t.nums if len(w) > 1), default=math.inf)
+        start = min(changed - 1, len(self.pieces) + 1, cap + 1)
+        self.targets = targets
         del self.pieces[start - 1 :]
         del self.powers[start + 1 :]
-        self.steps = {j: step for j, step in self.steps.items() if j < start}
-        powers = self.powers
         for k in range(start, cap + 1):
             d = k + 1
-            last = self.pieces[-1] if k > 1 else {}
-            if k - 1 not in self.steps and any(p.nums for p in last.values()):
-                self.steps[k - 1] = _DerEngine(TDer(last["x"], last["y"])).terms
             piece, level = {}, {}
             for g, target in targets.items():
                 level[g] = entries = {}
@@ -425,9 +427,9 @@ class _GeneratorMatcher:
                 for m in range(2, d):
                     rows = [
                         row
-                        for j, step in self.steps.items()
-                        if m - 1 in powers[d - j][g]
-                        for row in step(powers[d - j][g][m - 1])
+                        for j, (_, step) in enumerate(self.pieces, 1)
+                        if step and m - 1 in self.powers[d - j][g]
+                        for row in step(self.powers[d - j][g][m - 1])
                     ]
                     if rows:
                         entry = _combine(LieElt, self.work, rows)
@@ -435,15 +437,16 @@ class _GeneratorMatcher:
                             entries[m] = entry
                             terms.append((-1, entry.nums, entry.den * math.factorial(m)))
                 defect = _combine(LieElt, self.work, terms)
-                piece[g] = LieElt.zero(self.work)
+                piece[g] = _solve_generator_bracket(g, k, defect)
                 if defect.nums:
-                    piece[g] = _solve_generator_bracket(g, k, defect)
                     # The sweep leaves no residual, so [g, p_k] is the defect.
                     entries[1] = defect
-            powers.append(level)
-            self.pieces.append(piece)
+            self.powers.append(level)
+            x, y = piece["x"], piece["y"]
+            step = _DerEngine(TDer(x, y)).terms if x.nums or y.nums else None
+            self.pieces.append((piece, step))
         return tuple(
-            _combine(LieElt, cap, [(1, p[g].nums, p[g].den) for p in self.pieces[:cap]])
+            _combine(LieElt, cap, [(1, p[g].nums, p[g].den) for p, _ in self.pieces])
             for g in ("x", "y")
         )
 
@@ -464,14 +467,14 @@ def taut_exp(u):
     degree at a time through the log.  The exponents of degree ``k`` enter
     the degree-``k`` part of the log as themselves, so ``f_k = u_k - w_k``,
     where ``w`` is the log of the exponents below degree ``k``.  One log
-    matcher solves ``w`` at each degree, re-solving from ``k - 1``, the
-    one degree that the last step set."""
+    matcher solves ``w`` at each degree; its targets change only from the
+    degree that the last step set, so it re-solves from there."""
     work = u.cap + 1
     log = _GeneratorMatcher(work)
     parts = [p.with_cap(work) for p in u._parts()]
     f = [p.homogeneous_part(1) for p in parts]  # degree one is u's own
     for k in range(2, work):
-        w = log.solve(_conjugation_images(*(p.truncate(k + 1) for p in f)), k, start=k - 1)
+        w = log.solve(_conjugation_images(*(p.truncate(k + 1) for p in f)), k)
         f = [p + q.homogeneous_part(k) - r.homogeneous_part(k).with_cap(work)
              for p, q, r in zip(f, parts, w)]
     return TAutElt(*(p.truncate(u.cap) for p in f))
@@ -483,14 +486,13 @@ def taut_log(F):
     return _resumed_log(_GeneratorMatcher(F.cap + 1), F)
 
 
-def _resumed_log(matcher, F, start=1):
-    """``log F`` from a matcher whose work cap is above ``F``'s cap,
-    re-solving from degree ``start``: the matcher keeps its pieces below
-    that degree, so ``F`` must agree below it with the automorphism it last
-    solved."""
+def _resumed_log(matcher, F):
+    """``log F`` from a matcher whose work cap is above ``F``'s cap.  The
+    matcher re-solves from the first degree whose piece ``F``'s targets
+    change, and keeps the pieces of the last log it solved below it."""
     work = F.cap + 1
     targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
-    return TDer(*matcher.solve(targets, F.cap, start))
+    return TDer(*matcher.solve(targets, F.cap))
 
 
 def jacobian(F):

@@ -86,15 +86,23 @@ def group_transport(F, u):
     return taut_compose(taut_compose(taut_inverse(F), U), F)
 
 
+def kept_pieces(before, matcher):
+    """How many of the log matcher's pieces ``before`` a call it still
+    holds, the very same objects, from degree one on."""
+    pairs = zip(before, matcher.pieces)
+    return next((k for k, (a, b) in enumerate(pairs) if a is not b),
+                min(len(before), len(matcher.pieces)))
+
+
 def count_logs(monkeypatch):
     """Record the cap of every log solved from now on, by ``kv`` or by
     ``tangential``; returns the list it appends to."""
     real = kvtower.tangential._resumed_log
     solved = []
 
-    def spy(matcher, G, start=1):
+    def spy(matcher, G):
         solved.append(G.cap)
-        return real(matcher, G, start)
+        return real(matcher, G)
 
     monkeypatch.setattr(kvtower.tangential, "_resumed_log", spy)
     monkeypatch.setattr(kvtower.kv, "_resumed_log", spy)

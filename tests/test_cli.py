@@ -393,7 +393,11 @@ _VERIFY_DOC = ["verify", "--in", "DOC", "--degree", "1", "--variant", "SolKV"]
 EXIT_2_CASES = [
     pytest.param(["dims", "--max-degree", "0"], None, "degree must be >= 1",
                  id="max-degree-0"),
-    pytest.param(_VERIFY_DOC, None, "cannot read", id="missing-file"),
+    # A read error names the path once, with the system's reason.
+    pytest.param(_VERIFY_DOC, None, "cannot read DOC: No such file or directory",
+                 id="missing-file"),
+    pytest.param(["verify", "--in", "DIR", "--degree", "1", "--variant", "SolKV"], None,
+                 "cannot read DIR: Is a directory", id="directory"),
     pytest.param(["extend", "--in", str(GOLDEN / "extend_d8.json"), "--to-degree", "4"],
                  None, "below the document cap", id="to-degree-below-cap"),
     pytest.param(_VERIFY_DOC, [], "top level must be an object", id="top-level-array"),
@@ -447,15 +451,21 @@ EXIT_2_CASES = [
 @pytest.mark.parametrize("argv, document, message", EXIT_2_CASES)
 def test_documented_exit_2_paths(argv, document, message, tmp_path, capsys):
     # "DOC" stands for a document path; it is left missing when there is
-    # no document to write.  A str document is written verbatim.
+    # no document to write.  A str document is written verbatim.  "DIR"
+    # stands for a directory.  A message that names either is the whole
+    # error line.
     path = tmp_path / "doc.json"
     if document is not None:
         path.write_text(document if isinstance(document, str) else json.dumps(document))
-    code, out, err = run(capsys, *(str(path) if a == "DOC" else a for a in argv))
+    names = {"DOC": str(path), "DIR": str(tmp_path)}
+    code, out, err = run(capsys, *(names.get(a, a) for a in argv))
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and err.count("\n") == 1
-    assert message in err
+    shown = message.replace("DOC", names["DOC"]).replace("DIR", names["DIR"])
+    assert shown in err
+    if shown != message:
+        assert err == f"error: {shown}\n"
     assert "Traceback" not in err
     if document is not None:
         # The line names the fault without echoing a long value back.
@@ -485,6 +495,13 @@ def test_gr_test_guards_document_cap(tmp_path, capsys):
     code, out, err = run(capsys, "gr-test", "--in", str(path), "--degree", "3")
     assert code == 2
     assert "allow-large" in err
+
+
+def test_gr_test_names_the_degree_it_refuses(capsys):
+    # The transport needs the solution one degree beyond the one tested.
+    code, out, err = run(capsys, "gr-test", "--in", str(SOL10), "--degree", "10")
+    assert (code, out) == (2, "")
+    assert err == "error: the solution must be known beyond degree 10; its cap is 10\n"
 
 
 def test_extend_rejects_non_solution_variant(tmp_path, capsys):

@@ -1,7 +1,7 @@
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import count_checks, count_logs, group_transport, rng_for
+from conftest import count_checks, count_logs, group_transport, kept_pieces, rng_for
 import kvtower.cyclic
 import kvtower.kv
 import kvtower.tangential
@@ -234,21 +234,21 @@ def test_extend_solkv_equals_the_checked_chain():
 @pytest.mark.parametrize("start, to_degree", [("seed", 10), ("sol10", 12)])
 def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
     # The log of the input is solved once, by the one log matcher; each
-    # step then re-solves it from degree n for stage B's F1 at cap n + 1,
-    # keeping the pieces below, and returns the log of its output, which
-    # the next step reads.  A fresh taut_log of the same automorphism is
-    # the reference.  The chains end at the stored degree-10 and
-    # degree-12 solutions.
+    # step then re-solves it for stage B's F1 at cap n + 1, from the first
+    # degree whose targets changed, keeping the pieces below, and returns
+    # the log of its output, which the next step reads.  A fresh taut_log
+    # of the same automorphism is the reference.  The chains end at the
+    # stored degree-10 and degree-12 solutions.
     resumed = kvtower.kv._resumed_log
     step = kvtower.kv._extend_step
     resumes = []
     carried = []
 
-    def checked(matcher, G, start=1):
-        kept = len(matcher.pieces)
-        w = resumed(matcher, G, start)
+    def checked(matcher, G):
+        before = list(matcher.pieces)
+        w = resumed(matcher, G)
         assert w == taut_log(G)
-        resumes.append((G.cap, start, kept))
+        resumes.append((G.cap, kept_pieces(before, matcher) + 1))
         return w
 
     def spied(G, w, side, log):
@@ -263,10 +263,13 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
     out, report = kvtower.kv._extend_from(F, to_degree)
     assert report.passed and report.degree == F.cap
     assert out == parse_document(stored.read_text()).to_taut()
-    # The first resume is a full solve with an empty matcher; stage B
-    # resumes with the n pieces of the last log, which agree with F1's
-    # below degree n.
-    assert resumes == [(F.cap, 1, 0)] + [(n + 1, n, n) for n in range(F.cap, to_degree)]
+    # The first resume is a full solve with an empty matcher.  Stage B's
+    # F1 differs from the last log's automorphism from degree n on, where
+    # the step corrects it, so the matcher resumes there; at n = 3 from
+    # the seed the correction leaves the targets unchanged through degree
+    # 4, so the matcher keeps all three pieces and resumes at degree 4.
+    expected = [(n + 1, 4 if (start, n) == ("seed", 3) else n) for n in range(F.cap, to_degree)]
+    assert resumes == [(F.cap, 1)] + expected
     assert carried == list(range(F.cap, to_degree))
 
 

@@ -6,6 +6,7 @@ from pathlib import Path
 from conftest import (
     ConjugationReference,
     count_logs,
+    kept_pieces,
     random_fraction,
     random_lie,
     random_taut,
@@ -805,10 +806,21 @@ def test_log_matches_the_rebuilding_matcher_on_the_degree_10_solution():
         assert taut_log(F.truncate(n)) == _rebuilding_log(F.truncate(n))
 
 
+def _first_change(F, G):
+    """The lowest degree where the exponents of ``F`` and ``G`` differ, at
+    the larger of their caps; ``math.inf`` if they agree."""
+    top = max(F.cap, G.cap)
+    return valuation(TDer(*(g.with_cap(top) - f.with_cap(top)
+                            for f, g in zip(F._parts(), G._parts()))))
+
+
 def test_resumed_log_matches_a_fresh_log():
-    # One matcher, at a work cap above both automorphisms, solves log F and
-    # then log G, which agrees with F below degree s and may have a larger
-    # cap; resumed from s it keeps F's pieces below s.
+    # One matcher, at a work cap above every automorphism, solves in turn
+    # log F; log G, which agrees with F below degree s and may have a
+    # larger cap; log H, which differs from G at degree 2; G one cap up;
+    # and an unrelated K.  Each log equals a fresh one, and the matcher
+    # keeps, as the very same objects, exactly the pieces below the first
+    # degree whose exponents changed, and none it has not solved.
     rng = rng_for("resumed-log")
     for cap in range(2, 9):
         for s in range(1, cap + 1):
@@ -816,15 +828,37 @@ def test_resumed_log_matches_a_fresh_log():
             top = rng.choice((cap, cap + 1))
             G = TAutElt(*(f.with_cap(top) + random_lie(rng, top, 2, min_degree=s)
                           for f in (F.f1, F.f2)))
+            H = TAutElt(G.f1 + LieElt(top, {"xy": 1}), G.f2)
+            K = random_taut(rng, cap, terms=4)
             matcher = _GeneratorMatcher(cap + 3)
-            assert _resumed_log(matcher, F) == taut_log(F)
-            assert len(matcher.pieces) == cap
-            assert _resumed_log(matcher, G, start=s) == taut_log(G)
-            assert len(matcher.pieces) == top
-            # A start beyond the solved degrees resumes at the first
-            # unsolved one.
-            H = G.with_cap(top + 1)
-            assert _resumed_log(matcher, H, start=top + 2) == taut_log(H)
+            last = F
+            for A in (F, G, H, G.with_cap(top + 1), K):
+                before = list(matcher.pieces)
+                assert _resumed_log(matcher, A) == taut_log(A)
+                assert len(matcher.pieces) == A.cap
+                kept = kept_pieces(before, matcher)
+                assert kept == min(_first_change(last, A) - 1, len(before), A.cap)
+                if A is H:
+                    assert kept == 1
+                last = A
+
+
+def test_resumed_log_sees_a_change_below_the_last_degree():
+    # The matcher has solved the degree-10 solution cut to 8.  One more
+    # term at degree e = 2..7, in either slot, changes the targets from
+    # degree e + 1, so the matcher re-solves from e and keeps e - 1 pieces.
+    F = _sol10().truncate(8)
+    for e in range(2, 8):
+        for slot in (0, 1):
+            term = LieElt(8, {lyndon_words(e)[-1]: Fraction(1, e)})
+            parts = [F.f1, F.f2]
+            parts[slot] = parts[slot] + term
+            G = TAutElt(*parts)
+            matcher = _GeneratorMatcher(9)
+            _resumed_log(matcher, F)
+            before = list(matcher.pieces)
+            assert _resumed_log(matcher, G) == taut_log(G)
+            assert kept_pieces(before, matcher) == e - 1
 
 
 def test_exp_inverts_log_on_the_degree_10_solution():

@@ -27,8 +27,8 @@ extension outputs are reproducible bit for bit.  The steps of one
 extension share one ``bch(x, y)`` series and carry one log up the tower:
 the log of the input is solved once and serves its check, and each step
 reads the log of its input and returns the log of its output.  One log
-matcher solves them all; it finds on its own the first degree that a
-step's correction changes, and keeps the pieces of the log below it.
+matcher solves them all, each from the first exponent degree that a
+step's correction changes, and keeps what it solved below that degree.
 """
 
 from fractions import Fraction
@@ -46,7 +46,6 @@ from .tangential import (
     _exp_action,
     _GeneratorMatcher,
     _log_jacobian,
-    _resumed_log,
     divergence,
     taut_exp,
     taut_log,
@@ -275,8 +274,8 @@ class _GradedSystem:
 def _extend_step(F, w, side, log):
     """One step of :func:`extend_solkv`, without its precondition check.
     ``w`` is ``log F``, ``side`` is ``bch(x, y)`` at cap n + 1, and ``log``
-    the log matcher (:func:`~kvtower.tangential._resumed_log`) that the
-    steps share.  Returns the extended element and its log."""
+    the log matcher that the steps share.  Returns the extended element
+    and its log."""
     n = F.cap
     cap = n + 1
     Fx = F.with_cap(cap)
@@ -288,7 +287,7 @@ def _extend_step(F, w, side, log):
 
     # Stage B: new degree-(n+1) terms b.  Under the cap b enters the
     # conjugation series only as [g, b], so the log of the output is w1 + b.
-    w1 = _resumed_log(log, F1)
+    w1 = log.solve(F1)
     E2 = _log_jacobian(w1).homogeneous_part(cap)
     b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
     return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2), w1 + b
@@ -319,8 +318,8 @@ def _extend_from(F, to_degree):
     each step returns the log of its output.  The matcher keeps the pieces
     of the log that a step leaves unchanged, and the steps share one
     ``bch(x, y)``, built at the top degree and truncated per step."""
-    log = _GeneratorMatcher(to_degree + 1)
-    out, w = F, _resumed_log(log, F)
+    log = _GeneratorMatcher(to_degree)
+    out, w = F, log.solve(F)
     report = _check("SolKV", w)
     if report.passed and out.cap < to_degree:
         series = bch_xy(to_degree)

@@ -50,7 +50,7 @@ from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
 # exact and cap-independent or keyed by the cap, so they are global; only
 # _memo fills them and only clear_caches() empties them, so this is the
 # one place to count or bound them.  They are unbounded today.
-# perfbench/tracer.py reads the sizes of the first three and of _BCH_XY
+# perfbench/tracer.py reads the sizes of _EXPANSION, _BRACKET and _BCH_XY
 # by these names.
 _EXPANSION = {}
 _BRACKET = {}

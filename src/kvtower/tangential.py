@@ -19,23 +19,24 @@ below the cap, so ``taut_log`` matches the exponential series
 conjugation action on the generators one degree above the cap, read off
 the conjugation series (:func:`_conjugation_images`), one bracket per
 power.  One matcher does it, solving ``[gen, a] = r`` degree by degree
-with one triangular sweep over the Lyndon basis.  ``A`` is the sum of one
+with one triangular sweep over the Lyndon basis; its one entry takes the
+automorphism and builds those targets itself.  ``A`` is the sum of one
 derivation per degree, so the matcher builds each degree's map once and
 keeps the homogeneous parts of the powers ``A^m(gen)`` in a table that
 grows by one degree per step.  Everything it keeps is homogeneous, so it
 works at one fixed cap and resumes on its own: the degree-``k`` piece
-reads the targets up to degree ``k + 1`` only, so the matcher keeps the
-targets of its last call and re-solves from the first degree whose
-piece the new targets change.  No caller names that degree.
+reads the exponents up to degree ``k`` only, so the matcher keeps the
+exponents of its last call and re-solves from the first degree where
+they changed.
 
 ``taut_exp`` goes through the log too.  Exponent terms of degree ``k``
 enter the degree-``k`` part of the log as themselves, so it sets the
 exponents one degree at a time, each the derivation's part minus that of
 the log of the exponents below it, which one log matcher re-solves from
 the degree that the last step set.  ``taut_log`` runs a fresh matcher;
-an extension in :mod:`kvtower.kv` carries one log up the tower, and one
-log matcher that solves it once for the input's check and again once per
-step (:func:`_resumed_log`), keeping what the step left unchanged.
+an extension in :mod:`kvtower.kv` carries one log up the tower through
+one matcher, which solves it for the input's check and again once per
+step, keeping what the step left unchanged.
 
 There is one engine, the derivation's.  It applies a derivation to Lie
 elements by the Leibniz rule, whose image of a Lyndon word is summed in
@@ -370,9 +371,10 @@ def _solve_generator_bracket(letter, k, rhs):
 
 class _GeneratorMatcher:
     """Solves for the normalized derivation ``(p1, p2)`` whose exponential
-    series ``g + A(g) + A^2(g)/2! + ...`` on each generator ``g`` equals a
-    given target, degree by degree, and keeps what it solved, so that a
-    later call re-solves only from the first degree whose targets changed.
+    series ``g + A(g) + A^2(g)/2! + ...`` on each generator ``g`` equals
+    the conjugation series of an automorphism, degree by degree, and keeps
+    what it solved, so that a later call re-solves only from the first
+    degree whose exponents changed.
 
     ``A`` is the sum over ``j`` of the derivation ``A_j`` made of the
     degree-``j`` pieces ``(a1, a2)``, which raises degree by ``j``; one
@@ -381,74 +383,82 @@ class _GeneratorMatcher:
     not the image itself.  For each generator ``g`` the table
     ``P[m][d]``, the degree-``d`` part of ``A^m(g)``, is the sum over
     ``j`` of ``A_j(P[m - 1][d - j])``; for ``m >= 2`` it needs only pieces
-    below degree ``d - 1``.  At degree ``k`` the defect ``target_{k+1} -
-    sum_{m >= 2} P[m][k + 1] / m!`` is what ``P[1][k + 1] = [g, p_k]``
-    must be, so one generator-bracket sweep per slot reads ``p_k`` off
-    it.  Each table entry (the terms of all its maps at once) and each
-    defect is one :func:`~kvtower.sparse._combine`.  The map of degree
-    ``k`` is built when ``p_k`` is solved, and only if it is not zero.
+    below degree ``d - 1``, so the engine of ``A_j`` is built when level
+    ``j + 2`` first reads it, and only if the piece is not zero.  At
+    degree ``k`` the defect ``target_{k+1} - sum_{m >= 2} P[m][k + 1] /
+    m!`` is what ``P[1][k + 1] = [g, p_k]`` must be, so one
+    generator-bracket sweep per slot reads ``p_k`` off it.  Each table
+    entry (the terms of all its maps at once) and each defect is one
+    :func:`~kvtower.sparse._combine`.
 
-    Pieces, maps and table entries are homogeneous, so the matcher works at
-    one fixed cap, ``work``, and its numbers are those of any cap above the
-    degrees it solves.  ``p_k`` reads the targets' parts of degree at most
-    ``k + 1`` only, so the matcher keeps the targets of its last call and
-    re-solves from the first degree ``k`` whose part of degree ``k + 1``
-    differs from theirs, or else from the first degree not yet solved: it
-    drops the pieces and maps from degree ``k`` and the table entries above
-    degree ``k``, and keeps the rest.
+    Everything kept is homogeneous, so the matcher works at one fixed cap,
+    one above the highest it is built for.  A normalized exponent term of
+    degree ``e`` first reaches the targets at degree ``e + 1``, as ``[g,
+    f_e]``, and ``p_k`` reads them up to degree ``k + 1``.  So the matcher
+    keeps the exponents of its last call and re-solves from the first
+    degree ``k`` where they differ, or else from the first degree not yet
+    solved, keeping the pieces and maps below ``k`` and level ``k + 1``
+    but for its defect: its other entries read pieces below ``k`` only.
     """
 
-    def __init__(self, work):
-        self.work = work
-        self.targets = {g: LieElt.zero(work) for g in ("x", "y")}
-        # pieces[k - 1] is p_k, by generator, and the terms of A_k, or None
-        # for a zero piece.
-        self.pieces = []
+    def __init__(self, cap):
+        self.work = cap + 1
+        self.exponents = [LieElt.zero(self.work)] * 2
+        # pieces[k - 1] is p_k, by generator; steps[j - 1] is the terms of
+        # A_j, or None for a zero piece.
+        self.pieces, self.steps = [], []
         # powers[d][g] maps m to P[m][d]; zero entries are left out.
-        self.powers = [None, {g: {1: LieElt.basis(g, work)} for g in ("x", "y")}]
+        self.powers = [None, None]
 
-    def solve(self, targets, cap):
-        """The derivation's pair at ``cap`` whose images match
-        ``targets``, given up to degree ``cap + 1`` at any cap."""
-        targets = {g: t.with_cap(self.work) for g, t in targets.items()}
-        diffs = (t - self.targets[g] for g, t in targets.items())
-        changed = min((len(w) for t in diffs for w in t.nums if len(w) > 1), default=math.inf)
-        start = min(changed - 1, len(self.pieces) + 1, cap + 1)
-        self.targets = targets
+    def solve(self, F):
+        """``log F``, for ``F`` at a cap no higher than the matcher's."""
+        f = [p.with_cap(self.work) for p in F._parts()]
+        diffs = (a - b for a, b in zip(f, self.exponents))
+        changed = min((len(w) for t in diffs for w in t.nums), default=math.inf)
+        start = min(changed, len(self.pieces) + 1, F.cap + 1)
+        self.exponents = f
         del self.pieces[start - 1 :]
-        del self.powers[start + 1 :]
-        for k in range(start, cap + 1):
+        del self.steps[start - 1 :]
+        del self.powers[start + 2 :]
+        targets = _conjugation_images(F.f1.with_cap(F.cap + 1), F.f2.with_cap(F.cap + 1))
+        for k in range(start, F.cap + 1):
             d = k + 1
-            piece, level = {}, {}
+            if d == len(self.powers):
+                if k > 1:
+                    x, y = self.pieces[k - 2]
+                    self.steps.append(_DerEngine(TDer(x, y)).terms if x.nums or y.nums else None)
+                self.powers.append({g: self._level(g, d) for g in targets})
+            piece = []
             for g, target in targets.items():
-                level[g] = entries = {}
+                entries = self.powers[d][g]
+                entries.pop(1, None)
                 part = {w: n for w, n in target.nums.items() if len(w) == d}
                 terms = [(1, part, target.den)]
-                for m in range(2, d):
-                    rows = [
-                        row
-                        for j, (_, step) in enumerate(self.pieces, 1)
-                        if step and m - 1 in self.powers[d - j][g]
-                        for row in step(self.powers[d - j][g][m - 1])
-                    ]
-                    if rows:
-                        entry = _combine(LieElt, self.work, rows)
-                        if entry.nums:
-                            entries[m] = entry
-                            terms.append((-1, entry.nums, entry.den * math.factorial(m)))
+                terms += [(-1, e.nums, e.den * math.factorial(m)) for m, e in entries.items()]
                 defect = _combine(LieElt, self.work, terms)
-                piece[g] = _solve_generator_bracket(g, k, defect)
+                piece.append(_solve_generator_bracket(g, k, defect))
                 if defect.nums:
                     # The sweep leaves no residual, so [g, p_k] is the defect.
                     entries[1] = defect
-            self.powers.append(level)
-            x, y = piece["x"], piece["y"]
-            step = _DerEngine(TDer(x, y)).terms if x.nums or y.nums else None
-            self.pieces.append((piece, step))
-        return tuple(
-            _combine(LieElt, cap, [(1, p[g].nums, p[g].den) for p, _ in self.pieces])
-            for g in ("x", "y")
-        )
+            self.pieces.append(piece)
+        return TDer(*(_combine(LieElt, F.cap, [(1, p.nums, p.den) for p in ps])
+                      for ps in zip(*self.pieces)))
+
+    def _level(self, g, d):
+        """The entries ``P[m][d]`` of ``g`` with ``m >= 2``."""
+        entries = {}
+        for m in range(2, d):
+            rows = [
+                row
+                for j, step in enumerate(self.steps, 1)
+                if step and m - 1 in self.powers[d - j][g]
+                for row in step(self.powers[d - j][g][m - 1])
+            ]
+            if rows:
+                entry = _combine(LieElt, self.work, rows)
+                if entry.nums:
+                    entries[m] = entry
+        return entries
 
 
 def _conjugation_images(f1, f2):
@@ -467,32 +477,21 @@ def taut_exp(u):
     degree at a time through the log.  The exponents of degree ``k`` enter
     the degree-``k`` part of the log as themselves, so ``f_k = u_k - w_k``,
     where ``w`` is the log of the exponents below degree ``k``.  One log
-    matcher solves ``w`` at each degree; its targets change only from the
-    degree that the last step set, so it re-solves from there."""
-    work = u.cap + 1
-    log = _GeneratorMatcher(work)
-    parts = [p.with_cap(work) for p in u._parts()]
-    f = [p.homogeneous_part(1) for p in parts]  # degree one is u's own
-    for k in range(2, work):
-        w = log.solve(_conjugation_images(*(p.truncate(k + 1) for p in f)), k)
-        f = [p + q.homogeneous_part(k) - r.homogeneous_part(k).with_cap(work)
-             for p, q, r in zip(f, parts, w)]
-    return TAutElt(*(p.truncate(u.cap) for p in f))
+    matcher solves ``w`` at each degree, re-solving from the degree that
+    the last step set."""
+    log = _GeneratorMatcher(u.cap)
+    f = [p.homogeneous_part(1) for p in u._parts()]  # degree one is u's own
+    for k in range(2, u.cap + 1):
+        w = log.solve(TAutElt(*(p.truncate(k) for p in f)))
+        f = [p + q.homogeneous_part(k) - r.homogeneous_part(k).with_cap(u.cap)
+             for p, q, r in zip(f, u._parts(), w._parts())]
+    return TAutElt(*f)
 
 
 def taut_log(F):
     """Inverse of :func:`taut_exp`: the normalized derivation whose
     exponential series acts on the generators as ``F`` does."""
-    return _resumed_log(_GeneratorMatcher(F.cap + 1), F)
-
-
-def _resumed_log(matcher, F):
-    """``log F`` from a matcher whose work cap is above ``F``'s cap.  The
-    matcher re-solves from the first degree whose piece ``F``'s targets
-    change, and keeps the pieces of the last log it solved below it."""
-    work = F.cap + 1
-    targets = _conjugation_images(F.f1.with_cap(work), F.f2.with_cap(work))
-    return TDer(*matcher.solve(targets, F.cap))
+    return _GeneratorMatcher(F.cap).solve(F)
 
 
 def jacobian(F):

@@ -30,6 +30,7 @@ from kvtower.linalg import QMatrix, rank
 from kvtower.tangential import (
     TAutElt,
     TDer,
+    _GeneratorMatcher,
     divergence,
     taut_compose,
     taut_exp,
@@ -235,28 +236,28 @@ def test_extend_solkv_equals_the_checked_chain():
 def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
     # The log of the input is solved once, by the one log matcher; each
     # step then re-solves it for stage B's F1 at cap n + 1, from the first
-    # degree whose targets changed, keeping the pieces below, and returns
+    # degree whose exponents changed, keeping the pieces below, and returns
     # the log of its output, which the next step reads.  A fresh taut_log
     # of the same automorphism is the reference.  The chains end at the
     # stored degree-10 and degree-12 solutions.
-    resumed = kvtower.kv._resumed_log
     step = kvtower.kv._extend_step
     resumes = []
     carried = []
 
-    def checked(matcher, G):
-        before = list(matcher.pieces)
-        w = resumed(matcher, G)
-        assert w == taut_log(G)
-        resumes.append((G.cap, kept_pieces(before, matcher) + 1))
-        return w
+    class Checked(_GeneratorMatcher):
+        def solve(self, G):
+            before = list(self.pieces)
+            w = super().solve(G)
+            assert w == taut_log(G)
+            resumes.append((G.cap, kept_pieces(before, self) + 1))
+            return w
 
     def spied(G, w, side, log):
         assert w == taut_log(G)
         carried.append(G.cap)
         return step(G, w, side, log)
 
-    monkeypatch.setattr(kvtower.kv, "_resumed_log", checked)
+    monkeypatch.setattr(kvtower.kv, "_GeneratorMatcher", Checked)
     monkeypatch.setattr(kvtower.kv, "_extend_step", spied)
     F = identity(1) if start == "seed" else sol10()
     stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
@@ -266,8 +267,8 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
     # The first resume is a full solve with an empty matcher.  Stage B's
     # F1 differs from the last log's automorphism from degree n on, where
     # the step corrects it, so the matcher resumes there; at n = 3 from
-    # the seed the correction leaves the targets unchanged through degree
-    # 4, so the matcher keeps all three pieces and resumes at degree 4.
+    # the seed the correction is zero, so the matcher keeps all three
+    # pieces and resumes at degree 4, the first it has not solved.
     expected = [(n + 1, 4 if (start, n) == ("seed", 3) else n) for n in range(F.cap, to_degree)]
     assert resumes == [(F.cap, 1)] + expected
     assert carried == list(range(F.cap, to_degree))

@@ -29,7 +29,6 @@ from kvtower.tangential import (
     _GeneratorMatcher,
     _conjugation_images,
     _exp_action,
-    _resumed_log,
     _solve_generator_bracket,
     cyc_taut_act,
     cyc_tder_act,
@@ -830,11 +829,11 @@ def test_resumed_log_matches_a_fresh_log():
                           for f in (F.f1, F.f2)))
             H = TAutElt(G.f1 + LieElt(top, {"xy": 1}), G.f2)
             K = random_taut(rng, cap, terms=4)
-            matcher = _GeneratorMatcher(cap + 3)
+            matcher = _GeneratorMatcher(cap + 2)
             last = F
             for A in (F, G, H, G.with_cap(top + 1), K):
                 before = list(matcher.pieces)
-                assert _resumed_log(matcher, A) == taut_log(A)
+                assert matcher.solve(A) == taut_log(A)
                 assert len(matcher.pieces) == A.cap
                 kept = kept_pieces(before, matcher)
                 assert kept == min(_first_change(last, A) - 1, len(before), A.cap)
@@ -845,8 +844,9 @@ def test_resumed_log_matches_a_fresh_log():
 
 def test_resumed_log_sees_a_change_below_the_last_degree():
     # The matcher has solved the degree-10 solution cut to 8.  One more
-    # term at degree e = 2..7, in either slot, changes the targets from
-    # degree e + 1, so the matcher re-solves from e and keeps e - 1 pieces.
+    # term at degree e = 2..7, in either slot, changes the exponents from
+    # degree e and the targets from degree e + 1, so the matcher re-solves
+    # from e, the first changed exponent degree, and keeps e - 1 pieces.
     F = _sol10().truncate(8)
     for e in range(2, 8):
         for slot in (0, 1):
@@ -854,11 +854,34 @@ def test_resumed_log_sees_a_change_below_the_last_degree():
             parts = [F.f1, F.f2]
             parts[slot] = parts[slot] + term
             G = TAutElt(*parts)
-            matcher = _GeneratorMatcher(9)
-            _resumed_log(matcher, F)
+            matcher = _GeneratorMatcher(8)
+            matcher.solve(F)
             before = list(matcher.pieces)
-            assert _resumed_log(matcher, G) == taut_log(G)
-            assert kept_pieces(before, matcher) == e - 1
+            assert matcher.solve(G) == taut_log(G)
+            assert kept_pieces(before, matcher) + 1 == _first_change(F, G) == e
+
+
+def test_a_resume_keeps_the_table_entries_it_leaves_valid():
+    # A stage-B-style resume: the matcher has solved the degree-10
+    # solution cut to 8, and then that element one cap up with a
+    # degree-8 correction, which resumes from degree 8.  Level 9's entries
+    # P[m][9] with m >= 2 read only pieces below degree 8, so they are
+    # kept as the very same objects, and only its defect is solved again.
+    # Level d first reads the map of piece d - 2, so no map is built for
+    # the top piece.
+    F = _sol10().truncate(8)
+    matcher = _GeneratorMatcher(9)
+    matcher.solve(F)
+    assert len(matcher.steps) == len(matcher.pieces) - 1 == 7
+    level = {g: dict(entries) for g, entries in matcher.powers[9].items()}
+    term = LieElt(9, {lyndon_words(8)[-1]: 1})
+    F1 = TAutElt(F.f1.with_cap(9) + term, F.f2.with_cap(9))
+    assert matcher.solve(F1) == taut_log(F1)
+    assert len(matcher.steps) == len(matcher.pieces) - 1 == 8
+    for g, entries in level.items():
+        assert {2, 3} <= entries.keys()
+        for m, entry in entries.items():
+            assert (matcher.powers[9][g][m] is entry) == (m >= 2)
 
 
 def test_exp_inverts_log_on_the_degree_10_solution():

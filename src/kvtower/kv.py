@@ -26,9 +26,10 @@ exponent block, second exponent block, then the Duflo unknown), so
 extension outputs are reproducible bit for bit.  The steps of one
 extension share one ``bch(x, y)`` series and carry one log up the tower:
 the log of the input is solved once and serves its check, and each step
-reads the log of its input and returns the log of its output.  One log
-matcher solves them all, each from the first exponent degree that a
-step's correction changes, and keeps what it solved below that degree.
+reads the log of its input and passes the log of its output on to the
+next.  One log matcher solves them all, each from the first exponent
+degree that a step's correction changes, and keeps what it solved below
+that degree.
 """
 
 from fractions import Fraction
@@ -271,28 +272,6 @@ class _GradedSystem:
         return Fraction(1, defect.den) * self.tder_from(particular, defect.cap)
 
 
-def _extend_step(F, w, side, log):
-    """One step of :func:`extend_solkv`, without its precondition check.
-    ``w`` is ``log F``, ``side`` is ``bch(x, y)`` at cap n + 1, and ``log``
-    the log matcher that the steps share.  Returns the extended element
-    and its log."""
-    n = F.cap
-    cap = n + 1
-    Fx = F.with_cap(cap)
-
-    # Stage A: degree-n correction; x + y has no part in degree n + 1.
-    E1 = _exp_action(w.with_cap(cap))(side).homogeneous_part(cap)
-    a = _GradedSystem(n, with_bracket_rows=True).solve(E1)
-    F1 = TAutElt(Fx.f1 + a.u1, Fx.f2 + a.u2)
-
-    # Stage B: new degree-(n+1) terms b.  Under the cap b enters the
-    # conjugation series only as [g, b], so the log of the output is w1 + b.
-    w1 = log.solve(F1)
-    E2 = _log_jacobian(w1).homogeneous_part(cap)
-    b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
-    return TAutElt(F1.f1 + b.u1, F1.f2 + b.u2), w1 + b
-
-
 def extend_solkv_step(F):
     """Extend a degree-n solution to degree n+1.
 
@@ -309,23 +288,34 @@ def extend_solkv_step(F):
 
 
 def _extend_from(F, to_degree):
-    """Check ``F`` at its cap and iterate :func:`_extend_step` up to
+    """Check ``F`` at its cap and extend it one degree at a time up to
     ``to_degree``, which must not be below that cap.  Returns the extension
     and the report of the check; when the check fails, the extension is
     ``F`` and no step runs.  The log of ``F`` is solved once, by the one
     log matcher that the steps share, and the check reads that log; each
-    step's output is again a solution, so no step re-checks its input, and
-    each step returns the log of its output.  The matcher keeps the pieces
-    of the log that a step leaves unchanged, and the steps share one
-    ``bch(x, y)``, built at the top degree and truncated per step."""
+    step's output is again a solution, so no step re-checks its input.
+    A step from degree n reads the log ``w`` of its input and passes the
+    log of its output on to the next; the matcher keeps the pieces of the
+    log that the step leaves unchanged.  The steps share one ``bch(x, y)``, built
+    at the top degree and truncated per step."""
     log = _GeneratorMatcher(to_degree)
-    out, w = F, log.solve(F)
+    w = log.solve(F)
     report = _check("SolKV", w)
-    if report.passed and out.cap < to_degree:
-        series = bch_xy(to_degree)
-        while out.cap < to_degree:
-            out, w = _extend_step(out, w, series.truncate(out.cap + 1), log)
-    return out, report
+    while report.passed and F.cap < to_degree:
+        cap = F.cap + 1
+
+        # Stage A: degree-n correction; x + y has no part in degree n + 1.
+        E1 = _exp_action(w.with_cap(cap))(bch_xy(to_degree).truncate(cap)).homogeneous_part(cap)
+        a = _GradedSystem(F.cap, with_bracket_rows=True).solve(E1)
+        F1 = TAutElt(F.f1.with_cap(cap) + a.u1, F.f2.with_cap(cap) + a.u2)
+
+        # Stage B: new degree-(n+1) terms b.  Under the cap b enters the
+        # conjugation series only as [g, b], so the log of the output is w1 + b.
+        w1 = log.solve(F1)
+        E2 = _log_jacobian(w1).homogeneous_part(cap)
+        b = _GradedSystem(cap, with_bracket_rows=False).solve(E2)
+        F, w = TAutElt(F1.f1 + b.u1, F1.f2 + b.u2), w1 + b
+    return F, report
 
 
 def extend_solkv(F, to_degree):

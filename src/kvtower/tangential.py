@@ -413,8 +413,7 @@ class _GeneratorMatcher:
     def solve(self, F):
         """``log F``, for ``F`` at a cap no higher than the matcher's."""
         f = [p.with_cap(self.work) for p in F._parts()]
-        diffs = (a - b for a, b in zip(f, self.exponents))
-        changed = min((len(w) for t in diffs for w in t.nums), default=math.inf)
+        changed = valuation(TDer(*(a - b for a, b in zip(f, self.exponents))))
         start = min(changed, len(self.pieces) + 1, F.cap + 1)
         self.exponents = f
         del self.pieces[start - 1 :]

@@ -8,7 +8,6 @@ still exercising generic coefficients.
 """
 
 import random
-import sys
 from fractions import Fraction
 
 import kvtower.kv
@@ -96,18 +95,26 @@ def kept_pieces(before, matcher):
 
 
 def count_logs(monkeypatch):
-    """Record the cap of every log that the log matcher solves from now on,
-    for ``kv`` or for ``tangential``, except the per-degree solves inside
-    ``taut_exp``; returns the list it appends to."""
-    real = kvtower.tangential._GeneratorMatcher.solve
+    """Record the cap of every log solved from now on where a log enters:
+    ``taut_log`` as bound in ``tangential`` and in ``kv``, and the log
+    matcher that ``kv``'s extension carries up.  ``taut_exp`` builds its
+    matcher from ``tangential`` itself, so its per-degree solves are not
+    counted.  Returns the list it appends to."""
     solved = []
+    real = kvtower.tangential.taut_log
 
-    def spy(matcher, G):
-        if sys._getframe(1).f_code.co_name != "taut_exp":
-            solved.append(G.cap)
-        return real(matcher, G)
+    def spy(F):
+        solved.append(F.cap)
+        return real(F)
 
-    monkeypatch.setattr(kvtower.tangential._GeneratorMatcher, "solve", spy)
+    class Counted(kvtower.tangential._GeneratorMatcher):
+        def solve(self, F):
+            solved.append(F.cap)
+            return super().solve(F)
+
+    monkeypatch.setattr(kvtower.tangential, "taut_log", spy)
+    monkeypatch.setattr(kvtower.kv, "taut_log", spy)
+    monkeypatch.setattr(kvtower.kv, "_GeneratorMatcher", Counted)
     return solved
 
 

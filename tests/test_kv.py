@@ -234,15 +234,23 @@ def test_extend_solkv_equals_the_checked_chain():
 
 @pytest.mark.parametrize("start, to_degree", [("seed", 10), ("sol10", 12)])
 def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypatch):
-    # The log of the input is solved once, by the one log matcher; each
-    # step then re-solves it for stage B's F1 at cap n + 1, from the first
-    # degree whose exponents changed, keeping the pieces below, and returns
-    # the log of its output, which the next step reads.  A fresh taut_log
-    # of the same automorphism is the reference.  The chains end at the
-    # stored degree-10 and degree-12 solutions.
-    step = kvtower.kv._extend_step
+    # The log of the input is solved once, by the one log matcher, and the
+    # entry check reads it; each step's stage A then reads the log of its
+    # input, one cap up, and stage B re-solves the log for F1 at cap n + 1,
+    # from the first degree whose exponents changed, keeping the pieces
+    # below; the log of the step's output is carried to the next step.  A
+    # fresh taut_log of the same automorphism is the reference: of F1 for
+    # each solve, and of each element of the one-step chain for each log
+    # that stage A reads.  The chains end at the stored degree-10 and
+    # degree-12 solutions.
+    F = identity(1) if start == "seed" else sol10()
+    stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
+    chain = [F]
+    while chain[-1].cap < to_degree:
+        chain.append(extend_solkv_step(chain[-1]))
     resumes = []
-    carried = []
+    acted = []
+    act = kvtower.kv._exp_action
 
     class Checked(_GeneratorMatcher):
         def solve(self, G):
@@ -252,18 +260,22 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
             resumes.append((G.cap, kept_pieces(before, self) + 1))
             return w
 
-    def spied(G, w, side, log):
-        assert w == taut_log(G)
-        carried.append(G.cap)
-        return step(G, w, side, log)
+    def spied(w):
+        acted.append(w)
+        return act(w)
 
     monkeypatch.setattr(kvtower.kv, "_GeneratorMatcher", Checked)
-    monkeypatch.setattr(kvtower.kv, "_extend_step", spied)
-    F = identity(1) if start == "seed" else sol10()
-    stored = SOL10 if start == "seed" else GOLDEN / "extend_d12.json"
+    monkeypatch.setattr(kvtower.kv, "_exp_action", spied)
     out, report = kvtower.kv._extend_from(F, to_degree)
     assert report.passed and report.degree == F.cap
-    assert out == parse_document(stored.read_text()).to_taut()
+    assert out == chain[-1] == parse_document(stored.read_text()).to_taut()
+    # The entry check acts by the log of F at its cap; stage A of the step
+    # from chain[k] acts by its carried log one cap up.
+    check, *steps = acted
+    assert check == taut_log(F)
+    assert [w.cap for w in steps] == list(range(F.cap + 1, to_degree + 1))
+    for w, G in zip(steps, chain[:-1], strict=True):
+        assert w.truncate(G.cap) == taut_log(G)
     # The first resume is a full solve with an empty matcher.  Stage B's
     # F1 differs from the last log's automorphism from degree n on, where
     # the step corrects it, so the matcher resumes there; at n = 3 from
@@ -271,7 +283,6 @@ def test_carried_log_equals_a_fresh_log_at_every_step(start, to_degree, monkeypa
     # pieces and resumes at degree 4, the first it has not solved.
     expected = [(n + 1, 4 if (start, n) == ("seed", 3) else n) for n in range(F.cap, to_degree)]
     assert resumes == [(F.cap, 1)] + expected
-    assert carried == list(range(F.cap, to_degree))
 
 
 def _count_conjugation_series(monkeypatch):

@@ -1,7 +1,9 @@
 """Shared helpers: seeded random element generators, the
 conjugation-series action of an automorphism that its log-series action
 is tested against, the group-path transport that gr-test's log series is
-tested against, and spies that count the logs solved and the checks run.
+tested against, the expansion-based divergence row that the rows summed
+from the standard factors are tested against, and spies that count the
+logs solved and the checks run.
 
 Sparse random inputs keep the exact-arithmetic property tests fast while
 still exercising generic coefficients.
@@ -13,8 +15,9 @@ from fractions import Fraction
 import kvtower.kv
 import kvtower.tangential
 from kvtower import LieElt, TAutElt, TDer, lie_bracket, lyndon_words
+from kvtower.lie import basis_expansion
 from kvtower.tangential import _conjugation_images, taut_compose, taut_exp, taut_inverse
-from kvtower.words import standard_factorization
+from kvtower.words import min_rotation, standard_factorization
 
 
 def rng_for(name):
@@ -84,6 +87,19 @@ def group_transport(F, u):
     used before it worked through ``log F``."""
     U = taut_exp(u.with_cap(F.cap))
     return taut_compose(taut_compose(taut_inverse(F), U), F)
+
+
+def reference_divergence_row(letter, word):
+    """The trace of the words of ``B(word)``'s own expansion that end in
+    ``letter``, summed by necklace: the rule that
+    ``lie._divergence_row`` used, for ``letter`` x, before it summed the
+    row from the expansions of the word's standard factors."""
+    out = {}
+    for w, c in basis_expansion(word).items():
+        if w[-1] == letter:
+            k = min_rotation(w)
+            out[k] = out.get(k, 0) + c
+    return {k: c for k, c in out.items() if c}
 
 
 def kept_pieces(before, matcher):

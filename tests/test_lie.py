@@ -2,7 +2,7 @@ import sys
 from fractions import Fraction
 from pathlib import Path
 
-from conftest import random_lie, rng_for
+from conftest import random_lie, reference_divergence_row, rng_for
 from kvtower import lie, words
 from kvtower.assoc import AssocElt
 from kvtower.cyclic import _bch_patterns
@@ -20,7 +20,7 @@ from kvtower.lie import (
     lie_from_assoc,
     lie_to_assoc,
 )
-from kvtower.words import lyndon_words, min_rotation, standard_factorization
+from kvtower.words import lyndon_words, standard_factorization
 
 import pytest
 
@@ -121,29 +121,30 @@ def test_expansion_leading_term_is_the_word():
             assert min(exp) == w
 
 
-def _reference_divergence_row(letter, word):
-    # The trace of the words of B(word) that end in the slot's letter,
-    # summed by necklace.
-    out = {}
-    for w, c in basis_expansion(word).items():
-        if w[-1] == letter:
-            k = min_rotation(w)
-            out[k] = out.get(k, 0) + c
-    return {k: c for k, c in out.items() if c}
-
-
 def test_divergence_rows_match_the_trace_of_the_expansion():
-    # From empty caches.  Only x rows are stored: above degree one the y
-    # row is the negated x row, and at degree one the rows that a slot
-    # reads (x of y, y of x) are empty.
+    # From empty caches, every Lyndon word up to degree 12.  Only x rows
+    # are stored: above degree one the y row is the negated x row, and at
+    # degree one the rows that a slot reads (x of y, y of x) are empty.
     clear_caches()
     for d in range(1, 13):
         for w in lyndon_words(d):
             row = _divergence_row(w)
-            assert row == _reference_divergence_row("x", w)
+            assert row == reference_divergence_row("x", w)
             if d >= 2:
-                assert {k: -c for k, c in row.items()} == _reference_divergence_row("y", w)
-    assert _divergence_row("y") == _reference_divergence_row("y", "x") == {}
+                assert {k: -c for k, c in row.items()} == reference_divergence_row("y", w)
+    assert _divergence_row("y") == reference_divergence_row("y", "x") == {}
+
+
+def test_divergence_rows_store_no_expansion_of_their_own_word():
+    # A row reads the expansions of its word's standard factors only, so
+    # the rows up to degree 9 store no expansion of degree 9, and fewer
+    # expansions than there are rows.
+    clear_caches()
+    for d in range(1, 10):
+        for w in lyndon_words(d):
+            _divergence_row(w)
+    assert max(len(w) for (w,) in lie._EXPANSION) == 8
+    assert len(lie._EXPANSION) < len(lie._DIVERGENCE)
 
 
 # -- structure constants -------------------------------------------------------

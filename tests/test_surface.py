@@ -1,18 +1,27 @@
 """The public surface that the library keeps from change to change: the
-names the package exports, the names the benchmark's tracer wraps, and
-the one set of check variants that the checkers, the command line and the
-documents share."""
+names the package exports, the names the benchmark's tracer wraps and the
+calls it sees, and the one set of check variants that the checkers, the
+command line and the documents share."""
 
 import ast
 import importlib
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import kvtower
 import kvtower.cli
+import kvtower.cyclic
 import kvtower.documents
 import kvtower.kv
 
-TRACER = Path(__file__).parent.parent / "perfbench" / "tracer.py"
+ROOT = Path(__file__).parent.parent
+TRACER = ROOT / "perfbench" / "tracer.py"
+SOL10 = ROOT / "perfbench" / "data" / "sol10.json"
 
 PUBLIC = [
     "AssocElt", "CapMismatch", "CycElt", "DocumentError", "DufloSeries",
@@ -32,6 +41,27 @@ def test_exported_names_are_unchanged():
     assert len(PUBLIC) == 53
     assert kvtower.__all__ == PUBLIC
     assert all(hasattr(kvtower, name) for name in PUBLIC)
+
+
+def test_exported_names_are_their_home_modules_objects():
+    # Each name is exported lazily, as the object its home module defines.
+    for name in kvtower.__all__:
+        value = getattr(kvtower, name)
+        assert getattr(sys.modules[value.__module__], name) is value, name
+    # kv re-exports the graded dimension, so the traced kv.krv_dim is the
+    # package's krv_dim.
+    assert kvtower.kv.krv_dim is kvtower.krv_dim
+    assert set(kvtower.__all__) <= set(dir(kvtower))
+
+
+def test_the_package_registers_every_layer():
+    # Every submodule but the command line is registered by `import
+    # kvtower`, as an attribute of the package and in sys.modules, so a
+    # new module cannot be left out of the list.
+    files = {p.stem for p in (ROOT / "src" / "kvtower").glob("*.py")} - {"__init__", "cli"}
+    assert set(kvtower._LAYERS) == files
+    for layer in files:
+        assert getattr(kvtower, layer) is sys.modules[f"kvtower.{layer}"]
 
 
 def _traced():
@@ -57,8 +87,36 @@ def test_every_traced_name_resolves():
         assert callable(vars(owner).get(attr)), (module, path)
 
 
+@pytest.mark.parametrize(
+    "argv, names",
+    [
+        (["dims", "--max-degree", "5"], {"kv.krv_dim", "linalg.kernel_basis"}),
+        (["verify", "--in", str(SOL10), "--degree", "4", "--variant", "SolKV"],
+         {"kv.check_sol_kv"}),
+    ],
+    ids=["dims", "verify"],
+)
+def test_the_tracer_sees_the_commands_calls(argv, names, tmp_path):
+    # The tracer wraps every binding of a traced function that it finds in
+    # a loaded module, so a call through an import inside a command, or
+    # through a function that moved and is re-exported, is still a span.
+    spans = tmp_path / "spans.json"
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
+    subprocess.run([sys.executable, str(TRACER), str(spans), *argv], env=env,
+                   capture_output=True, check=True)
+    seen = {span[0] for span in json.loads(spans.read_text())["spans"]}
+    assert names <= seen
+
+
+def _variant_choices():
+    """The values that the command line's ``verify --variant`` accepts."""
+    _, _, options = kvtower.cli._COMMANDS["verify"]
+    return next(kind for _, dest, kind, _ in options if dest == "variant")
+
+
 def test_one_set_of_check_variants():
-    names = set(kvtower.kv._VARIANTS)
-    assert set(kvtower.cli._CHECKERS) == names == set(kvtower.documents.VARIANTS)
+    names = set(kvtower.cyclic._VARIANTS)
+    assert set(_variant_choices()) == names == set(kvtower.documents.VARIANTS)
     # The documents' order is the table's, and it names them in its errors.
     assert kvtower.documents.VARIANTS == ("SolKV", "KV", "KRV")

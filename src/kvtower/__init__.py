@@ -1,65 +1,108 @@
 """Exact computation with the Kashiwara-Vergne equations in degree-capped
 free Lie algebras: Lyndon-basis arithmetic, tangential derivations and
 automorphisms, divergence and Jacobian cocycles, equation checkers, and
-the degree-by-degree extension of solutions.
+the degree-by-degree extension of solutions."""
 
-The package is lazy, so a program compiles and runs only the layers that
-it calls.  Importing it runs no submodule: each layer in :data:`_LAYERS`
-is registered in ``sys.modules`` and here at once, and its code runs on
-first attribute access (``importlib.util.LazyLoader``), so a tool that
-finds the layers in ``sys.modules`` sees every one of them.  The names
-of ``__all__`` are exported through a PEP 562 ``__getattr__``: the first
-use of a name reads it off its home module in :data:`_HOMES` and keeps it
-here.  The command line, :mod:`kvtower.cli`, is the program's entry and
-is imported as usual."""
-
-import importlib.util
-import sys
+from .assoc import AssocElt, assoc_exp, assoc_log
+from .cyclic import CycElt, duflo_pattern, trace
+from .errors import (
+    CapMismatch,
+    DocumentError,
+    InconsistentSystem,
+    NotPrimitive,
+    PreconditionFailed,
+)
+from .kv import (
+    DufloSeries,
+    KVReport,
+    check_krv,
+    check_krv_lie,
+    check_kv,
+    check_sol_kv,
+    extend_krv_step,
+    extend_solkv,
+    extend_solkv_step,
+    gr_leading_rank,
+    krv_dim,
+    psi_conjugate,
+    solve_duflo,
+    torsor_quotient,
+)
+from .lie import LieElt, bch, bch_xy, lie_bracket, lie_from_assoc, lie_to_assoc
+from .linalg import QMatrix, kernel_basis, solve_linear
+from .tangential import (
+    TAutElt,
+    TDer,
+    cyc_taut_act,
+    cyc_tder_act,
+    divergence,
+    group_commutator,
+    jacobian,
+    taut_apply,
+    taut_compose,
+    taut_exp,
+    taut_inverse,
+    taut_log,
+    tder_apply,
+    tder_bracket,
+    valuation,
+)
+from .words import is_lyndon, lyndon_words, min_rotation, necklaces
 
 __version__ = "0.1.0"
 
-# Every submodule but the command line.
-_LAYERS = ("errors", "sparse", "words", "assoc", "lie", "cyclic", "linalg", "graded",
-           "tangential", "kv", "documents")
-
-# The exported names, by home module.
-_HOMES = {
-    "assoc": ("AssocElt", "assoc_exp", "assoc_log"),
-    "cyclic": ("CycElt", "duflo_pattern", "trace"),
-    "errors": ("CapMismatch", "DocumentError", "InconsistentSystem", "NotPrimitive",
-               "PreconditionFailed"),
-    "graded": ("krv_dim",),
-    "kv": ("DufloSeries", "KVReport", "check_krv", "check_krv_lie", "check_kv",
-           "check_sol_kv", "extend_krv_step", "extend_solkv", "extend_solkv_step",
-           "gr_leading_rank", "psi_conjugate", "solve_duflo", "torsor_quotient"),
-    "lie": ("LieElt", "TDer", "bch", "bch_xy", "lie_bracket", "lie_from_assoc",
-            "lie_to_assoc"),
-    "linalg": ("QMatrix", "kernel_basis", "solve_linear"),
-    "tangential": ("TAutElt", "cyc_taut_act", "cyc_tder_act", "divergence",
-                   "group_commutator", "jacobian", "taut_apply", "taut_compose",
-                   "taut_exp", "taut_inverse", "taut_log", "tder_apply", "tder_bracket",
-                   "valuation"),
-    "words": ("is_lyndon", "lyndon_words", "min_rotation", "necklaces"),
-}
-_HOME = {name: module for module, names in _HOMES.items() for name in names}
-
-__all__ = sorted(_HOME)
-
-for _layer in _LAYERS:
-    _spec = importlib.util.find_spec(f"{__name__}.{_layer}")
-    _spec.loader = importlib.util.LazyLoader(_spec.loader)
-    globals()[_layer] = sys.modules[_spec.name] = importlib.util.module_from_spec(_spec)
-    _spec.loader.exec_module(globals()[_layer])
-del _layer, _spec
-
-
-def __getattr__(name):
-    module = _HOME.get(name)
-    if module is None:
-        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-    value = globals()[name] = getattr(globals()[module], name)
-    return value
-
-
-def __dir__():
-    return sorted(set(globals()) | set(__all__))
+__all__ = [
+    "AssocElt",
+    "CapMismatch",
+    "CycElt",
+    "DocumentError",
+    "DufloSeries",
+    "InconsistentSystem",
+    "KVReport",
+    "LieElt",
+    "NotPrimitive",
+    "PreconditionFailed",
+    "QMatrix",
+    "TAutElt",
+    "TDer",
+    "assoc_exp",
+    "assoc_log",
+    "bch",
+    "bch_xy",
+    "check_krv",
+    "check_krv_lie",
+    "check_kv",
+    "check_sol_kv",
+    "cyc_taut_act",
+    "cyc_tder_act",
+    "divergence",
+    "duflo_pattern",
+    "extend_krv_step",
+    "extend_solkv",
+    "extend_solkv_step",
+    "gr_leading_rank",
+    "group_commutator",
+    "is_lyndon",
+    "jacobian",
+    "kernel_basis",
+    "krv_dim",
+    "lie_bracket",
+    "lie_from_assoc",
+    "lie_to_assoc",
+    "lyndon_words",
+    "min_rotation",
+    "necklaces",
+    "psi_conjugate",
+    "solve_duflo",
+    "solve_linear",
+    "taut_apply",
+    "taut_compose",
+    "taut_exp",
+    "taut_inverse",
+    "taut_log",
+    "tder_apply",
+    "tder_bracket",
+    "torsor_quotient",
+    "trace",
+    "valuation",
+]

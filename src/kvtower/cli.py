@@ -20,12 +20,6 @@ guards each one, once, before it calls the command: it must be at least
 1, and at most ``DEGREE_GUARD`` unless ``--allow-large`` is given.
 ``gr-test`` also guards the cap of the document it reads.
 
-Each command imports the layers it calls inside its handler, and this
-module imports only the errors and the variant names of
-:mod:`kvtower.cyclic` itself, so a process compiles and loads only what
-its command runs: ``dims`` and ``bch`` never load the checkers, the
-automorphisms or the document layer.
-
 ``main()`` with no argument is the program: after the command it flushes
 stdout and stderr and ends the process with ``os._exit``, so the
 interpreter does not tear down the modules and tables that the process is
@@ -39,10 +33,14 @@ import os
 import sys
 from types import SimpleNamespace
 
-from .cyclic import _VARIANTS
 from .errors import DocumentError, InconsistentSystem, PreconditionFailed
+from .kv import _extend_from, _gr_rank_and_dim, check_kv, check_krv, check_sol_kv, krv_dim
+from .lie import bch_xy
+from .words import lyndon_words
 
 DEGREE_GUARD = 12
+
+_CHECKERS = {"SolKV": check_sol_kv, "KV": check_kv, "KRV": check_krv}
 
 
 def emit_report(report):
@@ -71,6 +69,7 @@ def _guard_degree(n, allow_large, what="degree"):
 
 
 def _load(path):
+    # Imported here, so that dims and bch never load the document layer.
     from .documents import parse_document
 
     try:
@@ -130,8 +129,6 @@ class _ClosedStdout:
 
 
 def _cmd_bch(args):
-    from .lie import bch_xy
-
     series = bch_xy(args.degree)
     for word, c in series.sorted_terms():
         print(f"{word} {c}")
@@ -139,9 +136,6 @@ def _cmd_bch(args):
 
 
 def _cmd_dims(args):
-    from .graded import krv_dim
-    from .words import lyndon_words
-
     print("n lie krv")
     for n in range(1, args.max_degree + 1):
         d, _ = krv_dim(n)
@@ -150,20 +144,14 @@ def _cmd_dims(args):
 
 
 def _cmd_verify(args):
-    from . import kv
-
     # Only exponent terms of degree <= --degree reach the check.
     F = _load(args.infile).to_taut(args.degree)
-    check = {"SolKV": kv.check_sol_kv, "KV": kv.check_kv, "KRV": kv.check_krv}[args.variant]
-    report = check(F, args.degree)
+    report = _CHECKERS[args.variant](F, args.degree)
     sys.stdout.write(emit_report(report))
     return 0 if report.passed else 1
 
 
 def _cmd_extend(args):
-    from .documents import SolutionDocument, emit_document
-    from .kv import _extend_from, check_sol_kv
-
     doc = _load(args.infile)
     if doc.variant != "SolKV":
         raise DocumentError("extend requires a SolKV document", "variant")
@@ -180,12 +168,16 @@ def _cmd_extend(args):
         report = check_sol_kv(F, args.to_degree)
         if not report.passed:
             raise InconsistentSystem(f"extension fails its degree-{args.to_degree} check")
+    # Imported here, so that dims and bch never load the document layer.
+    from .documents import SolutionDocument, emit_document
+
     out = SolutionDocument.from_taut(F, "SolKV", report.duflo)
     _write_output(emit_document(out), args.out)
     return 0
 
 
 def _cmd_seed(args):
+    # Imported here, so that dims and bch never load the document layer.
     from .documents import emit_document, identity_document
 
     _write_output(emit_document(identity_document()), args.out)
@@ -193,8 +185,6 @@ def _cmd_seed(args):
 
 
 def _cmd_gr_test(args):
-    from .kv import _gr_rank_and_dim
-
     doc = _load(args.infile)
     # The transport is checked at the document's own cap, so guard it too.
     _guard_degree(doc.cap, args.allow_large, "document cap")
@@ -222,7 +212,7 @@ _COMMANDS = {
     "verify": (_cmd_verify, "run an equation-system check", (
         ("--in", "infile", str, True),
         ("--degree", "degree", int, True),
-        ("--variant", "variant", tuple(sorted(_VARIANTS)), True),
+        ("--variant", "variant", tuple(sorted(_CHECKERS)), True),
         _ALLOW_LARGE,
     )),
     "extend": (_cmd_extend, "extend a solution degree by degree", (

@@ -55,13 +55,6 @@ def _side(kind, cap):
     return bch_xy(cap) if kind == "bch" else LieElt(cap, {"x": 1, "y": 1})
 
 
-# The sides ``(source, target)`` of each equation system, by the names of
-# :func:`_side`.  The checkers of :mod:`kvtower.kv` read it; the variant
-# names of the documents and of the command line are its keys, in this
-# order.
-_VARIANTS = {"SolKV": ("bch", "sum"), "KV": ("bch", "bch"), "KRV": ("sum", "sum")}
-
-
 def _sum_pattern(k, cap):
     """``tr((x + y)^k - x^k - y^k)``.  Each necklace of degree ``k``
     counts its distinct rotations: its period, the offset of its second

@@ -17,16 +17,15 @@ so ``Fraction``s appear only where a file is read or written: the
 entries are read as ``Fraction``s, turned into the exponents' integer
 form by :mod:`kvtower.sparse`, and written from the elements'
 ``sorted_terms()``, which are in the canonical order.  The variant names
-are the keys of the checkers' table, :data:`~kvtower.cyclic._VARIANTS`.
+are the keys of the checkers' table in :mod:`kvtower.kv`.
 """
 
 import json
 import re
 from fractions import Fraction
 
-from .cyclic import _VARIANTS
 from .errors import DocumentError
-from .kv import DufloSeries
+from .kv import _VARIANTS, DufloSeries
 from .lie import LieElt
 from .sparse import _int_form
 from .tangential import TAutElt

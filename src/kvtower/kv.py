@@ -3,10 +3,10 @@
 Checkers decide membership in the degree-n solution set and the two
 symmetry groups; the Duflo series attached to an element is recomputed
 from scratch on every check, never cached.  The three systems differ only
-in their sides, and one table, :data:`~kvtower.cyclic._VARIANTS`,
-holds them: each variant name (``SolKV``, ``KV``, ``KRV``) maps to its
-source and target side, so a check names its variant alone, and the
-documents' variant names are the table's keys.  A check is a function of one log ``w``: ``exp(w)``
+in their sides, and one table, ``_VARIANTS``, holds them: each variant
+name (``SolKV``, ``KV``, ``KRV``) maps to its source and target side, so
+a check names its variant alone, and the documents' variant names are
+the table's keys.  A check is a function of one log ``w``: ``exp(w)``
 acts on the source side as the exponential series of ``w``, and the
 Jacobian is ``w``'s, so a caller that holds the log of its input checks
 it without solving that log again.  The graded-rank
@@ -15,8 +15,7 @@ comparison transports each graded basis vector ``u`` through a solution
 ``log F``, and checks and reads that log; it builds no group element.
 
 The extension step realizes the degree-by-degree surjectivity as two
-exact linear solves of the graded systems of :mod:`kvtower.graded`, whose
-:func:`~kvtower.graded.krv_dim` this module re-exports:
+exact linear solves:
 
 * a degree-n correction of the exponents kills the first equation's
   defect one degree up while keeping the divergence side solvable, and
@@ -35,13 +34,14 @@ that degree.
 
 from fractions import Fraction
 
-from .cyclic import _VARIANTS, _duflo_patterns, _side
+from .cyclic import _duflo_patterns, _side, _sum_pattern
 from .errors import InconsistentSystem, PreconditionFailed
-from .graded import _GradedSystem, krv_dim
-from .lie import bch_xy
-from .linalg import QMatrix, rank
+from .lie import LieElt, _divergence_row, bch_xy, bracket_table
+from .linalg import QMatrix, _particular, kernel_basis, rank
+from .sparse import _int_form
 from .tangential import (
     TAutElt,
+    TDer,
     _compose,
     _conjugate_log,
     _exp_action,
@@ -53,7 +53,7 @@ from .tangential import (
     tder_apply,
     valuation,
 )
-from .words import lyndon_words
+from .words import lyndon_words, necklaces
 
 
 class DufloSeries:
@@ -146,12 +146,18 @@ def _truncated(X, n):
     return X.truncate(n)
 
 
+# The sides ``(source, target)`` of each equation system, ``"sum"`` or
+# ``"bch"`` as in :func:`~kvtower.cyclic._side`; the documents' variant
+# names are this table's keys, in this order.
+_VARIANTS = {"SolKV": ("bch", "sum"), "KV": ("bch", "bch"), "KRV": ("sum", "sum")}
+
+
 def _check(variant, w):
     """Check ``exp(w)(source) = target`` and the Jacobian of ``exp(w)``
     against the Duflo patterns of ``target``, both up to ``w``'s cap, for
-    the sides of ``variant`` in :data:`~kvtower.cyclic._VARIANTS`.  An
-    automorphism is checked through its log alone: it acts on ``source``
-    as the exponential series of ``w``, and the Jacobian is ``w``'s."""
+    the sides of ``variant`` in :data:`_VARIANTS`.  An automorphism is
+    checked through its log alone: it acts on ``source`` as the
+    exponential series of ``w``, and the Jacobian is ``w``'s."""
     source, target = _VARIANTS[variant]
     n = w.cap
     defect = _exp_action(w)(_side(source, n)) - _side(target, n)
@@ -181,6 +187,89 @@ def check_krv_lie(u, n):
     defect = tder_apply(ut, _side("sum", n))
     duflo, residual = solve_duflo(divergence(ut), "sum")
     return KVReport("krv-lie", n, defect, duflo, residual)
+
+
+def _slot_columns(letter, k):
+    """Normalized degree-``k`` coordinates of the slot that brackets with
+    ``letter``: the Lyndon words, minus the generator itself at degree one."""
+    return [w for w in lyndon_words(k) if w != letter]
+
+
+class _GradedSystem:
+    """The degree-n linear system shared by the extension step and the
+    graded-dimension solver, and itself the matrix :mod:`kvtower.linalg`
+    reads: ``rows``, ``cols`` and ``entries``, (row, col) -> nonzero ``int``.
+
+    Columns: the normalized coordinates of the first slot, then of the
+    second slot (:func:`_slot_columns`), then, for n >= 2, the Duflo
+    multiplier.  Rows: optionally the generator-bracket equation
+    ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the divergence
+    equation over the degree-n necklaces.  The two kinds of row key differ
+    in length, so one word -> row index serves both.  Each column's entries
+    are read off the global tables of :mod:`kvtower.lie`: the structure
+    constants of its bracket with the slot's letter and the divergence row
+    of its basis element, so no element is built per column; the Duflo
+    column is the ``nums`` (denominator 1) of the closed-form pattern.
+
+    The divergence sees only ``u1 - u2``: a second-slot column's divergence
+    is the negated x row of its word, and degree-one columns have none.
+    So without bracket rows the second slot's columns are the negated
+    first-slot ones, and they are left out; the solutions' second slot is
+    zero, as it is when those free columns are set to zero.
+    """
+
+    def __init__(self, n, with_bracket_rows):
+        cap = n + 1
+        self.n = n
+        self.cols1 = _slot_columns("x", n)
+        self.cols2 = _slot_columns("y", n) if with_bracket_rows else []
+        lw = lyndon_words(cap) if with_bracket_rows else ()
+        self.row_index = index = {w: i for i, w in enumerate(lw + necklaces(n))}
+        self.rows = len(index)
+        self.cols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
+        self.entries = entries = {}
+        columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
+        for j, (letter, w) in enumerate(columns):
+            if with_bracket_rows:
+                for ww, c in bracket_table(letter, w).items():
+                    entries[index[ww], j] = c
+            if n >= 2:
+                sign = 1 if letter == "x" else -1
+                for ww, c in _divergence_row(w).items():
+                    entries[index[ww], j] = sign * c
+        if n >= 2:
+            for ww, c in _sum_pattern(n, cap).nums.items():
+                entries[index[ww], self.cols - 1] = -c
+
+    def tder_from(self, values, cap):
+        """Read a homogeneous derivation off a solution/kernel vector,
+        dropping the trailing Duflo coordinate if present.  Each slot is
+        written in the integer form of its ``Fraction``s; a slot with no
+        columns is zero."""
+        k = len(self.cols1)
+        m = k + len(self.cols2)
+        slots = ((self.cols1, values[:k]), (self.cols2, values[k:m]))
+        return TDer(*(LieElt._from_ints(cap, *_int_form(dict(zip(cols, part))))
+                      for cols, part in slots))
+
+    def solve(self, defect):
+        """The derivation whose row image cancels ``defect``, a Lie or
+        cyclic element keyed by row words, read off at its cap.  The system
+        is solved for the defect's negated integer numerators, so every row
+        stays integral, and the solution is divided by the defect's
+        denominator once, as a derivation: the solve is linear in the
+        right-hand side, and its pivots do not read it."""
+        rhs = [0] * self.rows
+        for w, c in defect.nums.items():
+            if w not in self.row_index:
+                raise InconsistentSystem(
+                    f"degree-{self.n} graded system has no row for defect word {w}"
+                )
+            rhs[self.row_index[w]] = -c
+        particular = _particular(self, rhs)
+        if particular is None:
+            raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
+        return Fraction(1, defect.den) * self.tder_from(particular, defect.cap)
 
 
 def extend_solkv_step(F):
@@ -286,6 +375,20 @@ def psi_conjugate(F, G, n):
     w = _solution_log("SolKV", F, n, "F must solve the system at degree n")
     v = _solution_log("KV", G, n, "G must be a left symmetry at degree n")
     return taut_exp(_conjugate_log(v, -w))
+
+
+def krv_dim(n):
+    """Dimension and basis of the homogeneous degree-n graded Lie algebra.
+
+    Solves exactly for normalized pairs with ``u(x+y) = 0`` (a genuine
+    degree-(n+1) bracket condition) and divergence a multiple of the
+    degree-n pattern; the multiplier is carried as one extra unknown and
+    eliminated from the reported basis.
+    """
+    system = _GradedSystem(n, with_bracket_rows=True)
+    kernel = kernel_basis(system)
+    basis = [system.tder_from(vec, n) for vec in kernel]
+    return len(basis), basis
 
 
 def gr_leading_rank(F, n):

@@ -18,11 +18,6 @@ from brackets alone.  The expansions into words serve only
 each of which reads the expansions of its word's standard factors, not
 its own.
 
-A tangential derivation is a pair of Lie elements, :class:`TDer`; it and
-``_Pair``, the base that it shares with the automorphisms of
-:mod:`kvtower.tangential`, live here, so that the graded systems of
-:mod:`kvtower.graded` build derivations without loading that layer.
-
 The structure constants and the basis expansions are integers, so
 :func:`lie_bracket` and :func:`lie_to_assoc` multiply them with the stored
 integer numerators of each operand, and the result's denominator is the
@@ -218,72 +213,6 @@ class LieElt(SparseElt):
     @classmethod
     def gen_y(cls, cap):
         return cls(cap, {"y": 1})
-
-
-class _Pair:
-    """Equality, hashing and cap changes of a pair of Lie elements, read
-    through ``_parts()``; a pair with changed parts is rebuilt through the
-    subclass constructor, which normalizes it again."""
-
-    __slots__ = ()
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, type(self))
-            and self.cap == other.cap
-            and self._parts() == other._parts()
-        )
-
-    def __hash__(self):
-        return hash((self.cap, *self._parts()))
-
-    def truncate(self, n):
-        return type(self)(*(p.truncate(n) for p in self._parts()))
-
-    def with_cap(self, n):
-        return type(self)(*(p.with_cap(n) for p in self._parts()))
-
-
-class TDer(_Pair):
-    """Tangential derivation, normalized pair of Lie elements."""
-
-    __slots__ = ("cap", "u1", "u2")
-
-    def __init__(self, u1, u2):
-        _require_same_cap(u1, u2)
-        self.cap = u1.cap
-        n1 = {w: n for w, n in u1.nums.items() if w != "x"}
-        n2 = {w: n for w, n in u2.nums.items() if w != "y"}
-        self.u1 = LieElt._from_ints(self.cap, n1, u1.den)
-        self.u2 = LieElt._from_ints(self.cap, n2, u2.den)
-
-    def _parts(self):
-        return self.u1, self.u2
-
-    @classmethod
-    def zero(cls, cap):
-        return cls(LieElt.zero(cap), LieElt.zero(cap))
-
-    def is_zero(self):
-        return self.u1.is_zero() and self.u2.is_zero()
-
-    def __add__(self, other):
-        return TDer(self.u1 + other.u1, self.u2 + other.u2)
-
-    def __sub__(self, other):
-        return TDer(self.u1 - other.u1, self.u2 - other.u2)
-
-    def __neg__(self):
-        return TDer(-self.u1, -self.u2)
-
-    def __rmul__(self, scalar):
-        return TDer(scalar * self.u1, scalar * self.u2)
-
-    def homogeneous_part(self, d):
-        return TDer(self.u1.homogeneous_part(d), self.u2.homogeneous_part(d))
-
-    def __repr__(self):
-        return f"TDer({self.u1!r}, {self.u2!r})"
 
 
 def lie_bracket(u, v):

@@ -2,7 +2,7 @@
 
 Functions read only ``M.rows``, ``M.cols`` and ``M.entries``, a dict
 (row, col) -> nonzero ``int`` or ``Fraction``; :class:`QMatrix` has those,
-and so has ``graded._GradedSystem``, with ``int`` entries.  :func:`_eliminate`,
+and so has ``kv._GradedSystem``, with ``int`` entries.  :func:`_eliminate`,
 the one elimination, works forward on integer rows (each row's numerators
 over its denominator, by the integer form of :mod:`kvtower.sparse`),
 with a right-hand side, if any, under a column key of its own.  Columns go

@@ -4,16 +4,14 @@ A tangential derivation is a pair ``u = (u1, u2)`` of Lie elements acting
 by ``x -> [x, u1]``, ``y -> [y, u2]``; the pair is kept in the canonical
 normalized form (no ``x`` term in ``u1``, no ``y`` term in ``u2``), which
 fixes the representative modulo the kernel of pairs -> derivations.
-The pair type, :class:`~kvtower.lie.TDer`, lives in :mod:`kvtower.lie`,
-so that the graded systems build derivations without this layer.
 
 A tangential automorphism is stored by its normalized exponent pair
 ``F = (e^{f1}, e^{f2})``, acting by ``x -> e^{-f1} x e^{f1}`` and
 ``y -> e^{-f2} y e^{f2}``.  Composition, exponential and logarithm are
 computed degree by degree in exact arithmetic, and the inverse is the
 exponential of the negated log.  Both pair types take equality, hashing,
-truncation and zero extension from one base, ``_Pair`` of
-:mod:`kvtower.lie`, and keep their own normalization.
+truncation and zero extension from one base, ``_Pair``, and keep their
+own normalization.
 
 The action of an automorphism on the generators only sees exponent terms
 below the cap, so ``taut_log`` matches the exponential series
@@ -67,10 +65,75 @@ import math
 
 from .cyclic import CycElt
 from .errors import InconsistentSystem
-from .lie import (LieElt, TDer, _divergence_row, _Pair, bch, bracket_table, lie_bracket,
-                  lie_to_assoc)
+from .lie import LieElt, _divergence_row, bch, bracket_table, lie_bracket, lie_to_assoc
 from .sparse import _combine, _exp_series, _require_same_cap
 from .words import _necklace_sums, is_lyndon, lyndon_words, standard_factorization
+
+
+class _Pair:
+    """Equality, hashing and cap changes of a pair of Lie elements, read
+    through ``_parts()``; a pair with changed parts is rebuilt through the
+    subclass constructor, which normalizes it again."""
+
+    __slots__ = ()
+
+    def __eq__(self, other):
+        return (
+            isinstance(other, type(self))
+            and self.cap == other.cap
+            and self._parts() == other._parts()
+        )
+
+    def __hash__(self):
+        return hash((self.cap, *self._parts()))
+
+    def truncate(self, n):
+        return type(self)(*(p.truncate(n) for p in self._parts()))
+
+    def with_cap(self, n):
+        return type(self)(*(p.with_cap(n) for p in self._parts()))
+
+
+class TDer(_Pair):
+    """Tangential derivation, normalized pair of Lie elements."""
+
+    __slots__ = ("cap", "u1", "u2")
+
+    def __init__(self, u1, u2):
+        _require_same_cap(u1, u2)
+        self.cap = u1.cap
+        n1 = {w: n for w, n in u1.nums.items() if w != "x"}
+        n2 = {w: n for w, n in u2.nums.items() if w != "y"}
+        self.u1 = LieElt._from_ints(self.cap, n1, u1.den)
+        self.u2 = LieElt._from_ints(self.cap, n2, u2.den)
+
+    def _parts(self):
+        return self.u1, self.u2
+
+    @classmethod
+    def zero(cls, cap):
+        return cls(LieElt.zero(cap), LieElt.zero(cap))
+
+    def is_zero(self):
+        return self.u1.is_zero() and self.u2.is_zero()
+
+    def __add__(self, other):
+        return TDer(self.u1 + other.u1, self.u2 + other.u2)
+
+    def __sub__(self, other):
+        return TDer(self.u1 - other.u1, self.u2 - other.u2)
+
+    def __neg__(self):
+        return TDer(-self.u1, -self.u2)
+
+    def __rmul__(self, scalar):
+        return TDer(scalar * self.u1, scalar * self.u2)
+
+    def homogeneous_part(self, d):
+        return TDer(self.u1.homogeneous_part(d), self.u2.homogeneous_part(d))
+
+    def __repr__(self):
+        return f"TDer({self.u1!r}, {self.u2!r})"
 
 
 class _DerEngine:

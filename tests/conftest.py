@@ -91,9 +91,9 @@ def group_transport(F, u):
 
 def reference_divergence_row(letter, word):
     """The trace of the words of ``B(word)``'s own expansion that end in
-    ``letter``, summed by necklace: the rule that
-    ``lie._divergence_row`` used, for ``letter`` x, before it summed the
-    row from the expansions of the word's standard factors."""
+    ``letter``, summed by necklace: the definition that
+    ``lie._divergence_row``, which sums the row from the expansions of the
+    word's standard factors, is tested against."""
     out = {}
     for w, c in basis_expansion(word).items():
         if w[-1] == letter:

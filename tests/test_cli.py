@@ -563,7 +563,7 @@ def test_gr_test_computes_the_graded_dimension_once(tmp_path, capsys, monkeypatc
         return real(n)
 
     monkeypatch.setattr(kvtower.kv, "krv_dim", counting)
-    monkeypatch.setattr("kvtower.graded.krv_dim", counting)
+    monkeypatch.setattr("kvtower.cli.krv_dim", counting)
     code, out, _ = run(capsys, "gr-test", "--in", str(sol), "--degree", "3")
     assert code == 0
     assert out.splitlines() == ["gr_rank 3 = 1", "krv_dim 3 = 1", "EQUAL"]
@@ -629,42 +629,28 @@ def test_stdout_output_equals_out_file(command, tmp_path, capsys):
     assert out.encode() == path.read_bytes()
 
 
-# The layers that only the commands which check or read a document call.
-_CHECK_LAYERS = {"kvtower.kv", "kvtower.tangential", "kvtower.documents"}
-_SUBMODULES = {f"kvtower.{p.stem}" for p in (ROOT / "src" / "kvtower").glob("*.py")
-               if p.stem != "__init__"}
-
-
 @pytest.mark.parametrize(
-    "argv, loaded, unloaded",
+    "argv, loaded",
     [
-        (None, set(), _SUBMODULES),
-        (["dims", "--max-degree", "3"], {"kvtower.graded"}, _CHECK_LAYERS),
-        (["bch", "--degree", "3"], {"kvtower.lie"}, _CHECK_LAYERS | {"kvtower.graded"}),
-        (["verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV"],
-         {"kvtower.kv", "kvtower.documents"}, set()),
+        (["dims", "--max-degree", "3"], False),
+        (["bch", "--degree", "3"], False),
+        (["verify", "--in", str(SOL10), "--degree", "2", "--variant", "SolKV"], True),
     ],
-    ids=["import", "dims", "bch", "verify"],
+    ids=["dims", "bch", "verify"],
 )
-def test_only_commands_that_read_a_document_load_the_document_layer(argv, loaded, unloaded):
-    # A fresh interpreter for each case, since this one has loaded every
-    # layer: a plain `import kvtower` (argv None) loads no submodule, and
-    # each command loads only the layers that it calls.  The package
-    # registers its layers at once and runs each one on first use, so a
-    # layer is loaded when its module is a plain module, no longer the
-    # deferred one.  It is asked for the package's modules, not for json,
-    # which a site hook may load.
-    run_it = "import kvtower\n" if argv is None else (
-        f"from kvtower.cli import main\nmain({argv!r})\n")
-    script = ("import sys, types\n" + run_it
-              + "print(sorted(n for n, m in sys.modules.items()\n"
-                "            if n.startswith('kvtower.') and type(m) is types.ModuleType))\n")
+def test_only_commands_that_read_a_document_load_the_document_layer(argv, loaded):
+    # A fresh interpreter, since this one has imported kvtower.documents.
+    # It is asked for the package, not for json, which a site hook may load.
+    script = (
+        "import sys\n"
+        "from kvtower.cli import main\n"
+        f"main({argv!r})\n"
+        "print('kvtower.documents' in sys.modules)\n"
+    )
     proc = subprocess.run(
         [sys.executable, "-c", script], capture_output=True, text=True, check=True
     )
-    modules = set(ast.literal_eval(proc.stdout.splitlines()[-1]))
-    assert loaded <= modules
-    assert not modules & unloaded
+    assert proc.stdout.splitlines()[-1] == str(loaded)
 
 
 @pytest.mark.parametrize(
@@ -746,10 +732,10 @@ def test_program_exit_2_paths(tmp_path):
 
 
 # A bug in the checker, for the internal-error path.
-_INJECTED_FAULT = ("import kvtower.kv\n"
+_INJECTED_FAULT = ("import kvtower.cli\n"
                    "def fail(*args):\n"
                    "    raise KeyError('injected fault')\n"
-                   "kvtower.kv.check_sol_kv = fail\n")
+                   "kvtower.cli._CHECKERS['SolKV'] = fail\n")
 
 
 def test_program_exit_3_path():
@@ -874,7 +860,7 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     seed = tmp_path / "seed.json"
     run(capsys, "seed", "--out", str(seed))
     # The extension's solves report an inconsistent system.
-    monkeypatch.setattr("kvtower.graded._particular", lambda M, b: None)
+    monkeypatch.setattr(kvtower.kv, "_particular", lambda M, b: None)
     code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
     assert code == 3
     assert "internal inconsistency" in err
@@ -893,8 +879,8 @@ def test_unexpected_exception_exit_code(exc_type, argv, capsys, monkeypatch):
     def fail(*args):
         raise exc_type("injected fault")
 
-    monkeypatch.setattr(kvtower.kv, "check_sol_kv", fail)
-    monkeypatch.setattr("kvtower.graded.krv_dim", fail)
+    monkeypatch.setitem(kvtower.cli._CHECKERS, "SolKV", fail)
+    monkeypatch.setattr("kvtower.cli.krv_dim", fail)
     code, _, err = run(capsys, *argv)
     assert code == 3
     assert "Traceback" in err
@@ -934,7 +920,7 @@ def test_extend_refuses_a_failed_final_check(tmp_path, capsys, monkeypatch):
     # The stub passes the entry check and returns a non-solution.
     passed = check_sol_kv(TAutElt.identity(1), 1)
     monkeypatch.setattr(
-        "kvtower.kv._extend_from", lambda F, to_degree: (TAutElt.identity(2), passed)
+        "kvtower.cli._extend_from", lambda F, to_degree: (TAutElt.identity(2), passed)
     )
     code, _, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "2",
                        "--out", str(out))

@@ -8,9 +8,9 @@ import kvtower.tangential
 from kvtower.cyclic import CycElt, duflo_pattern
 from kvtower.documents import parse_document
 from kvtower.errors import InconsistentSystem, PreconditionFailed
-from kvtower.graded import _GradedSystem
 from kvtower.kv import (
     DufloSeries,
+    _GradedSystem,
     check_krv,
     check_krv_lie,
     check_kv,

@@ -2,7 +2,7 @@ from fractions import Fraction
 from math import gcd
 
 from conftest import rng_for
-from kvtower.graded import _GradedSystem
+from kvtower.kv import _GradedSystem
 from kvtower.linalg import (
     QMatrix,
     _eliminate,

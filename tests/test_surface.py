@@ -1,7 +1,7 @@
 """The public surface that the library keeps from change to change: the
-names the package exports, the names the benchmark's tracer wraps and the
-calls it sees, and the one set of check variants that the checkers, the
-command line and the documents share."""
+names the package exports, the names the benchmark's tracer wraps and
+the calls it sees, and the one set of check variants that the checkers,
+the command line and the documents share."""
 
 import ast
 import importlib
@@ -15,7 +15,6 @@ import pytest
 
 import kvtower
 import kvtower.cli
-import kvtower.cyclic
 import kvtower.documents
 import kvtower.kv
 
@@ -44,24 +43,12 @@ def test_exported_names_are_unchanged():
 
 
 def test_exported_names_are_their_home_modules_objects():
-    # Each name is exported lazily, as the object its home module defines.
-    for name in kvtower.__all__:
+    # Each name is the object of the module that defines it, not a copy or
+    # a wrapper, and dir() lists every one.
+    for name in PUBLIC:
         value = getattr(kvtower, name)
         assert getattr(sys.modules[value.__module__], name) is value, name
-    # kv re-exports the graded dimension, so the traced kv.krv_dim is the
-    # package's krv_dim.
-    assert kvtower.kv.krv_dim is kvtower.krv_dim
-    assert set(kvtower.__all__) <= set(dir(kvtower))
-
-
-def test_the_package_registers_every_layer():
-    # Every submodule but the command line is registered by `import
-    # kvtower`, as an attribute of the package and in sys.modules, so a
-    # new module cannot be left out of the list.
-    files = {p.stem for p in (ROOT / "src" / "kvtower").glob("*.py")} - {"__init__", "cli"}
-    assert set(kvtower._LAYERS) == files
-    for layer in files:
-        assert getattr(kvtower, layer) is sys.modules[f"kvtower.{layer}"]
+    assert set(PUBLIC) <= set(dir(kvtower))
 
 
 def _traced():
@@ -97,9 +84,9 @@ def test_every_traced_name_resolves():
     ids=["dims", "verify"],
 )
 def test_the_tracer_sees_the_commands_calls(argv, names, tmp_path):
-    # The tracer wraps every binding of a traced function that it finds in
-    # a loaded module, so a call through an import inside a command, or
-    # through a function that moved and is re-exported, is still a span.
+    # The tracer wraps the traced functions in the kvtower modules that are
+    # loaded when it starts, so a layer that a command loads only later
+    # would run unseen.
     spans = tmp_path / "spans.json"
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
@@ -109,14 +96,8 @@ def test_the_tracer_sees_the_commands_calls(argv, names, tmp_path):
     assert names <= seen
 
 
-def _variant_choices():
-    """The values that the command line's ``verify --variant`` accepts."""
-    _, _, options = kvtower.cli._COMMANDS["verify"]
-    return next(kind for _, dest, kind, _ in options if dest == "variant")
-
-
 def test_one_set_of_check_variants():
-    names = set(kvtower.cyclic._VARIANTS)
-    assert set(_variant_choices()) == names == set(kvtower.documents.VARIANTS)
+    names = set(kvtower.kv._VARIANTS)
+    assert set(kvtower.cli._CHECKERS) == names == set(kvtower.documents.VARIANTS)
     # The documents' order is the table's, and it names them in its errors.
     assert kvtower.documents.VARIANTS == ("SolKV", "KV", "KRV")

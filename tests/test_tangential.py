@@ -19,7 +19,7 @@ from kvtower.errors import CapMismatch, InconsistentSystem
 from kvtower.lie import LieElt, bch, bracket_table, lie_bracket, lie_to_assoc
 from kvtower.assoc import AssocElt, assoc_exp
 from kvtower.documents import parse_document
-from kvtower.graded import _slot_columns
+from kvtower.kv import _slot_columns
 from kvtower.linalg import QMatrix, solve_linear
 from kvtower.sparse import _exp_series
 from kvtower.tangential import (

@@ -37,7 +37,7 @@ from fractions import Fraction
 from .cyclic import _duflo_patterns, _side, _sum_pattern
 from .errors import InconsistentSystem, PreconditionFailed
 from .lie import LieElt, _divergence_row, bch_xy, bracket_table
-from .linalg import QMatrix, _particular, kernel_basis, rank
+from .linalg import QMatrix, kernel_basis, rank, solve_linear
 from .sparse import _int_form
 from .tangential import (
     TAutElt,
@@ -189,27 +189,23 @@ def check_krv_lie(u, n):
     return KVReport("krv-lie", n, defect, duflo, residual)
 
 
-def _slot_columns(letter, k):
-    """Normalized degree-``k`` coordinates of the slot that brackets with
-    ``letter``: the Lyndon words, minus the generator itself at degree one."""
-    return [w for w in lyndon_words(k) if w != letter]
-
-
 class _GradedSystem:
     """The degree-n linear system shared by the extension step and the
     graded-dimension solver, and itself the matrix :mod:`kvtower.linalg`
     reads: ``rows``, ``cols`` and ``entries``, (row, col) -> nonzero ``int``.
 
-    Columns: the normalized coordinates of the first slot, then of the
-    second slot (:func:`_slot_columns`), then, for n >= 2, the Duflo
-    multiplier.  Rows: optionally the generator-bracket equation
-    ``u(x+y) = 0`` over the degree-(n+1) Lyndon words, then the divergence
-    equation over the degree-n necklaces.  The two kinds of row key differ
-    in length, so one word -> row index serves both.  Each column's entries
-    are read off the global tables of :mod:`kvtower.lie`: the structure
-    constants of its bracket with the slot's letter and the divergence row
-    of its basis element, so no element is built per column; the Duflo
-    column is the ``nums`` (denominator 1) of the closed-form pattern.
+    Columns: ``columns``, one ``(letter, word)`` per normalized coordinate
+    of the x slot, then of the y slot when there are bracket rows (the
+    degree-n Lyndon words, minus the slot's letter at degree one), then,
+    for n >= 2, the Duflo multiplier.  Rows: optionally the
+    generator-bracket equation ``u(x+y) = 0`` over the degree-(n+1) Lyndon
+    words, then the divergence equation over the degree-n necklaces.  The
+    two kinds of row key differ in length, so one word -> row index serves
+    both.  Each column's entries are read off the global tables of
+    :mod:`kvtower.lie`: the structure constants of its bracket with the
+    slot's letter and the divergence row of its basis element, so no
+    element is built per column; the Duflo column is the ``nums``
+    (denominator 1) of the closed-form pattern.
 
     The divergence sees only ``u1 - u2``: a second-slot column's divergence
     is the negated x row of its word, and degree-one columns have none.
@@ -221,15 +217,14 @@ class _GradedSystem:
     def __init__(self, n, with_bracket_rows):
         cap = n + 1
         self.n = n
-        self.cols1 = _slot_columns("x", n)
-        self.cols2 = _slot_columns("y", n) if with_bracket_rows else []
+        slots = "xy" if with_bracket_rows else "x"
+        self.columns = [(g, w) for g in slots for w in lyndon_words(n) if w != g]
         lw = lyndon_words(cap) if with_bracket_rows else ()
         self.row_index = index = {w: i for i, w in enumerate(lw + necklaces(n))}
         self.rows = len(index)
-        self.cols = len(self.cols1) + len(self.cols2) + (1 if n >= 2 else 0)
+        self.cols = len(self.columns) + (1 if n >= 2 else 0)
         self.entries = entries = {}
-        columns = [("x", w) for w in self.cols1] + [("y", w) for w in self.cols2]
-        for j, (letter, w) in enumerate(columns):
+        for j, (letter, w) in enumerate(self.columns):
             if with_bracket_rows:
                 for ww, c in bracket_table(letter, w).items():
                     entries[index[ww], j] = c
@@ -242,15 +237,14 @@ class _GradedSystem:
                 entries[index[ww], self.cols - 1] = -c
 
     def tder_from(self, values, cap):
-        """Read a homogeneous derivation off a solution/kernel vector,
-        dropping the trailing Duflo coordinate if present.  Each slot is
-        written in the integer form of its ``Fraction``s; a slot with no
-        columns is zero."""
-        k = len(self.cols1)
-        m = k + len(self.cols2)
-        slots = ((self.cols1, values[:k]), (self.cols2, values[k:m]))
-        return TDer(*(LieElt._from_ints(cap, *_int_form(dict(zip(cols, part))))
-                      for cols, part in slots))
+        """Read a homogeneous derivation off a solution/kernel vector:
+        ``columns`` zipped with it fills the two slots, so a trailing Duflo
+        coordinate falls away.  Each slot is written in the integer form of
+        its ``Fraction``s; a slot with no columns is zero."""
+        slots = {"x": {}, "y": {}}
+        for (letter, w), v in zip(self.columns, values):
+            slots[letter][w] = v
+        return TDer(*(LieElt._from_ints(cap, *_int_form(slots[g])) for g in "xy"))
 
     def solve(self, defect):
         """The derivation whose row image cancels ``defect``, a Lie or
@@ -266,7 +260,7 @@ class _GradedSystem:
                     f"degree-{self.n} graded system has no row for defect word {w}"
                 )
             rhs[self.row_index[w]] = -c
-        particular = _particular(self, rhs)
+        particular = solve_linear(self, rhs).particular
         if particular is None:
             raise InconsistentSystem(f"degree-{self.n} graded system inconsistent")
         return Fraction(1, defect.den) * self.tder_from(particular, defect.cap)
@@ -406,8 +400,6 @@ def _gr_rank_and_dim(F, n):
                                  f"its cap is {F.cap}")
     w = _solution_log("SolKV", F, F.cap, "F must solve the system at its cap")
     dim, basis = krv_dim(n)
-    if dim == 0:
-        return 0, 0
     vectors = []
     cols = list(lyndon_words(n))
     for u in basis:

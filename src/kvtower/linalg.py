@@ -11,7 +11,9 @@ it (the first on ties), which keeps fill-in low.  The pivot is made
 primitive (its content divided out) when it is chosen, and each other
 holder becomes ``a*row - f*pivot``; reduced rows are never touched.
 Answers come by back-substitution on integers over one positive
-denominator, made reduced ``Fraction``s once at the end.
+denominator, made reduced ``Fraction``s once at the end.  A
+:class:`LinearSolution` substitutes its particular solution at once and
+keeps the echelon rows; its kernel is built from them on first read.
 
 They equal those of the unique reduced row echelon form: back-elimination
 changes only reduced rows, and each update here is a nonzero multiple of
@@ -22,6 +24,7 @@ given free entries that the rows annihilate, whatever their scaling.
 """
 
 from fractions import Fraction
+from functools import cached_property
 from math import gcd
 
 from .sparse import _int_form
@@ -72,13 +75,21 @@ class QMatrix:
 
 
 class LinearSolution:
-    """Outcome of an exact linear solve: ``particular`` has every free
-    variable at zero, or is ``None`` when the system is inconsistent, and
-    ``kernel_basis`` is the null-space basis in reduced echelon form."""
+    """Outcome of the exact solve of ``M x = b``, from one elimination:
+    ``particular`` has every free variable at zero, or is ``None`` when
+    the system is inconsistent, and ``kernel_basis`` is the null-space
+    basis in reduced echelon form, built from the kept echelon rows the
+    first time it is read, and never if nobody reads it."""
 
-    def __init__(self, particular, kernel_basis):
-        self.particular = particular
-        self.kernel_basis = kernel_basis
+    def __init__(self, M, b):
+        echelon, pivots, consistent = _eliminate(M, b)
+        self._echelon = (M.cols, echelon, pivots)
+        # The null vector of [M | b] with -1 in b's column.
+        self.particular = _substitute(*self._echelon, M.cols, -1) if consistent else None
+
+    @cached_property
+    def kernel_basis(self):
+        return _kernel(*self._echelon)
 
     @property
     def consistent(self):
@@ -162,18 +173,9 @@ def _kernel(ncols, echelon, pivots):
             for fc in range(ncols) if fc not in pivot_set]
 
 
-def _particular(M, b):
-    """``M x = b`` solved with free variables at zero: the null vector of
-    ``[M | b]`` with -1 last, or ``None`` if there is none; no kernel."""
-    echelon, pivots, consistent = _eliminate(M, b)
-    return _substitute(M.cols, echelon, pivots, M.cols, -1) if consistent else None
-
-
 def solve_linear(M, b):
     """Solve ``M x = b`` exactly, as a :class:`LinearSolution`."""
-    echelon, pivots, consistent = _eliminate(M, b)
-    particular = _substitute(M.cols, echelon, pivots, M.cols, -1) if consistent else None
-    return LinearSolution(particular, _kernel(M.cols, echelon, pivots))
+    return LinearSolution(M, b)
 
 
 def kernel_basis(M):

@@ -20,6 +20,7 @@ from kvtower.cli import _read_args, build_parser, emit_report, run_command
 from kvtower.documents import SolutionDocument, emit_document
 from kvtower.kv import DufloSeries, check_sol_kv, extend_solkv
 from kvtower.lie import LieElt
+from kvtower.linalg import LinearSolution, QMatrix
 from kvtower.tangential import TAutElt
 
 
@@ -860,7 +861,8 @@ def test_internal_fault_exit_code(tmp_path, capsys, monkeypatch):
     seed = tmp_path / "seed.json"
     run(capsys, "seed", "--out", str(seed))
     # The extension's solves report an inconsistent system.
-    monkeypatch.setattr(kvtower.kv, "_particular", lambda M, b: None)
+    inconsistent = LinearSolution(QMatrix.from_rows([[0]]), [1])
+    monkeypatch.setattr(kvtower.kv, "solve_linear", lambda M, b: inconsistent)
     code, out, err = run(capsys, "extend", "--in", str(seed), "--to-degree", "3")
     assert code == 3
     assert "internal inconsistency" in err

@@ -24,7 +24,7 @@ from kvtower.kv import (
     solve_duflo,
     torsor_quotient,
 )
-from kvtower import lie
+from kvtower import lie, linalg
 from kvtower.lie import LieElt, bracket_table, clear_caches
 from kvtower.linalg import QMatrix, rank
 from kvtower.tangential import (
@@ -552,6 +552,19 @@ def test_graded_solve_equals_the_reference_solve_of_the_fraction_defect(monkeypa
         assert u == S.tder_from(particular, defect.cap)
 
 
+def test_graded_solves_build_no_kernel(monkeypatch):
+    # Stage B at 13 -> 14 has 102 free columns, each a back-substitution
+    # that the step would pay for and never read.
+    kernels = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    sol8 = parse_document((GOLDEN / "extend_d8.json").read_text()).to_taut()
+    extend_solkv(sol8, 9)
+    assert kernels == []
+    krv_dim(4)
+    assert len(kernels) == 1
+
+
 def _fraction_graded_matrix(n, with_bracket_rows):
     """The graded system as it was built before it held its own integer
     entries: each column's divergence read through ``.coeffs`` into a
@@ -593,26 +606,28 @@ def test_second_slot_divergence_columns_are_the_negated_first_slot_ones():
     # slot's columns: there a column sees only u1 - u2.
     for n in range(2, 13):
         S = _GradedSystem(n, with_bracket_rows=True)
-        assert S.cols2 == S.cols1
+        xs = [w for g, w in S.columns if g == "x"]
+        assert [w for g, w in S.columns if g == "y"] == xs
+        k = len(xs)
         brackets = len(lyndon_words(n + 1))
         columns = [{} for _ in range(S.cols)]
         for (i, j), c in S.entries.items():
             if i >= brackets:
                 columns[j][i] = c
-        k = len(S.cols1)
         for j in range(k):
-            assert columns[j], (n, S.cols1[j])
-            assert columns[k + j] == {i: -c for i, c in columns[j].items()}, (n, S.cols1[j])
+            assert columns[j], (n, S.columns[j])
+            assert columns[k + j] == {i: -c for i, c in columns[j].items()}, (n, S.columns[j])
 
 
 def test_divergence_only_system_solves_with_a_zero_second_slot():
     # Stage B's system: the first slot's and the Duflo columns only.
     for n in range(1, 9):
         S = _GradedSystem(n, with_bracket_rows=False)
-        assert S.cols2 == [] and S.cols == len(S.cols1) + (1 if n >= 2 else 0)
+        assert all(g == "x" for g, _ in S.columns)
+        assert S.cols == len(S.columns) + (1 if n >= 2 else 0)
     S = _GradedSystem(4, with_bracket_rows=False)
     u = S.tder_from([Fraction(1, 3)] * S.cols, 5)
-    assert u.u2.is_zero() and u.u1 == LieElt(5, {w: Fraction(1, 3) for w in S.cols1})
+    assert u.u2.is_zero() and u.u1 == LieElt(5, {w: Fraction(1, 3) for _, w in S.columns})
 
 
 def test_cold_graded_system_equals_a_warm_one():

@@ -2,11 +2,11 @@ from fractions import Fraction
 from math import gcd
 
 from conftest import rng_for
+from kvtower import linalg
 from kvtower.kv import _GradedSystem
 from kvtower.linalg import (
     QMatrix,
     _eliminate,
-    _particular,
     kernel_basis,
     rank,
     solve_linear,
@@ -175,7 +175,7 @@ def test_presolved_matches_solve_linear():
             for b in (M.mul_vector(x), bad):
                 particular, kernel, r = _reference_solve(M, b)
                 sol = solve_linear(M, b)
-                assert sol.particular == _particular(M, b) == particular
+                assert sol.particular == particular
                 assert sol.kernel_basis == kernel_basis(M) == kernel
                 assert rank(M) == r
                 assert particular is not None or b is bad
@@ -194,6 +194,20 @@ def test_presolved_matches_solve_linear():
         for _ in range(3):
             b = [Fraction(rng.randint(-2, 2)) for _ in range(M.rows)]
             assert solve_linear(M, b).particular == _reference_solve(M, b)[0]
+
+
+def test_kernel_is_built_on_first_read_and_kept(monkeypatch):
+    kernels = []
+    kernel = linalg._kernel
+    monkeypatch.setattr(linalg, "_kernel", lambda *args: kernels.append(args) or kernel(*args))
+    M = QMatrix.from_rows([[1, 2, 0, 1], [2, 4, 1, 0], [3, 6, 1, 1]])
+    b = [F(1), F(3), F(4)]
+    sol = solve_linear(M, b)
+    assert sol.particular == _reference_solve(M, b)[0] and kernels == []
+    first = sol.kernel_basis
+    assert sol.kernel_basis is first and len(kernels) == 1
+    assert first == kernel_basis(M) == _reference_solve(M, b)[1]
+    assert len(first) == 2
 
 
 def _small_fraction(rng):
@@ -245,7 +259,7 @@ def test_sparse_eliminator_matches_reference_on_larger_sparse_matrices():
         for b in (M.mul_vector(x), bad):
             particular, kernel, r = _reference_solve(M, b)
             sol = solve_linear(M, b)
-            assert sol.particular == _particular(M, b) == particular
+            assert sol.particular == particular
             assert sol.kernel_basis == kernel_basis(M) == kernel
             assert rank(M) == r
             assert particular is not None or b is bad
@@ -276,7 +290,7 @@ def test_eliminator_matches_reference_with_non_unit_and_negative_pivots(entries)
         for b in (M.mul_vector(x), bad):
             particular, kernel, r = _reference_solve(M, b)
             sol = solve_linear(M, b)
-            assert sol.particular == _particular(M, b) == particular
+            assert sol.particular == particular
             assert sol.kernel_basis == kernel_basis(M) == kernel
             assert rank(M) == r
             echelon, pivots, _ = _eliminate(M, b)
@@ -313,7 +327,7 @@ def test_sparse_eliminator_matches_reference_on_graded_systems(
         b = M.mul_vector(x)
         particular, kernel, r = _reference_solve(M, b)
         sol = solve_linear(S, b)
-        assert sol.particular == _particular(S, b) == particular is not None
+        assert sol.particular == particular is not None
         assert sol.kernel_basis == kernel_basis(S) == kernel
         assert rank(S) == r
         assert _eliminate(S, b) == _eliminate(M, b)

@@ -21,6 +21,7 @@ import kvtower.kv
 ROOT = Path(__file__).parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
 SOL10 = ROOT / "perfbench" / "data" / "sol10.json"
+EXTEND_D8 = ROOT / "tests" / "golden" / "extend_d8.json"
 
 PUBLIC = [
     "AssocElt", "CapMismatch", "CycElt", "DocumentError", "DufloSeries",
@@ -75,15 +76,18 @@ def test_every_traced_name_resolves():
 
 
 @pytest.mark.parametrize(
-    "argv, names",
+    "argv, names, solves",
     [
-        (["dims", "--max-degree", "5"], {"kv.krv_dim", "linalg.kernel_basis"}),
+        (["dims", "--max-degree", "5"], {"kv.krv_dim", "linalg.kernel_basis"}, None),
         (["verify", "--in", str(SOL10), "--degree", "4", "--variant", "SolKV"],
-         {"kv.check_sol_kv"}),
+         {"kv.check_sol_kv"}, None),
+        # One step, two graded solves: stage A's system, then stage B's.
+        (["extend", "--in", str(EXTEND_D8), "--to-degree", "9"],
+         {"linalg.solve_linear"}, [[92, 61], [60, 57]]),
     ],
-    ids=["dims", "verify"],
+    ids=["dims", "verify", "extend"],
 )
-def test_the_tracer_sees_the_commands_calls(argv, names, tmp_path):
+def test_the_tracer_sees_the_commands_calls(argv, names, solves, tmp_path):
     # The tracer wraps the traced functions in the kvtower modules that are
     # loaded when it starts, so a layer that a command loads only later
     # would run unseen.
@@ -92,8 +96,13 @@ def test_the_tracer_sees_the_commands_calls(argv, names, tmp_path):
         [str(ROOT / "src"), *filter(None, [os.environ.get("PYTHONPATH")])]))
     subprocess.run([sys.executable, str(TRACER), str(spans), *argv], env=env,
                    capture_output=True, check=True)
-    seen = {span[0] for span in json.loads(spans.read_text())["spans"]}
-    assert names <= seen
+    data = json.loads(spans.read_text())
+    seen = [span[0] for span in data["spans"]]
+    assert names <= set(seen)
+    if solves is not None:
+        # The rows and columns of each system, in the order they were solved.
+        assert seen.count("linalg.solve_linear") == len(solves)
+        assert [shape[:2] for shape in data["systems"]] == solves
 
 
 def test_one_set_of_check_variants():

@@ -13,15 +13,19 @@ the necklaces of degree ``k``: ``(x + y)^k`` is the sum of all words of
 length ``k``, so a necklace's coefficient is its number of distinct
 rotations, its period.  For ``w = bch(x, y)`` the patterns of all degrees
 come from one running power of ``w``, which starts at ``w`` itself, and
-are cached per cap in a global table of :mod:`kvtower.lie`.
+are cached per cap in this module's own global table, filled through the
+memo of :mod:`kvtower.words`.
 Either way the degree-``k`` part of ``w^k`` is ``(x + y)^k``, so each
 pattern's least word is ``x^(k-1) y``, with coefficient ``k``.
 """
 
 from .assoc import AssocElt
-from .lie import _BCH_PATTERNS, LieElt, _memo, bch_xy, lie_to_assoc
+from .lie import LieElt, bch_xy, lie_to_assoc
 from .sparse import SparseElt
-from .words import _necklace_sums, min_rotation, necklaces
+from .words import _memo, _necklace_sums, min_rotation, necklaces
+
+# The Duflo patterns of bch(x, y), keyed by the cap.
+_BCH_PATTERNS = {}
 
 
 class CycElt(SparseElt):

@@ -24,55 +24,37 @@ integer numerators of each operand, and the result's denominator is the
 operand's, or ``du * dv`` for a bracket of operands with denominators
 ``du`` and ``dv``.
 
-The five global tables — basis expansions, structure constants,
-divergence rows, the ``bch(x, y)`` series and the Duflo patterns of that
-series, which :mod:`kvtower.cyclic` fills — are filled on demand through
-one memo, and :func:`clear_caches` empties them together with the three
-caches of :mod:`kvtower.words`.
+The four global tables of this module — basis expansions, structure
+constants, divergence rows and the ``bch(x, y)`` series — are filled on
+demand through the memo of :mod:`kvtower.words`; its
+:func:`clear_caches`, which this module imports so that
+``kvtower.lie.clear_caches`` names it too, empties them with every other
+table.
 """
 
 from fractions import Fraction
-from functools import wraps
 from math import comb, factorial
 
 from .assoc import AssocElt
 from .errors import NotPrimitive
 from .sparse import SparseElt, _combine, _products, _require_same_cap
-from .words import (_duval, _necklace, _necklace_sums, is_lyndon, lyndon_words,
+from .words import (_memo, _necklace_sums, clear_caches, is_lyndon, lyndon_words,
                     standard_factorization)
 
-# The five global tables, keyed by argument tuple: the expansion of each
+# The four global tables, keyed by argument tuple: the expansion of each
 # Lyndon basis element as an integer word polynomial, the structure
 # constants of brackets of basis elements, the divergence rows
 # {necklace: int} of basis elements in the x slot (x rows only: above
 # degree one the trace of the commutator B(w) is zero, so its y row is the
 # negated x row, and a degree-one word has no divergence in the slot that
-# reads it), the bch(x, y) series per cap, and the Duflo
-# patterns of that series per cap (filled by kvtower.cyclic).  All are
-# exact and cap-independent or keyed by the cap, so they are global; only
-# _memo fills them and only clear_caches() empties them, so this is the
-# one place to count or bound them.  They are unbounded today.
+# reads it), and the bch(x, y) series per cap.  All are exact and
+# cap-independent or keyed by the cap, so they are global.
 # perfbench/tracer.py reads the sizes of _EXPANSION, _BRACKET and _BCH_XY
 # by these names.
 _EXPANSION = {}
 _BRACKET = {}
 _DIVERGENCE = {}
 _BCH_XY = {}
-_BCH_PATTERNS = {}
-
-
-def _memo(table):
-    """Decorator: store the function's results in ``table``, keyed by the
-    tuple of its positional arguments."""
-    def decorate(fn):
-        @wraps(fn)
-        def memoized(*key):
-            result = table.get(key)
-            if result is None:
-                result = table[key] = fn(*key)
-            return result
-        return memoized
-    return decorate
 
 
 def _commutator(a, b):
@@ -174,17 +156,6 @@ def bracket_table(w1, w2):
                         out[ww] = out.get(ww, 0) + sign * c * cc
             return {w: out[w] for w in sorted(out) if out[w]}
     return {w1 + w2: 1}
-
-
-def clear_caches():
-    """Empty all eight caches in place: the basis expansions, structure
-    constants, divergence rows, ``bch_xy`` series and their Duflo
-    patterns here, and the necklaces, the Duval passes and the standard
-    factorizations of :mod:`kvtower.words`; the next use refills them."""
-    for table in (_EXPANSION, _BRACKET, _DIVERGENCE, _BCH_XY, _BCH_PATTERNS):
-        table.clear()
-    for cached in (_necklace, _duval, standard_factorization):
-        cached.cache_clear()
 
 
 class LieElt(SparseElt):

@@ -8,9 +8,48 @@ Duval's algorithm, and the Lyndon test is Duval's one-pass scan, linear in
 the length of the word.  Integer coefficients of words are summed by
 necklace in one place, :func:`_necklace_sums`, for the trace, the cyclic
 action of a derivation and the divergence rows.
+
+This lowest module also holds the one memo of the package, :func:`_memo`.
+Every global table, here and in the modules that import this one, is
+filled through it and listed in its registry, ``_TABLES``; the tables are
+filled on demand, never at import, and :func:`clear_caches` empties them
+all.
 """
 
-from functools import lru_cache
+from functools import wraps
+
+# Every table that _memo fills, in the order the decorators ran.  Only
+# _memo fills them and only clear_caches() empties them, so a counter or a
+# bound on the caches goes into those two functions.  They are unbounded
+# today.
+_TABLES = []
+
+
+def _memo(table):
+    """Decorator: store the function's results in ``table``, keyed by the
+    tuple of its positional arguments, and list ``table`` in the registry
+    that :func:`clear_caches` empties.
+
+    ``None`` marks a missing entry, so a memoized function never returns
+    ``None``."""
+    _TABLES.append(table)
+
+    def decorate(fn):
+        @wraps(fn)
+        def memoized(*key):
+            result = table.get(key)
+            if result is None:
+                result = table[key] = fn(*key)
+            return result
+        return memoized
+    return decorate
+
+
+def clear_caches():
+    """Empty every table of the registry in place; the next use refills
+    them."""
+    for table in _TABLES:
+        table.clear()
 
 
 def min_rotation(word):
@@ -26,7 +65,7 @@ def min_rotation(word):
 # action and the divergence rows, which rotate the same short words over
 # and over.  Words that come from outside, such as a document's, go
 # through the uncached min_rotation.
-_necklace = lru_cache(maxsize=None)(min_rotation)
+_necklace = _memo({})(min_rotation)
 
 
 def _necklace_sums(terms):
@@ -52,7 +91,7 @@ def is_lyndon(word):
     return j == len(word) and k == 0
 
 
-@lru_cache(maxsize=None)
+@_memo({})
 def _duval(n):
     """The Lyndon words of length ``n`` and the necklaces of length ``n``,
     both in lexicographic order, from one pass of Duval's algorithm.
@@ -96,7 +135,7 @@ def necklaces(n):
     return _duval(n)[1]
 
 
-@lru_cache(maxsize=None)
+@_memo({})
 def standard_factorization(word):
     """Split a Lyndon word as ``(u, v)`` with ``v`` the longest proper
     Lyndon suffix; the bracketing ``[B(u), B(v)]`` is the basis element.

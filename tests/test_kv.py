@@ -330,9 +330,9 @@ def test_bch_patterns_are_built_once_per_cap(monkeypatch):
     again = check_kv(F, 6)
     assert len(expansions) == 1
     assert again.duflo == first.duflo and not again.passed
-    assert lie._BCH_PATTERNS[(6,)] == tuple(kvtower.cyclic._duflo_patterns("bch", 6))
+    assert kvtower.cyclic._BCH_PATTERNS[(6,)] == tuple(kvtower.cyclic._duflo_patterns("bch", 6))
     clear_caches()
-    assert lie._BCH_PATTERNS == {}
+    assert kvtower.cyclic._BCH_PATTERNS == {}
 
 
 def test_extend_solkv_checks_its_input_once(monkeypatch):

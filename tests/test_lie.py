@@ -1,9 +1,10 @@
+import subprocess
 import sys
 from fractions import Fraction
 from pathlib import Path
 
 from conftest import random_lie, reference_divergence_row, rng_for
-from kvtower import lie, words
+from kvtower import cyclic, lie, words
 from kvtower.assoc import AssocElt
 from kvtower.cyclic import _bch_patterns
 from kvtower.errors import CapMismatch, NotPrimitive
@@ -181,32 +182,52 @@ def test_bracket_table_matches_the_associative_construction():
 
 
 def _tables():
-    return (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY, lie._BCH_PATTERNS)
+    return (lie._EXPANSION, lie._BRACKET, lie._DIVERGENCE, lie._BCH_XY, cyclic._BCH_PATTERNS)
 
 
-# Each memoized function with one argument tuple, and its table of lie.
+# The tables of words are anonymous; words is the lowest module, so its
+# three (necklaces, Duval passes, factorizations) come first in the
+# registry, in definition order.
+_DUVAL_TABLE, _FACTOR_TABLE = words._TABLES[1:3]
+
+# Each memoized function with one argument tuple, and its table.
 MEMOIZED = [
     (basis_expansion, ("xxy",), lie._EXPANSION),
     (bracket_table, ("xy", "x"), lie._BRACKET),
     (_divergence_row, ("xxy",), lie._DIVERGENCE),
     (bch_xy, (4,), lie._BCH_XY),
-    (_bch_patterns, (4,), lie._BCH_PATTERNS),
+    (_bch_patterns, (4,), cyclic._BCH_PATTERNS),
+    (standard_factorization, ("xxyxy",), _FACTOR_TABLE),
+    (words._duval, (5,), _DUVAL_TABLE),
 ]
 
 
 def test_clear_caches_empties_the_caches_in_place():
-    cached = _tables()
-    word_caches = (words._necklace, words._duval, words.standard_factorization)
+    cached = list(words._TABLES)
+    assert len(cached) == 8
+    assert all(any(t is table for table in cached) for t in _tables())
+    assert clear_caches is words.clear_caches
     for fn, args, _ in MEMOIZED:
         fn(*args)
     lyndon_words(4)
     assert all(cached)
-    assert all(c.cache_info().currsize for c in word_caches)
     clear_caches()
-    assert _tables() == ({}, {}, {}, {}, {})
-    assert all(a is b for a, b in zip(cached, _tables()))
-    assert word_caches == (words._necklace, words._duval, words.standard_factorization)
-    assert [c.cache_info().currsize for c in word_caches] == [0, 0, 0]
+    assert words._TABLES == [{}] * 8
+    assert all(a is b for a, b in zip(cached, words._TABLES, strict=True))
+
+
+def test_import_fills_no_table():
+    # The tables are filled on demand, never at import: a fresh interpreter
+    # that loads every module of the package finds all eight empty.
+    script = (
+        "import kvtower.cli\n"
+        "from kvtower import words\n"
+        "print([len(table) for table in words._TABLES])\n"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", script], capture_output=True, text=True, check=True
+    )
+    assert proc.stdout.splitlines()[-1] == str([0] * 8)
 
 
 @pytest.mark.parametrize("fn, args, table", MEMOIZED, ids=[m[0].__name__ for m in MEMOIZED])

@@ -20,11 +20,13 @@ guards each one, once, before it calls the command: it must be at least
 1, and at most ``DEGREE_GUARD`` unless ``--allow-large`` is given.
 ``gr-test`` also guards the cap of the document it reads.
 
-``main()`` with no argument is the program: after the command it flushes
-stdout and stderr and ends the process with ``os._exit``, so the
-interpreter does not tear down the modules and tables that the process is
-about to drop, and no ``atexit`` handler runs.  ``main(argv)`` and
-``run_command(argv)`` return the exit code and leave the process alone.
+``run_command(argv)`` runs one command in-process and returns its exit
+code.  It flushes stdout after every outcome, so a failed write to stdout
+is reported by its one handler: one ``error: cannot write stdout`` line
+and exit code 2.  ``main()`` is the program: it runs ``sys.argv[1:]``,
+flushes stderr and ends the process with ``os._exit``, so the interpreter
+does not tear down the modules and tables that the process is about to
+drop, and no ``atexit`` handler runs.
 """
 
 import contextlib
@@ -295,15 +297,10 @@ def _read_args(argv):
     return SimpleNamespace(command=argv[0], func=func, **values)
 
 
-def run_command(argv):
-    """Dispatch one invocation; returns the process exit code."""
-    # A stream is None when its file descriptor was closed at start: output
-    # to a closed stdout is an I/O error, and messages to a closed stderr
-    # are lost.
-    if sys.stdout is None:
-        sys.stdout = _ClosedStdout()
-    if sys.stderr is None:
-        sys.stderr = open(os.devnull, "w", encoding="utf-8")
+def _dispatch(argv):
+    """Read ``argv`` and run its command; returns the exit code.  Every
+    error is reported here, except an ``OSError``, a failed write to
+    stdout, which :func:`run_command` reports."""
     args = _read_args(argv)
     if args is None:
         try:
@@ -315,22 +312,9 @@ def run_command(argv):
         for _, dest, kind, _ in _COMMANDS[args.command][2]:
             if kind is int:
                 _guard_degree(getattr(args, dest), args.allow_large)
-        code = args.func(args)
-        sys.stdout.flush()
-        return code
-    except OSError as exc:
-        # The commands turn their own file errors into DocumentError, so
-        # an OSError that reaches here is a write to stdout.
-        _error(f"error: cannot write stdout: {exc}\n")
-        # stdout is flushed again before the process ends (by main, or by
-        # the interpreter at exit); what it still holds goes nowhere.
-        if not isinstance(sys.stdout, _ClosedStdout):
-            fd = os.open(os.devnull, os.O_WRONLY)
-            try:
-                os.dup2(fd, sys.stdout.fileno())
-            finally:
-                os.close(fd)
-        return 2
+        return args.func(args)
+    except OSError:
+        raise
     except (DocumentError, PreconditionFailed) as exc:
         _error(f"error: {exc}\n")
         return 2
@@ -344,21 +328,43 @@ def run_command(argv):
         return 3
 
 
-def main(argv=None):
-    """Run ``argv`` in-process and return the exit code; with no argument,
-    run ``sys.argv[1:]`` as the program and end the process (see above)."""
-    if argv is not None:
-        return run_command(argv)
-    code = run_command(sys.argv[1:])
+def run_command(argv):
+    """Dispatch one invocation and flush stdout; returns the process exit
+    code."""
+    # A stream is None when its file descriptor was closed at start: output
+    # to a closed stdout is an I/O error, and messages to a closed stderr
+    # are lost.
+    if sys.stdout is None:
+        sys.stdout = _ClosedStdout()
+    if sys.stderr is None:
+        sys.stderr = open(os.devnull, "w", encoding="utf-8")
     try:
+        code = _dispatch(argv)
         sys.stdout.flush()
+        return code
     except OSError as exc:
+        # The commands turn their own file errors into DocumentError, so
+        # an OSError that reaches here is a write to stdout: a command's,
+        # or the flush after any outcome, which also writes help text.
         _error(f"error: cannot write stdout: {exc}\n")
-        code = 2
+        # What stdout still holds goes nowhere when the interpreter flushes
+        # it at exit.
+        if not isinstance(sys.stdout, _ClosedStdout):
+            fd = os.open(os.devnull, os.O_WRONLY)
+            try:
+                os.dup2(fd, sys.stdout.fileno())
+            finally:
+                os.close(fd)
+        return 2
+
+
+def main():
+    """The program: run ``sys.argv[1:]``, then end the process (see above)."""
+    code = run_command(sys.argv[1:])
     with contextlib.suppress(OSError):
         sys.stderr.flush()
     os._exit(code)
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    main()

@@ -26,9 +26,11 @@ _TABLES = []
 
 
 def _memo(table):
-    """Decorator: store the function's results in ``table``, keyed by the
-    tuple of its positional arguments, and list ``table`` in the registry
-    that :func:`clear_caches` empties.
+    """Decorator: store the function's results in ``table``, and list
+    ``table`` in the registry that :func:`clear_caches` empties.  A call
+    with one argument is keyed by that argument, as ``functools.lru_cache``
+    keys a lone word or degree, so no tuple is stored beside it; any other
+    call is keyed by the tuple of its arguments.
 
     ``None`` marks a missing entry, so a memoized function never returns
     ``None``."""
@@ -36,10 +38,11 @@ def _memo(table):
 
     def decorate(fn):
         @wraps(fn)
-        def memoized(*key):
+        def memoized(*args):
+            key = args[0] if len(args) == 1 else args
             result = table.get(key)
             if result is None:
-                result = table[key] = fn(*key)
+                result = table[key] = fn(*args)
             return result
         return memoized
     return decorate

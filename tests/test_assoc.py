@@ -28,6 +28,9 @@ def test_truncation_kills_overflow():
 def test_assoc_mul_function():
     a = AssocElt.word("x", 2)
     assert (a * a).coeffs == {"xx": 1}
+    # A scalar on either side scales.
+    assert a * Fraction(1, 2) == Fraction(1, 2) * a
+    assert (a * 3).coeffs == {"x": 3}
 
 
 def test_cap_mismatch():

@@ -410,6 +410,8 @@ EXIT_2_CASES = [
     pytest.param(_VERIFY_DOC, _document(f1={}), "f1: expected a list", id="f1-not-a-list"),
     pytest.param(_VERIFY_DOC, _document(f1=[{"word": "xy", "num": "1", "den": "1"}]),
                  "word degree exceeds cap", id="word-above-cap"),
+    pytest.param(_VERIFY_DOC, _document(f1=[_entry(1)]), "f1[0]: word must be a string",
+                 id="word-not-a-string"),
     # A 200 KB word is named by its first 40 characters and its length.
     pytest.param(_VERIFY_DOC, _document(cap=200000, f1=[_entry("y" + "x" * 199999)]),
                  "f1[0]: not a Lyndon word: 'yxxxxx", id="long-word-not-lyndon"),
@@ -644,8 +646,8 @@ def test_only_commands_that_read_a_document_load_the_document_layer(argv, loaded
     # It is asked for the package, not for json, which a site hook may load.
     script = (
         "import sys\n"
-        "from kvtower.cli import main\n"
-        f"main({argv!r})\n"
+        "from kvtower.cli import run_command\n"
+        f"run_command({argv!r})\n"
         "print('kvtower.documents' in sys.modules)\n"
     )
     proc = subprocess.run(
@@ -747,7 +749,7 @@ def test_program_exit_3_path():
 
 
 def test_program_final_flush_to_a_closed_stdout_exit_code():
-    # --help leaves its text in the buffer for the final flush, which fails.
+    # --help leaves its text in the buffer for run_command's flush, which fails.
     read_end, write_end = os.pipe()
     os.close(read_end)
     try:
@@ -813,6 +815,21 @@ def test_stdout_failure_closes_the_descriptor_it_opens():
     assert after == before
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_run_command_flushes_help_text_in_process():
+    # Help text stays in the buffer until run_command's own flush, which
+    # fails on a full device: exit code 2 in-process, as in the program.
+    script = ("import sys\n"
+              "from kvtower.cli import run_command\n"
+              "sys.stderr.write(repr(run_command(['--help'])))\n")
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run([sys.executable, "-c", script], env=BUFFERED,
+                              stdout=full, stderr=subprocess.PIPE, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr.startswith("error: cannot write stdout: ")
+    assert proc.stderr.endswith("\n2")
+
+
 def test_program_without_stdout_exit_code(tmp_path):
     # With file descriptor 1 closed, sys.stdout is None: output that has to
     # go there is an I/O error, and a run that writes only --out succeeds.
@@ -839,21 +856,21 @@ def test_program_without_stderr_exit_code():
 
 
 def test_program_skips_the_interpreter_teardown():
-    # atexit handlers run only where main is called with a list.
+    # atexit handlers run only where run_command is called in-process.
     before = "import atexit; atexit.register(print, 'at exit')\n"
     assert _program("dims", "--max-degree", "2", before=before).stdout == (
         b"n lie krv\n1 2 1\n2 1 0\n")
     in_process = subprocess.run(
-        [sys.executable, "-c", before + "from kvtower.cli import main\n"
-         "print(main(['dims', '--max-degree', '2']))"],
+        [sys.executable, "-c", before + "from kvtower.cli import run_command\n"
+         "print(run_command(['dims', '--max-degree', '2']))"],
         capture_output=True,
     )
     assert in_process.stdout == b"n lie krv\n1 2 1\n2 1 0\n0\nat exit\n"
 
 
-def test_main_with_a_list_returns_its_code(capsys):
-    assert kvtower.cli.main(["dims", "--max-degree", "2"]) == 0
-    assert kvtower.cli.main(["no-such-command"]) == 2
+def test_run_command_returns_its_code(capsys):
+    assert run_command(["dims", "--max-degree", "2"]) == 0
+    assert run_command(["no-such-command"]) == 2
     assert capsys.readouterr().out == "n lie krv\n1 2 1\n2 1 0\n"
 
 

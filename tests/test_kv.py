@@ -95,6 +95,7 @@ def test_solve_duflo_inconsistent():
 def test_duflo_series_index_range():
     with pytest.raises(ValueError):
         DufloSeries(4, {1: 1})
+    assert repr(DufloSeries(4, {})) == "0"
 
 
 # -- checkers -------------------------------------------------------------------
@@ -330,7 +331,7 @@ def test_bch_patterns_are_built_once_per_cap(monkeypatch):
     again = check_kv(F, 6)
     assert len(expansions) == 1
     assert again.duflo == first.duflo and not again.passed
-    assert kvtower.cyclic._BCH_PATTERNS[(6,)] == tuple(kvtower.cyclic._duflo_patterns("bch", 6))
+    assert kvtower.cyclic._BCH_PATTERNS[6] == tuple(kvtower.cyclic._duflo_patterns("bch", 6))
     clear_caches()
     assert kvtower.cyclic._BCH_PATTERNS == {}
 

@@ -72,6 +72,10 @@ def test_from_assoc_rejects_symmetric_part():
         lie_from_assoc(AssocElt(2, {"xy": 1, "yx": 1}))
     assert info.value.residual.coeffs == {"yx": 2}
     assert str(info.value) == "not primitive; residual {'yx': Fraction(2, 1)}"
+    # A constant term is rejected first, as the residual.
+    with pytest.raises(NotPrimitive) as info:
+        lie_from_assoc(AssocElt(2, {"": 3, "xy": 1, "yx": -1}))
+    assert info.value.residual.coeffs == {"": 3}
 
 
 def test_roundtrip_random():
@@ -144,7 +148,7 @@ def test_divergence_rows_store_no_expansion_of_their_own_word():
     for d in range(1, 10):
         for w in lyndon_words(d):
             _divergence_row(w)
-    assert max(len(w) for (w,) in lie._EXPANSION) == 8
+    assert max(len(w) for w in lie._EXPANSION) == 8
     assert len(lie._EXPANSION) < len(lie._DIVERGENCE)
 
 
@@ -190,7 +194,8 @@ def _tables():
 # registry, in definition order.
 _DUVAL_TABLE, _FACTOR_TABLE = words._TABLES[1:3]
 
-# Each memoized function with one argument tuple, and its table.
+# Each memoized function with one argument tuple, and its table.  A
+# table keys a lone argument by itself and any other call by its tuple.
 MEMOIZED = [
     (basis_expansion, ("xxy",), lie._EXPANSION),
     (bracket_table, ("xy", "x"), lie._BRACKET),
@@ -235,14 +240,15 @@ def test_memoized_functions_return_the_stored_object(fn, args, table):
     # The memo keeps each function's name, module and docstring.
     assert vars(sys.modules[fn.__module__])[fn.__name__] is fn and fn.__doc__
     clear_caches()
+    key = args[0] if len(args) == 1 else args
     first = fn(*args)
-    assert table[args] is first
+    assert table[key] is first
     assert fn(*args) is first
     # After clear_caches() the table refills on demand with an equal value.
     clear_caches()
-    assert args not in table
+    assert key not in table
     again = fn(*args)
-    assert table[args] is again and again == first
+    assert table[key] is again and again == first
 
 
 def test_cold_bch_xy_matches_the_golden_series():

@@ -44,6 +44,12 @@ def test_dimension_mismatch_rejected():
     M = QMatrix.from_rows([[1, 2]])
     with pytest.raises(ValueError):
         solve_linear(M, [1, 2])
+    with pytest.raises(ValueError, match="^dimension mismatch$"):
+        M.mul_vector([1])
+    with pytest.raises(ValueError, match="^ragged rows$"):
+        QMatrix.from_rows([[1, 2], [3]])
+    with pytest.raises(IndexError):
+        M[1, 0] = 1
 
 
 def test_kernel_full_rank():

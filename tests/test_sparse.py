@@ -87,6 +87,11 @@ def test_shared_sparse_base(cls, words_of, sample, expected_repr):
         cls.zero(0)
     with pytest.raises(ValueError):
         cls(3, sample).truncate(0)
+    # Truncation never raises the cap, and with_cap never lowers it.
+    with pytest.raises(ValueError, match="^cannot extend the cap by truncation$"):
+        cls(3, sample).truncate(4)
+    with pytest.raises(ValueError, match="^use truncate to lower the cap$"):
+        cls(3, sample).with_cap(2)
 
     # Terms above the cap are dropped; coefficients become Fractions.
     elt = cls(2, sample)

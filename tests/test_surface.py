@@ -1,7 +1,8 @@
 """The public surface that the library keeps from change to change: the
 names the package exports, the names the benchmark's tracer wraps and
-the calls it sees, and the one set of check variants that the checkers,
-the command line and the documents share."""
+the calls it sees, the one set of check variants that the checkers, the
+command line and the documents share, and two rules on the library's
+source."""
 
 import ast
 import importlib
@@ -20,6 +21,7 @@ import kvtower.kv
 
 ROOT = Path(__file__).parent.parent
 TRACER = ROOT / "perfbench" / "tracer.py"
+SRC = ROOT / "src" / "kvtower"
 SOL10 = ROOT / "perfbench" / "data" / "sol10.json"
 EXTEND_D8 = ROOT / "tests" / "golden" / "extend_d8.json"
 
@@ -110,3 +112,34 @@ def test_one_set_of_check_variants():
     assert set(kvtower.cli._CHECKERS) == names == set(kvtower.documents.VARIANTS)
     # The documents' order is the table's, and it names them in its errors.
     assert kvtower.documents.VARIANTS == ("SolKV", "KV", "KRV")
+
+
+# A functools.lru_cache or functools.cache is a table that clear_caches()
+# cannot reach.
+CACHES = {"lru_cache", "cache"}
+
+
+def _source_problem(node):
+    """What the syntax-tree ``node`` breaks of the library's source rules,
+    or ``None``."""
+    if isinstance(node, ast.Assert):
+        return "assert statement; raise an exception instead"
+    if (isinstance(node, ast.ImportFrom) and node.module == "functools"
+            and any(alias.name in CACHES for alias in node.names)
+            or isinstance(node, ast.Attribute) and node.attr in CACHES
+            and isinstance(node.value, ast.Name) and node.value.id == "functools"):
+        return "functools cache; memoize with words._memo so that clear_caches() empties it"
+    return None
+
+
+def test_no_assert_statements_or_functools_caches_in_the_library():
+    # python -O strips asserts, so a check in the library must raise.  A
+    # walk of the syntax trees also catches an assert split over several
+    # lines.
+    found = [
+        f"{path.relative_to(ROOT)}:{node.lineno}: {what}"
+        for path in sorted(SRC.rglob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"), str(path)))
+        if (what := _source_problem(node))
+    ]
+    assert found == []

@@ -63,6 +63,10 @@ def test_tder_normalization():
     u = TDer(LieElt(cap, {"x": 5, "y": 1}), LieElt(cap, {"y": -2, "x": 1}))
     assert u.u1.coeffs == {"y": 1}
     assert u.u2.coeffs == {"x": 1}
+    # Equal derivations hash alike and print alike.
+    v = TDer(LieElt(cap, {"y": 1}), LieElt(cap, {"x": 1}))
+    assert u == v and hash(u) == hash(v)
+    assert repr(u) == repr(v) == "TDer(1*y, 1*x)"
 
 
 def test_tder_apply_generator():
@@ -1052,6 +1056,7 @@ def test_truncate_examples():
     assert F.truncate(3) == F
     T = F.truncate(1)
     assert T.cap == 1 and T.f1.coeffs == {"y": 1}
+    assert repr(T) == "TAutElt(e^(1*y), e^(0))"
 
 
 def test_truncate_is_group_homomorphism():
@@ -1070,6 +1075,7 @@ def test_normalization_of_kernel_exponents():
     # A pure-generator exponent conjugates its own generator trivially.
     F = TAutElt(LieElt.gen_x(3), LieElt.zero(3))
     assert F == TAutElt.identity(3)
+    assert hash(F) == hash(TAutElt.identity(3))
 
 
 def test_cap_mismatch_raises():
